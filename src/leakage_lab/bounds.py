@@ -65,8 +65,8 @@ class BoundReport:
     flags: Mapping[str, object] | None = None
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise LeakageLabError(f"bound {self.name!r} computed negative: {self.value}")
+        if not self.value >= 0.0:
+            raise LeakageLabError(f"bound {self.name!r} computed {self.value}, not a nonnegative number")
         object.__setattr__(self, "inputs", dict(self.inputs))
         if self.flags is not None:
             object.__setattr__(self, "flags", dict(self.flags))

@@ -8,7 +8,8 @@ Exit codes:
     0  success; for verify/simulate, every check passed
     1  a verify or simulate check failed
     2  validation failure (unreadable file, malformed value, mismatch)
-    3  infeasible parameter (beta out of range, empty feasible set, ...)
+    3  infeasible parameter (beta out of range, empty feasible set,
+       a result too large to represent, ...)
     4  enumeration cap exceeded
 """
 
@@ -76,6 +77,8 @@ _INFEASIBLE = (
 )
 
 _NATS_PER_BIT = math.log(2.0)
+
+_WORKERS_HELP = "accepted for compatibility; has no effect, every run is serial"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -238,7 +241,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     _require(args.seed is not None, "verify needs an explicit --seed")
     _require(args.instances >= 1, "--instances must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    document = run_suites(names, args.instances, args.seed, workers=args.workers)
+    document = run_suites(names, args.instances, args.seed)
     return document, EXIT_OK if document["pass"] else EXIT_CHECK_FAILED
 
 
@@ -249,13 +252,13 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         report = run_gen_error_experiment(
-            config, workers=args.workers, trace_path=args.trace, require_exact=args.exact
+            config, trace_path=args.trace, require_exact=args.exact
         )
     else:
         config = HypTestConfig.from_json(payload)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        report = run_hyptest_experiment(config, workers=args.workers, trace_path=args.trace)
+        report = run_hyptest_experiment(config, trace_path=args.trace)
     return report.to_json(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -314,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="run randomized property sweeps")
     verify.add_argument("suite", choices=[*SUITES, "all"])
     verify.add_argument("--instances", type=int, default=1000)
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     verify.set_defaults(handler=_cmd_verify)
 
     simulate = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo experiment from a config file")
     simulate.add_argument("kind", choices=["generr", "hyptest"])
     simulate.add_argument("--config", required=True, help="experiment config JSON path")
     simulate.add_argument("--trace", default=None, help="write per-trial CSV here")
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     simulate.add_argument("--exact", action="store_true", help="generr: fail instead of falling back to the ledger bound")
     simulate.set_defaults(handler=_cmd_simulate)
 
@@ -335,13 +338,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    for name, value in vars(args).items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            print(f"error: --{name.replace('_', '-')} must be finite", file=sys.stderr)
+            return EXIT_VALIDATION
+
     try:
         document, code = args.handler(args)
+        text = jsonio.dumps(document)
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
     except _INFEASIBLE as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except OverflowError as err:
+        print(f"error: result too large to represent ({err})", file=sys.stderr)
         return EXIT_INFEASIBLE
     except LeakageLabError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -353,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    text = jsonio.dumps(document)
     print(text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

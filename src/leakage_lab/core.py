@@ -16,12 +16,12 @@ the ``LEAKAGE_LAB_CAP`` environment variable.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import jsonio
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -41,7 +41,6 @@ __all__ = [
     "Channel",
     "JointDistribution",
     "EventMask",
-    "validate_distribution",
     "joint_from",
     "compose_channels",
     "iid_prior",
@@ -173,15 +172,22 @@ class ProductAlphabet(Alphabet):
         return self._strides
 
 
+def _check_entries(values: np.ndarray, what: str) -> float:
+    """Sum of ``values`` once they are known finite and nonnegative."""
+    total = float(values.sum())
+    # a NaN or an infinite entry leaves the sum NaN or infinite
+    if not math.isfinite(total):
+        raise LeakageLabError(f"{what} has a non-finite entry")
+    if values.min() < 0.0:
+        raise NegativeMass(f"{what} has a negative entry ({float(values.min()):.3g})")
+    return total
+
+
 def _check_prob_vector(probs: np.ndarray, what: str) -> None:
-    total = float(probs.sum())
+    # nonnegative entries summing to ~1 leave a nonempty support
+    total = _check_entries(probs, what)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(total - 1.0, what)
-    if np.any(probs < 0.0):
-        worst = float(probs.min())
-        raise NegativeMass(f"{what} has a negative entry ({worst:.3g})")
-    if not np.any(probs > 0.0):
-        raise EmptySupport(f"{what} has empty support")
 
 
 class DiscreteDistribution:
@@ -230,37 +236,76 @@ class DiscreteDistribution:
         return cls(Alphabet(payload["labels"]), payload["probs"])
 
 
-def validate_distribution(dist: DiscreteDistribution) -> None:
-    """Re-check the invariants; raises on the first violated one."""
-    if dist.probs.shape != (len(dist.alphabet),):
-        raise AlphabetMismatch("probability vector length differs from alphabet size")
-    _check_prob_vector(np.asarray(dist.probs), "distribution")
+class _Rectangle:
+    """A read-only matrix over an input x output rectangle of two alphabets.
 
+    A subclass names its matrix attribute in ``_field`` (which is also its
+    JSON key) and its dtype in ``_dtype``, and adds its own invariant in
+    ``_check``. Float entries must be finite and nonnegative.
+    """
 
-class Channel:
-    """Row-stochastic conditional distribution from one alphabet to another."""
+    __slots__ = ("input", "output")
+    _field: str
+    _dtype: type = np.float64
 
-    __slots__ = ("input", "output", "rows")
-
-    def __init__(self, input: Alphabet, output: Alphabet, rows: Iterable[Iterable[float]]):
-        matrix = np.array(rows, dtype=np.float64)
+    def __init__(self, input: Alphabet, output: Alphabet, matrix):
+        matrix = np.array(matrix, dtype=self._dtype)
         if matrix.shape != (len(input), len(output)):
             raise AlphabetMismatch(
                 f"expected a {len(input)}x{len(output)} matrix, got shape {matrix.shape}"
             )
-        if np.any(matrix < 0.0):
-            raise NegativeMass("channel rows must be nonnegative")
-        sums = matrix.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > NORMALIZATION_TOL)
-        if bad.size:
-            row = int(bad[0])
-            raise NotNormalized(float(sums[row] - 1.0), f"channel row {row}")
+        if self._dtype is not bool:
+            _check_entries(matrix, type(self).__name__)
+        self._check(matrix)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "output", output)
-        object.__setattr__(self, "rows", _readonly(matrix))
+        object.__setattr__(self, self._field, _readonly(matrix))
+
+    def _check(self, matrix: np.ndarray) -> None:
+        """Invariant beyond shape and entries; none by default."""
 
     def __setattr__(self, name, value):
-        raise AttributeError("Channel is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.input == other.input
+            and self.output == other.output
+            and np.array_equal(getattr(self, self._field), getattr(other, self._field))
+        )
+
+    def __hash__(self):
+        return hash((self.input, self.output, getattr(self, self._field).tobytes()))
+
+    def to_json(self) -> dict:
+        return {
+            "input_labels": list(self.input.labels),
+            "output_labels": list(self.output.labels),
+            self._field: getattr(self, self._field).tolist(),
+        }
+
+    @classmethod
+    def from_json(cls, payload: Mapping):
+        return cls(
+            Alphabet(payload["input_labels"]),
+            Alphabet(payload["output_labels"]),
+            payload[cls._field],
+        )
+
+
+class Channel(_Rectangle):
+    """Row-stochastic conditional distribution from one alphabet to another."""
+
+    __slots__ = ("rows",)
+    _field = "rows"
+
+    def _check(self, matrix: np.ndarray) -> None:
+        sums = matrix.sum(axis=1)
+        residual = np.abs(sums - 1.0)
+        if residual.max() > NORMALIZATION_TOL:
+            row = int(np.flatnonzero(residual > NORMALIZATION_TOL)[0])
+            raise NotNormalized(float(sums[row] - 1.0), f"channel row {row}")
 
     def row(self, label: str) -> np.ndarray:
         return self.rows[self.input.index(label)]
@@ -278,55 +323,17 @@ class Channel:
             rows[input.index(label), output.index(mapping[label])] = 1.0
         return cls(input, output, rows)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Channel)
-            and self.input == other.input
-            and self.output == other.output
-            and np.array_equal(self.rows, other.rows)
-        )
 
-    def __hash__(self):
-        return hash((self.input, self.output, self.rows.tobytes()))
-
-    def to_json(self) -> dict:
-        return {
-            "input_labels": list(self.input.labels),
-            "output_labels": list(self.output.labels),
-            "rows": self.rows.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "Channel":
-        return cls(
-            Alphabet(payload["input_labels"]),
-            Alphabet(payload["output_labels"]),
-            payload["rows"],
-        )
-
-
-class JointDistribution:
+class JointDistribution(_Rectangle):
     """Joint probability mass over an input and an output alphabet."""
 
-    __slots__ = ("input", "output", "mass")
+    __slots__ = ("mass",)
+    _field = "mass"
 
-    def __init__(self, input: Alphabet, output: Alphabet, mass: Iterable[Iterable[float]]):
-        matrix = np.array(mass, dtype=np.float64)
-        if matrix.shape != (len(input), len(output)):
-            raise AlphabetMismatch(
-                f"expected a {len(input)}x{len(output)} matrix, got shape {matrix.shape}"
-            )
-        if np.any(matrix < 0.0):
-            raise NegativeMass("joint mass must be nonnegative")
+    def _check(self, matrix: np.ndarray) -> None:
         total = float(matrix.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(total - 1.0, "joint mass")
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "mass", _readonly(matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
 
     def marginal_input(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.input, self.mass.sum(axis=1))
@@ -347,50 +354,13 @@ class JointDistribution:
             rows = np.where(row_sums > 0.0, self.mass / row_sums, uniform)
         return Channel(self.input, self.output, rows)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, JointDistribution)
-            and self.input == other.input
-            and self.output == other.output
-            and np.array_equal(self.mass, other.mass)
-        )
 
-    def __hash__(self):
-        return hash((self.input, self.output, self.mass.tobytes()))
-
-    def to_json(self) -> dict:
-        return {
-            "input_labels": list(self.input.labels),
-            "output_labels": list(self.output.labels),
-            "mass": self.mass.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "JointDistribution":
-        return cls(
-            Alphabet(payload["input_labels"]),
-            Alphabet(payload["output_labels"]),
-            payload["mass"],
-        )
-
-
-class EventMask:
+class EventMask(_Rectangle):
     """Boolean subset of an input x output rectangle."""
 
-    __slots__ = ("input", "output", "mask")
-
-    def __init__(self, input: Alphabet, output: Alphabet, mask: Iterable[Iterable[bool]]):
-        matrix = np.array(mask, dtype=bool)
-        if matrix.shape != (len(input), len(output)):
-            raise AlphabetMismatch(
-                f"expected a {len(input)}x{len(output)} mask, got shape {matrix.shape}"
-            )
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "mask", _readonly(matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EventMask is immutable")
+    __slots__ = ("mask",)
+    _field = "mask"
+    _dtype = bool
 
     def fiber(self, y: int | str) -> np.ndarray:
         """Input indices belonging to the event at output ``y``."""
@@ -404,32 +374,6 @@ class EventMask:
     @classmethod
     def full(cls, input: Alphabet, output: Alphabet) -> "EventMask":
         return cls(input, output, np.ones((len(input), len(output)), dtype=bool))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EventMask)
-            and self.input == other.input
-            and self.output == other.output
-            and np.array_equal(self.mask, other.mask)
-        )
-
-    def __hash__(self):
-        return hash((self.input, self.output, self.mask.tobytes()))
-
-    def to_json(self) -> dict:
-        return {
-            "input_labels": list(self.input.labels),
-            "output_labels": list(self.output.labels),
-            "mask": [[bool(v) for v in row] for row in self.mask],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "EventMask":
-        return cls(
-            Alphabet(payload["input_labels"]),
-            Alphabet(payload["output_labels"]),
-            payload["mask"],
-        )
 
 
 def joint_from(prior: DiscreteDistribution, channel: Channel) -> JointDistribution:
@@ -446,13 +390,18 @@ def compose_channels(first: Channel, second: Channel) -> Channel:
     return Channel(first.input, second.output, first.rows @ second.rows)
 
 
+def _iid_probs(probs: np.ndarray, n: int) -> np.ndarray:
+    """Probabilities of all length-``n`` tuples, in ProductAlphabet order."""
+    out = np.ones(1)
+    for _ in range(n):
+        out = np.multiply.outer(out, probs).reshape(-1)
+    return out
+
+
 def iid_prior(base: DiscreteDistribution, n: int, cap: int | None = None) -> DiscreteDistribution:
     """Product distribution of ``n`` independent copies of ``base``."""
     alphabet = ProductAlphabet(base.alphabet, n, cap=cap)
-    probs = np.ones(1)
-    for _ in range(n):
-        probs = np.multiply.outer(probs, base.probs).reshape(-1)
-    return DiscreteDistribution(alphabet, probs)
+    return DiscreteDistribution(alphabet, _iid_probs(base.probs, n))
 
 
 def fiber_max_prob(event: EventMask, prior: DiscreteDistribution) -> float:
@@ -463,9 +412,3 @@ def fiber_max_prob(event: EventMask, prior: DiscreteDistribution) -> float:
     # the sum of a subset of the masses can overshoot 1 by an ulp
     return float(min(fibers.max(), 1.0))
 
-
-def dumps(obj) -> str:
-    """Serialize any of the core types (or a plain JSON tree) to text."""
-    if hasattr(obj, "to_json"):
-        obj = obj.to_json()
-    return jsonio.dumps(obj)

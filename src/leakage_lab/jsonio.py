@@ -13,7 +13,7 @@ import json
 import math
 from typing import Any
 
-__all__ = ["dumps", "loads", "dump_path", "load_path", "encode_extended", "decode_extended"]
+__all__ = ["dumps", "loads", "load_path", "encode_extended", "decode_extended"]
 
 
 def _format_real(x: float) -> str:
@@ -68,12 +68,6 @@ def dumps(obj: Any) -> str:
 
 def loads(text: str) -> Any:
     return json.loads(text)
-
-
-def dump_path(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj))
-        handle.write("\n")
 
 
 def load_path(path: str) -> Any:

@@ -65,8 +65,8 @@ class LeakageValue:
     support_size: int
 
     def __post_init__(self):
-        if self.nats < 0.0:
-            raise LeakageLabError(f"leakage cannot be negative, got {self.nats}")
+        if not self.nats >= 0.0:
+            raise LeakageLabError(f"leakage must be a nonnegative number, got {self.nats}")
         if self.support_size < 1:
             raise EmptySupport("leakage needs a nonempty support")
 
@@ -203,10 +203,8 @@ def renyi_inf_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> fl
 def _ratio_order(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
     # Sort outcomes by p/q descending; q = 0 with p > 0 counts as +inf
     # and p = 0 sinks to the end (such cells never change an optimum).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            qv > 0.0, pv / qv, np.where(pv > 0.0, np.inf, -np.inf)
-        )
+    ratio = np.where(pv > 0.0, np.inf, -np.inf)
+    np.divide(pv, qv, out=ratio, where=qv > 0.0)
     return np.argsort(-ratio, kind="stable")
 
 
@@ -216,26 +214,22 @@ def _approx_max_div_vectors(pv: np.ndarray, qv: np.ndarray, delta: float) -> flo
     The objective (p(O) - delta)/q(O) strictly improves when adding an
     outcome whose ratio p/q exceeds the current value and when dropping
     one below it, so some prefix of the ratio-sorted order attains the
-    maximum; the scan evaluates every feasible prefix.
+    maximum; the scan evaluates every feasible prefix. ``cumsum`` adds in
+    order, so each prefix sum is the one a sequential loop would form, and
+    prefix sums of nonnegative terms never decrease: the feasible prefixes
+    are those from the first one with mass above delta on.
     """
     if not 0.0 <= delta < 1.0:
         raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
     order = _ratio_order(pv, qv)
-    mass = 0.0
-    denom = 0.0
-    best = None
-    for i in order:
-        mass += float(pv[i])
-        denom += float(qv[i])
-        if mass > delta:
-            if denom == 0.0:
-                return math.inf
-            candidate = (mass - delta) / denom
-            if best is None or candidate > best:
-                best = candidate
-    if best is None:
+    mass = pv[order].cumsum()
+    denom = qv[order].cumsum()
+    first = int(mass.searchsorted(delta, side="right"))
+    if first == mass.size:
         raise NoFeasibleSet(f"no outcome set has mass above {delta}")
-    return math.log(best)
+    if denom[first] == 0.0:
+        return math.inf
+    return math.log(((mass[first:] - delta) / denom[first:]).max())
 
 
 _ENUM_LIMIT = 16

@@ -17,20 +17,19 @@ Two experiment families check the bounds against live randomness:
 
 Trials are independent work items. Each trial's randomness comes from a
 counter-mixed 64-bit seed, the trial stream is split into fixed-size
-chunks, and aggregation adds integer counts in chunk order, so reports
-are byte-identical for every worker count.
+chunks, and aggregation adds integer counts in chunk order, so a report
+depends only on its config and seed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import beta as _beta_distribution
+from scipy.special import betaincinv
 
 from .bounds import adjusted_significance, fdr_bound, gen_error_bound
 from .core import (
@@ -40,8 +39,8 @@ from .core import (
     EventMask,
     JointDistribution,
     ProductAlphabet,
+    _iid_probs,
     enumeration_cap,
-    iid_prior,
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError
@@ -96,17 +95,12 @@ def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(derive_trial_seed(master_seed, index))
 
 
-def map_chunked(worker: Callable[[int, int], object], total: int, workers: int) -> list:
-    """Run ``worker(lo, hi)`` over fixed-size chunks of ``range(total)``.
+def map_chunked(worker: Callable[[int, int], object], total: int) -> list:
+    """Results of ``worker(lo, hi)`` over fixed-size chunks of ``range(total)``, in order.
 
-    The chunk boundaries depend only on ``total``, and the results come
-    back in chunk order, so any worker count produces the same list.
+    The chunk boundaries depend only on ``total``.
     """
-    ranges = [(lo, min(lo + _CHUNK_TRIALS, total)) for lo in range(0, total, _CHUNK_TRIALS)]
-    if workers <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda bounds: worker(*bounds), ranges))
+    return [worker(lo, min(lo + _CHUNK_TRIALS, total)) for lo in range(0, total, _CHUNK_TRIALS)]
 
 
 def _clopper_pearson_lower(successes: int, trials: int, confidence: float = CONFIDENCE) -> float:
@@ -115,7 +109,7 @@ def _clopper_pearson_lower(successes: int, trials: int, confidence: float = CONF
         return 0.0
     if successes >= trials:
         return float((1.0 - confidence) ** (1.0 / trials))
-    return float(_beta_distribution.ppf(1.0 - confidence, successes, trials - successes + 1))
+    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
 def data_alphabet(d: int) -> Alphabet:
@@ -391,10 +385,37 @@ class _LearnerTables:
     def pick(self, rng: np.random.Generator, empirical: np.ndarray) -> int:
         if self.spec.kind == ERM:
             return int(np.argmin(empirical))
-        weights = np.exp(-0.5 * self.spec.epsilon * self.n * empirical)
+        # shifted by the minimum risk so that the largest weight is 1; a
+        # Python min over H floats costs less than the numpy reduction
+        shifted = empirical - min(empirical.tolist())
+        weights = np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
         cumulative = np.cumsum(weights)
         u = rng.random() * cumulative[-1]
         return int(min(np.searchsorted(cumulative, u, side="right"), len(weights) - 1))
+
+
+def _enumerate_datasets(spec, d, n, data_dist, cap):
+    """Loss tables, the dataset alphabet and the (N, H) empirical risks."""
+    tables = _LearnerTables(spec, d, n, data_dist)
+    product = ProductAlphabet(data_dist.alphabet, n, cap=cap)
+    empirical = tables.loss01[product.digit_matrix()].mean(axis=1)
+    return tables, product, empirical
+
+
+def _channel_from_risks(spec, n, tables, product, empirical) -> Channel:
+    """The learner channel; overwrites ``empirical`` for the exponential mechanism."""
+    if spec.kind == ERM:
+        rows = np.zeros_like(empirical)
+        rows[np.arange(len(product)), np.argmin(empirical, axis=1)] = 1.0
+    else:
+        # weights exp(-epsilon * n * (risk - row minimum) / 2), in place:
+        # the shift keeps the largest weight of every row at 1
+        rows = empirical
+        rows -= rows.min(axis=1, keepdims=True)
+        rows *= -0.5 * spec.epsilon * n
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return Channel(product, tables.hypothesis_alphabet, rows)
 
 
 def learner_channel(
@@ -410,17 +431,7 @@ def learner_channel(
     exponential-mechanism rows are proportional to
     exp(-epsilon * n * risk / 2).
     """
-    tables = _LearnerTables(spec, d, n, data_dist)
-    product = ProductAlphabet(data_dist.alphabet, n, cap=cap)
-    digits = product.digit_matrix()                   # (N, n)
-    empirical = tables.loss01[digits].mean(axis=1)    # (N, H)
-    if spec.kind == ERM:
-        rows = np.zeros_like(empirical)
-        rows[np.arange(len(product)), np.argmin(empirical, axis=1)] = 1.0
-    else:
-        weights = np.exp(-0.5 * spec.epsilon * n * empirical)
-        rows = weights / weights.sum(axis=1, keepdims=True)
-    return Channel(product, tables.hypothesis_alphabet, rows)
+    return _channel_from_risks(spec, n, *_enumerate_datasets(spec, d, n, data_dist, cap))
 
 
 def generalization_event(
@@ -432,14 +443,10 @@ def generalization_event(
     cap: int | None = None,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
-    channel = learner_channel(spec, d, n, data_dist, cap=cap)
-    tables = _LearnerTables(spec, d, n, data_dist)
-    product = channel.input
-    digits = product.digit_matrix()
-    empirical = tables.loss01[digits].mean(axis=1)
-    gap = np.abs(tables.true_risk[None, :] - empirical)
-    mask = gap > eta
-    prior = iid_prior(data_dist, n, cap=cap)
+    tables, product, empirical = _enumerate_datasets(spec, d, n, data_dist, cap)
+    mask = np.abs(tables.true_risk[None, :] - empirical) > eta
+    channel = _channel_from_risks(spec, n, tables, product, empirical)
+    prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
     return joint_from(prior, channel), EventMask(product, channel.output, mask)
 
 
@@ -455,13 +462,12 @@ def _exact_leakage(config: GenErrConfig, cap: int) -> float | None:
     if size > cap:
         return None
     channel = learner_channel(config.learner, config.d, config.n, config.data_dist, cap=cap)
-    prior = iid_prior(config.data_dist, config.n, cap=cap)
-    return maximal_leakage(channel, prior.support()).nats
+    support = np.flatnonzero(_iid_probs(config.data_dist.probs, config.n) > 0.0)
+    return maximal_leakage(channel, support).nats
 
 
 def run_gen_error_experiment(
     config: GenErrConfig,
-    workers: int = 1,
     trace_path: str | None = None,
     require_exact: bool = False,
     cap: int | None = None,
@@ -494,7 +500,7 @@ def run_gen_error_experiment(
                 rows.append((trial, h, float(empirical[h]), gap, hit))
         return exceed, rows
 
-    results = map_chunked(chunk, config.trials, workers)
+    results = map_chunked(chunk, config.trials)
     exceed_total = sum(count for count, _ in results)
     empirical_tail = exceed_total / config.trials
     half_width = empirical_tail - _clopper_pearson_lower(exceed_total, config.trials)
@@ -543,7 +549,6 @@ def binomial_tail_table(m: int) -> np.ndarray:
 
 def run_hyptest_experiment(
     config: HypTestConfig,
-    workers: int = 1,
     trace_path: str | None = None,
 ) -> HypTestReport:
     """Monte Carlo check of the post-selection false-discovery bound."""
@@ -571,7 +576,7 @@ def run_hyptest_experiment(
                 rows.append((trial, selected, p_min, reject_adjusted, reject_raw))
         return hits_adjusted, hits_raw, rows
 
-    results = map_chunked(chunk, config.trials, workers)
+    results = map_chunked(chunk, config.trials)
     total_adjusted = sum(a for a, _, _ in results)
     total_raw = sum(r for _, r, _ in results)
 

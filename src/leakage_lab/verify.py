@@ -14,7 +14,7 @@ Three suites, each over independently seeded instances:
   budget, and the threshold scan agrees with exhaustive enumeration.
 
 Instance i draws its generator from the same counter-mixed seed scheme
-as the simulator, so results are byte-identical for any worker count.
+as the simulator, so a sweep's result depends only on its seed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .measures import (
     maximal_leakage,
     maximal_leakage_of_joint,
 )
-from .simulate import derive_trial_seed, map_chunked
+from .simulate import derive_trial_seed
 
 __all__ = [
     "SOUNDNESS_TOL",
@@ -193,8 +193,7 @@ def diagonal_equality_gap(max_size: int = 8) -> float:
 class _Check:
     """Violation counter with the worst margin and a few kept failures."""
 
-    def __init__(self, name: str, tolerance: float):
-        self.name = name
+    def __init__(self, tolerance: float):
         self.tolerance = tolerance
         self.count = 0
         self.violations = 0
@@ -210,15 +209,6 @@ class _Check:
             if len(self.failures) < _MAX_FAILURES_KEPT:
                 self.failures.append(payload())
 
-    def merge(self, other: "_Check") -> None:
-        self.count += other.count
-        self.violations += other.violations
-        if other.worst_margin > self.worst_margin:
-            self.worst_margin = other.worst_margin
-        room = _MAX_FAILURES_KEPT - len(self.failures)
-        if room > 0:
-            self.failures.extend(other.failures[:room])
-
     def to_json(self) -> dict:
         return {
             "count": self.count,
@@ -231,43 +221,32 @@ class _Check:
 def _run_sweep(
     suite: str,
     instances: int,
-    workers: int,
-    make_checks: Callable[[], dict[str, _Check]],
+    tolerances: dict[str, float],
     run_instance: Callable[[int, dict[str, _Check]], None],
     extra: dict | None = None,
 ) -> dict:
+    """Run instances 0 .. instances-1 into one check per named tolerance."""
     if instances < 1:
         raise LeakageLabError(f"instance count must be >= 1, got {instances}")
+    checks = {name: _Check(tolerance) for name, tolerance in tolerances.items()}
+    for index in range(instances):
+        run_instance(index, checks)
 
-    def chunk(lo: int, hi: int) -> dict[str, _Check]:
-        checks = make_checks()
-        for index in range(lo, hi):
-            run_instance(index, checks)
-        return checks
-
-    merged = make_checks()
-    for part in map_chunked(chunk, instances, workers):
-        for name, check in part.items():
-            merged[name].merge(check)
-
-    failures = [f for check in merged.values() for f in check.failures][:_MAX_FAILURES_KEPT]
+    failures = [f for check in checks.values() for f in check.failures][:_MAX_FAILURES_KEPT]
     result = {
         "suite": suite,
         "instances": instances,
-        "checks": {name: check.to_json() for name, check in merged.items()},
+        "checks": {name: check.to_json() for name, check in checks.items()},
         "failures": failures,
-        "pass": all(check.violations == 0 for check in merged.values()),
+        "pass": all(check.violations == 0 for check in checks.values()),
     }
     if extra:
         result.update(extra)
     return result
 
 
-def sweep_soundness(instances: int, seed: int, workers: int = 1) -> dict:
+def sweep_soundness(instances: int, seed: int) -> dict:
     """Adaptive event bound vs exact probability on random instances."""
-
-    def make_checks():
-        return {"event_bound": _Check("event_bound", SOUNDNESS_TOL)}
 
     def run_instance(index, checks):
         rng = _instance_rng(seed, index)
@@ -294,8 +273,7 @@ def sweep_soundness(instances: int, seed: int, workers: int = 1) -> dict:
     return _run_sweep(
         "soundness",
         instances,
-        workers,
-        make_checks,
+        {"event_bound": SOUNDNESS_TOL},
         run_instance,
         extra={"diagonal_equality_gap": diagonal_equality_gap()},
     )
@@ -328,16 +306,8 @@ def _max_step_leakage(channels) -> float:
     return max(maximal_leakage(ch).nats for ch in channels)
 
 
-def sweep_composition(instances: int, seed: int, workers: int = 1) -> dict:
+def sweep_composition(instances: int, seed: int) -> dict:
     """Post-processing and adaptive-composition inequalities."""
-
-    def make_checks():
-        return {
-            "post_processing": _Check("post_processing", COMPOSITION_TOL),
-            "two_step": _Check("two_step", COMPOSITION_TOL),
-            "three_step": _Check("three_step", COMPOSITION_TOL),
-            "conditional_chain": _Check("conditional_chain", COMPOSITION_TOL),
-        }
 
     def run_instance(index, checks):
         rng = _instance_rng(seed, index)
@@ -384,7 +354,10 @@ def sweep_composition(instances: int, seed: int, workers: int = 1) -> dict:
             lambda: {"instance": index, "joint": chain_leak, "conditional_sum": cond_total},
         )
 
-    return _run_sweep("composition", instances, workers, make_checks, run_instance)
+    names = ("post_processing", "two_step", "three_step", "conditional_chain")
+    return _run_sweep(
+        "composition", instances, dict.fromkeys(names, COMPOSITION_TOL), run_instance
+    )
 
 
 def _conditional_chain_total(
@@ -436,16 +409,8 @@ def _conditional_chain_total(
 _JOINT_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3))
 
 
-def sweep_maxinfo(instances: int, seed: int, workers: int = 1) -> dict:
+def sweep_maxinfo(instances: int, seed: int) -> dict:
     """Budgeted max-information inequalities and the enumeration cross-check."""
-
-    def make_checks():
-        return {
-            "leakage_budget": _Check("leakage_budget", MAXINFO_TOL),
-            "enumeration_match": _Check("enumeration_match", ENUMERATION_TOL),
-            "beta_monotone": _Check("beta_monotone", ENUMERATION_TOL),
-            "dominates_leakage": _Check("dominates_leakage", MAXINFO_TOL),
-        }
 
     def run_instance(index, checks):
         rng = _instance_rng(seed, index)
@@ -493,7 +458,13 @@ def sweep_maxinfo(instances: int, seed: int, workers: int = 1) -> dict:
                 )
             previous = value
 
-    return _run_sweep("maxinfo", instances, workers, make_checks, run_instance)
+    tolerances = {
+        "leakage_budget": MAXINFO_TOL,
+        "enumeration_match": ENUMERATION_TOL,
+        "beta_monotone": ENUMERATION_TOL,
+        "dominates_leakage": MAXINFO_TOL,
+    }
+    return _run_sweep("maxinfo", instances, tolerances, run_instance)
 
 
 SUITES = {
@@ -503,7 +474,7 @@ SUITES = {
 }
 
 
-def run_suites(names, instances: int, seed: int, workers: int = 1) -> dict:
+def run_suites(names, instances: int, seed: int) -> dict:
     """Run the requested suites and bundle their results."""
-    results = [SUITES[name](instances, seed, workers=workers) for name in names]
+    results = [SUITES[name](instances, seed) for name in names]
     return {"suites": results, "pass": all(r["pass"] for r in results)}

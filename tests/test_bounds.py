@@ -347,9 +347,10 @@ class TestSampleComplexity:
 
 
 class TestBoundReport:
-    def test_rejects_negative_value(self):
+    @pytest.mark.parametrize("value", [-0.01, math.nan])
+    def test_rejects_negative_value(self, value):
         with pytest.raises(LeakageLabError):
-            BoundReport("bad", -0.01, {}, trivial=False)
+            BoundReport("bad", value, {}, trivial=False)
 
     def test_inputs_are_copied(self):
         inputs = {"n": 10.0}

@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line interface (in process)."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leakage_lab
 from leakage_lab import (
     Alphabet,
     Channel,
@@ -367,6 +371,27 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "generr", "--config", "/nope.json")
         assert code == 2
 
+    def test_exponential_mechanism_weights_do_not_underflow(self, capsys, tmp_path):
+        # epsilon * n * risk / 2 reaches 1500 for the worse hypothesis, so
+        # every weight exp(-epsilon * n * risk / 2) alone would be 0
+        payload = {
+            "d": 2,
+            "n": 4,
+            "dataDistribution": DiscreteDistribution(data_alphabet(2), [0.25] * 4).to_json(),
+            "learner": {
+                "kind": "exponential-mechanism",
+                "hypothesisClass": [[0, 0], [1, 1]],
+                "epsilon": 3000.0,
+            },
+            "eta": 0.4,
+            "trials": 256,
+            "seed": 20260814,
+        }
+        path = write_json(tmp_path / "em.json", payload)
+        code, doc, _ = run_cli(capsys, "simulate", "generr", "--config", path)
+        assert code == 0
+        assert doc["exactLeakage_nats"] == math.log(2)
+
 
 class TestParser:
     def test_unknown_command(self, capsys):
@@ -380,3 +405,26 @@ class TestParser:
     def test_bad_theorem(self, capsys):
         assert main(["bound", "--theorem", "magic"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ("bound --theorem adapt --max-fiber-prob 0.5 --leakage 1000", 3),
+            ("bound --theorem generr --n 10 --eta 0.1 --leakage nan", 2),
+            ("bound --theorem adapt --max-fiber-prob 0.5 --leakage inf", 2),
+            ("compose --declared nan", 2),
+        ],
+    )
+    def test_non_finite_or_overflow_is_one_error_line(self, capsys, argv, expected):
+        assert main(argv.split()) == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(leakage_lab.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import leakage_lab.cli; " \
+        "sys.exit(int('scipy.stats' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -20,7 +20,6 @@ from leakage_lab import (
     fiber_max_prob,
     iid_prior,
     joint_from,
-    validate_distribution,
 )
 from leakage_lab import jsonio
 
@@ -145,8 +144,10 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
-    def test_validate_helper(self):
-        validate_distribution(DiscreteDistribution(Alphabet(["a"]), [1.0]))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(LeakageLabError, match="non-finite"):
+            DiscreteDistribution(Alphabet(["a", "b"]), [bad, 1.0])
 
 
 class TestChannel:
@@ -157,6 +158,12 @@ class TestChannel:
     def test_negative_entry(self):
         with pytest.raises(NegativeMass):
             Channel(Alphabet(["a"]), Alphabet(["x", "y"]), [[1.2, -0.2]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN row passes every comparison, so it needs its own check
+        with pytest.raises(LeakageLabError, match="non-finite"):
+            Channel(Alphabet(["a", "b"]), Alphabet(["x", "y"]), [[0.5, 0.5], [bad, bad]])
 
     def test_identity(self):
         ch = Channel.identity(Alphabet(["a", "b"]))
@@ -196,6 +203,11 @@ class TestJoint:
     def test_mass_validation(self):
         with pytest.raises(NotNormalized):
             JointDistribution(Alphabet(["a"]), Alphabet(["x", "y"]), [[0.5, 0.4]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(LeakageLabError, match="non-finite"):
+            JointDistribution(Alphabet(["a"]), Alphabet(["x", "y"]), [[bad, 1.0]])
 
 
 class TestEventMask:

@@ -14,6 +14,7 @@ from leakage_lab import (
     InputNotProduct,
     JointDistribution,
     LeakageLabError,
+    LeakageValue,
     NoFeasibleSet,
     ProductAlphabet,
     approx_max_divergence,
@@ -30,7 +31,7 @@ from leakage_lab import (
     mutual_information,
     renyi_inf_divergence,
 )
-from leakage_lab.measures import _approx_max_div_vectors
+from leakage_lab.measures import _approx_max_div_vectors, _ratio_order
 from leakage_lab.verify import random_channel, random_distribution, random_joint
 
 from conftest import bec_channel, bernoulli_identity_joint, uniform
@@ -104,6 +105,11 @@ class TestMaximalLeakage:
     def test_unknown_support_label(self):
         with pytest.raises(LeakageLabError):
             maximal_leakage(bec_channel(0.5), ["nope"])
+
+    @pytest.mark.parametrize("nats", [-0.1, math.nan])
+    def test_value_must_be_nonnegative(self, nats):
+        with pytest.raises(LeakageLabError):
+            LeakageValue(nats, 1)
 
     def test_against_brute_force(self, rng):
         for _ in range(100):
@@ -316,6 +322,33 @@ class TestApproxMaxDivergence:
                 assert got == want
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+    def test_scan_equals_sequential_prefix_loop(self, rng):
+        # cumsum adds in the loop's order, so results must agree bit for bit
+        def loop(pv, qv, delta):
+            mass = denom = 0.0
+            best = None
+            for i in _ratio_order(pv, qv):
+                mass += float(pv[i])
+                denom += float(qv[i])
+                if mass > delta:
+                    if denom == 0.0:
+                        return math.inf
+                    value = (mass - delta) / denom
+                    best = value if best is None else max(best, value)
+            return None if best is None else math.log(best)
+
+        for _ in range(500):
+            size = int(rng.integers(1, 40))
+            pv = random_distribution(rng, size, allow_zeros=True).probs
+            qv = random_distribution(rng, size, allow_zeros=True).probs
+            delta = float(rng.choice([0.0, 0.01, 0.3, 0.9, 1.0 - 2.0**-53]))
+            want = loop(pv, qv, delta)
+            if want is None:
+                with pytest.raises(NoFeasibleSet):
+                    _approx_max_div_vectors(pv, qv, delta)
+            else:
+                assert _approx_max_div_vectors(pv, qv, delta) == want
 
     def test_infinite_when_budget_cannot_cover(self):
         a = Alphabet(["a", "b"])

@@ -72,16 +72,11 @@ class TestSeedDerivation:
 
 class TestMapChunked:
     def test_fixed_boundaries(self):
-        ranges = map_chunked(lambda lo, hi: (lo, hi), 2500, workers=1)
+        ranges = map_chunked(lambda lo, hi: (lo, hi), 2500)
         assert ranges == [(0, 1024), (1024, 2048), (2048, 2500)]
 
-    def test_worker_count_does_not_reorder(self):
-        serial = map_chunked(lambda lo, hi: (lo, hi), 5000, workers=1)
-        threaded = map_chunked(lambda lo, hi: (lo, hi), 5000, workers=4)
-        assert serial == threaded
-
     def test_short_input_is_one_chunk(self):
-        assert map_chunked(lambda lo, hi: (lo, hi), 10, workers=8) == [(0, 10)]
+        assert map_chunked(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
 
 
 class TestClopperPearson:
@@ -302,12 +297,6 @@ class TestGenErrorExperiment:
         assert abs(report.empirical_tail - exact) < 5.0 * sigma + 1e-3
         assert report.passed
 
-    def test_worker_counts_agree(self):
-        config = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 3000, 11)
-        serial = run_gen_error_experiment(config, workers=1)
-        threaded = run_gen_error_experiment(config, workers=3)
-        assert serial.to_json() == threaded.to_json()
-
     def test_seed_changes_the_sample(self):
         base = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 2000, 1)
         other = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 2000, 2)
@@ -321,7 +310,7 @@ class TestGenErrorExperiment:
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         run_gen_error_experiment(config, trace_path=str(first))
-        run_gen_error_experiment(config, workers=2, trace_path=str(second))
+        run_gen_error_experiment(config, trace_path=str(second))
         assert first.read_bytes() == second.read_bytes()
         with open(first, newline="") as handle:
             rows = list(csv.reader(handle))
@@ -370,12 +359,6 @@ class TestHypTestExperiment:
         assert report.ledger_bound_nats == math.log(10.0)
         assert report.adjusted.theoretical_bound == pytest.approx(0.05, rel=1e-12)
         assert report.passed
-
-    def test_worker_counts_agree(self):
-        config = HypTestConfig(64, 10, 0.005, 0.05, 3000, 5)
-        serial = run_hyptest_experiment(config, workers=1)
-        threaded = run_hyptest_experiment(config, workers=4)
-        assert serial.to_json() == threaded.to_json()
 
     def test_trace_rows(self, tmp_path):
         config = HypTestConfig(32, 4, 0.01, 0.05, 500, 5)
