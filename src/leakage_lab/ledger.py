@@ -39,6 +39,8 @@ _KINDS = ("computed-channel", "dp-derived", "cardinality", "max-info-derived", "
 
 def dp_to_leakage(epsilon: float, n: int) -> float:
     """Leakage budget of an epsilon-DP mechanism on n-sample datasets."""
+    if not math.isfinite(epsilon):
+        raise LeakageLabError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0:
         raise NegativeEpsilon(f"epsilon must be nonnegative, got {epsilon}")
     if n < 1:
@@ -78,6 +80,8 @@ class LedgerEntry:
     provenance: Mapping[str, object]
 
     def __post_init__(self):
+        if not math.isfinite(self.bound_nats):
+            raise LeakageLabError(f"entry {self.label!r} has non-finite bound {self.bound_nats}")
         kind = self.provenance.get("kind")
         if kind not in _KINDS:
             raise LeakageLabError(f"unknown provenance kind {kind!r}")

@@ -87,20 +87,33 @@ def _log_clamped(total: float) -> float:
 
 
 def _support_indices(channel: Channel, support) -> np.ndarray:
+    """Sorted distinct input indices of ``support`` (labels or indices).
+
+    An integer array is range-checked and deduplicated in array passes;
+    other iterables, usually a few labels, go through a Python set.
+    """
+    size = len(channel.input)
     if support is None:
-        return np.arange(len(channel.input))
-    indices = set()
-    for item in support:
-        if isinstance(item, str):
-            indices.add(channel.input.index(item))
-        else:
-            i = int(item)
-            if not 0 <= i < len(channel.input):
-                raise LeakageLabError(f"support index {i} out of range")
-            indices.add(i)
-    if not indices:
+        return np.arange(size)
+    if isinstance(support, np.ndarray) and support.dtype.kind in "iu":
+        values = support
+        bounds = (values.min(), values.max()) if values.size else None
+    else:
+        values = [
+            channel.input.index(item) if isinstance(item, str) else int(item)
+            for item in support
+        ]
+        bounds = (min(values), max(values)) if values else None
+    if bounds is None:
         raise EmptySupport("support set is empty")
-    return np.array(sorted(indices), dtype=np.intp)
+    if bounds[0] < 0 or bounds[1] >= size:
+        first = next(int(i) for i in values if not 0 <= i < size)
+        raise LeakageLabError(f"support index {first} out of range")
+    if isinstance(values, list):
+        return np.array(sorted(set(values)), dtype=np.intp)
+    chosen = np.zeros(size, dtype=bool)
+    chosen[values] = True
+    return np.flatnonzero(chosen)
 
 
 def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None) -> LeakageValue:

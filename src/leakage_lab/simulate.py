@@ -15,10 +15,12 @@ Two experiment families check the bounds against live randomness:
   with exact tail p-values; the false-discovery frequency is compared
   against exp(log T) * sigma at both the adjusted and raw significance.
 
-Trials are independent work items. Each trial's randomness comes from a
-counter-mixed 64-bit seed, the trial stream is split into fixed-size
-chunks, and aggregation adds integer counts in chunk order, so a report
-depends only on its config and seed.
+Trials are independent work items. Trial t of master seed s has the seed
+derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
+seed_t + (j + 1) * GOLDEN, a counter-based stream computed for a whole
+block of trials at once in numpy uint64 arithmetic. The trial stream is
+split into fixed-size chunks and aggregation adds integer counts in chunk
+order, so a report depends only on its config and seed.
 """
 
 from __future__ import annotations
@@ -67,7 +69,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _CHUNK_TRIALS = 1024
+# Most draws one block of a chunk holds; a chunk's trials are processed in
+# row slices of at most this many draws so that the working set stays
+# bounded whatever n is. Results do not depend on it.
+_BLOCK_DRAWS = 1 << 16
 CONFIDENCE = 0.99
 
 ERM = "ERM"
@@ -84,15 +92,44 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
         raise LeakageLabError(f"trial index must be nonnegative, got {index}")
     z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * _MIX1) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * _MIX2) & _MASK64
     z ^= z >> 31
     return z
 
 
-def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_trial_seed(master_seed, index))
+def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
+
+    The result has shape ``base.shape + (count,)``; uint64 arithmetic
+    wraps modulo 2**64 exactly like the masked Python integers of
+    ``derive_trial_seed``.
+    """
+    counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z = np.asarray(base, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, t)`` for t in ``range(lo, hi)``, as uint64."""
+    return _counter_mix(np.uint64(master_seed), lo, hi - lo)
+
+
+def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) doubles in [0, 1): the top 53 bits of draws 0..width-1 per seed."""
+    return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _row_slices(lo: int, hi: int, per_row: int):
+    """Consecutive ranges covering [lo, hi), each of at most _BLOCK_DRAWS // per_row rows."""
+    step = max(1, _BLOCK_DRAWS // per_row)
+    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
 
 
 def map_chunked(worker: Callable[[int, int], object], total: int) -> list:
@@ -373,25 +410,39 @@ class _LearnerTables:
         )
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
-    def empirical_risks(self, symbol_draws: np.ndarray) -> np.ndarray:
-        """(trials..., H) empirical risks for symbol index draws of shape (..., n)."""
-        return self.loss01[symbol_draws].mean(axis=-2)
+    def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Picked hypothesis and its empirical risk for each row of uniforms.
 
-    def draw_symbols(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.n)
-        idx = np.searchsorted(self.cum_probs, u, side="right")
-        return np.minimum(idx, len(self.cum_probs) - 1)
-
-    def pick(self, rng: np.random.Generator, empirical: np.ndarray) -> int:
+        Columns ``:n`` of ``u`` draw the dataset's symbols; column ``n``
+        drives the exponential mechanism's pick.
+        """
+        rows = len(u)
+        symbols = len(self.cum_probs)
+        drawn = np.searchsorted(self.cum_probs, u[:, : self.n], side="right")
+        np.minimum(drawn, symbols - 1, out=drawn)
+        # offset row i's symbols by i * symbols: one bincount counts every row
+        drawn += symbols * np.arange(rows)[:, None]
+        counts = np.bincount(drawn.ravel(), minlength=rows * symbols).reshape(rows, symbols)
+        # integer misclassification counts over n: the same sums the
+        # gather-mean of the enumeration path forms, so the same risks
+        empirical = counts @ self.loss01 / self.n
         if self.spec.kind == ERM:
-            return int(np.argmin(empirical))
-        # shifted by the minimum risk so that the largest weight is 1; a
-        # Python min over H floats costs less than the numpy reduction
-        shifted = empirical - min(empirical.tolist())
-        weights = np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
-        cumulative = np.cumsum(weights)
-        u = rng.random() * cumulative[-1]
-        return int(min(np.searchsorted(cumulative, u, side="right"), len(weights) - 1))
+            picks = np.argmin(empirical, axis=1)
+        else:
+            # shifted by the row minimum so that the largest weight is 1
+            shifted = empirical - empirical.min(axis=1, keepdims=True)
+            weights = np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
+            picks = _inverse_cdf_rows(np.cumsum(weights, axis=1), u[:, self.n])
+        return picks, empirical[np.arange(rows), picks]
+
+
+def _inverse_cdf_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row i, ``searchsorted(cumulative[i], u[i] * cumulative[i, -1], side="right")``.
+
+    Clipped to the last column, which a total rounded below u can overrun.
+    """
+    picks = (cumulative <= u[:, None] * cumulative[:, -1:]).sum(axis=1)
+    return np.minimum(picks, cumulative.shape[1] - 1)
 
 
 def _enumerate_datasets(spec, d, n, data_dist, cap):
@@ -484,20 +535,20 @@ def run_gen_error_experiment(
     bound = gen_error_bound(config.n, config.eta, used_leakage).value
 
     tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
+    width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
 
     def chunk(lo: int, hi: int):
         exceed = 0
         rows = [] if trace_path else None
-        for trial in range(lo, hi):
-            rng = _trial_rng(config.seed, trial)
-            symbols = tables.draw_symbols(rng)
-            empirical = tables.empirical_risks(symbols[None, :])[0]
-            h = tables.pick(rng, empirical)
-            gap = abs(float(tables.true_risk[h]) - float(empirical[h]))
-            hit = gap > config.eta
-            exceed += hit
+        for a, b in _row_slices(lo, hi, width):
+            u = _uniform_block(_trial_seeds(config.seed, a, b), width)
+            picks, empirical = tables.learn(u)
+            gaps = np.abs(tables.true_risk[picks] - empirical)
+            hits = gaps > config.eta
+            exceed += int(hits.sum())
             if rows is not None:
-                rows.append((trial, h, float(empirical[h]), gap, hit))
+                rows.extend(zip(range(a, b), picks.tolist(), empirical.tolist(),
+                                gaps.tolist(), hits.tolist()))
         return exceed, rows
 
     results = map_chunked(chunk, config.trials)
@@ -561,19 +612,20 @@ def run_hyptest_experiment(
         hits_adjusted = 0
         hits_raw = 0
         rows = [] if trace_path else None
-        for trial in range(lo, hi):
-            rng = _trial_rng(config.seed, trial)
-            bits = rng.integers(0, 2, size=config.n, dtype=np.int64)
-            counts = bits[windows].sum(axis=1)
-            p_values = table[counts]
-            selected = int(np.argmin(p_values))
-            p_min = float(p_values[selected])
+        for a, b in _row_slices(lo, hi, max(config.n, windows.size)):
+            # the top bit of each draw is a fair coin
+            bits = (_counter_mix(_trial_seeds(config.seed, a, b), 0, config.n)
+                    >> np.uint64(63)).astype(np.intp)
+            p_values = table[bits[:, windows].sum(axis=2)]
+            selected = np.argmin(p_values, axis=1)
+            p_min = p_values[np.arange(b - a), selected]
             reject_adjusted = p_min <= adjusted_sigma
             reject_raw = p_min <= config.sigma
-            hits_adjusted += reject_adjusted
-            hits_raw += reject_raw
+            hits_adjusted += int(reject_adjusted.sum())
+            hits_raw += int(reject_raw.sum())
             if rows is not None:
-                rows.append((trial, selected, p_min, reject_adjusted, reject_raw))
+                rows.extend(zip(range(a, b), selected.tolist(), p_min.tolist(),
+                                reject_adjusted.tolist(), reject_raw.tolist()))
         return hits_adjusted, hits_raw, rows
 
     results = map_chunked(chunk, config.trials)

@@ -406,6 +406,24 @@ class TestParser:
         assert main(["bound", "--theorem", "magic"]) == 2
         capsys.readouterr()
 
+    def test_ledger_file_with_nan_bound_names_the_entry(self, capsys, tmp_path):
+        path = tmp_path / "ledger.json"
+        path.write_text(
+            '{"entries": [{"label": "warmup", "bound_nats": NaN, '
+            '"provenance": {"kind": "declared"}}]}\n',
+            encoding="utf-8",
+        )
+        code, doc, err = run_cli(capsys, "compose", "--ledger", str(path))
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: entry 'warmup' has non-finite bound nan"]
+
+    def test_dp_flag_with_nan_epsilon(self, capsys):
+        code, doc, err = run_cli(capsys, "compose", "--dp", "nan,10")
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: epsilon must be finite, got nan"]
+
     @pytest.mark.parametrize(
         "argv,expected",
         [

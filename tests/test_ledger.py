@@ -32,6 +32,9 @@ class TestConversions:
             dp_to_leakage(-0.1, 10)
         with pytest.raises(LeakageLabError):
             dp_to_leakage(0.5, 0)
+        for epsilon in (math.nan, math.inf, -math.inf):
+            with pytest.raises(LeakageLabError, match="epsilon must be finite"):
+                dp_to_leakage(epsilon, 10)
 
     def test_cardinality_bound_values(self):
         assert cardinality_bound(1) == 0.0
@@ -99,6 +102,15 @@ class TestLedgerEntry:
     def test_rejects_negative_bound(self):
         with pytest.raises(LeakageLabError, match="negative bound"):
             LedgerEntry("bad", -0.1, {"kind": "declared"})
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "provenance",
+        [{"kind": "declared"}, {"kind": "dp-derived", "epsilon": math.nan, "n": 10}],
+    )
+    def test_rejects_non_finite_bound_first(self, bound, provenance):
+        with pytest.raises(LeakageLabError, match="entry 'bad' has non-finite bound"):
+            LedgerEntry("bad", bound, provenance)
 
     def test_dp_entry_bound_must_match_parameters(self):
         # the stored bound is redundant for derived kinds; a mismatch

@@ -31,7 +31,7 @@ from leakage_lab import (
     mutual_information,
     renyi_inf_divergence,
 )
-from leakage_lab.measures import _approx_max_div_vectors, _ratio_order
+from leakage_lab.measures import _approx_max_div_vectors, _ratio_order, _support_indices
 from leakage_lab.verify import random_channel, random_distribution, random_joint
 
 from conftest import bec_channel, bernoulli_identity_joint, uniform
@@ -85,6 +85,53 @@ class TestMaximalLeakage:
     def test_support_by_index(self):
         ch = bec_channel(0.5)
         assert maximal_leakage(ch, [0, 1]).nats == maximal_leakage(ch).nats
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            ["c", 0, "a", 4, 2],
+            [3, 1, 3, 1, "b", "b"],
+            np.array([5, 0, 2, 2, 5, 1]),
+            np.array([4, 4, 1], dtype=np.uint8),
+            np.array([2**64 - 1, 0], dtype=np.uint64),
+            (2, 0, 2),
+            [True, 2.0, np.int64(3), 2.9],
+            [],
+            np.array([], dtype=np.int64),
+            [1, -1, 2],
+            ["a", 6],
+            [0, 2**70],
+            [0, 2**63 + 1],
+            ["a", "zz"],
+        ],
+    )
+    def test_support_indices_match_per_element_path(self, support):
+        # the per-element set path this replaced, as the reference
+        def reference(channel, support):
+            indices = set()
+            for item in support:
+                if isinstance(item, str):
+                    indices.add(channel.input.index(item))
+                else:
+                    i = int(item)
+                    if not 0 <= i < len(channel.input):
+                        raise LeakageLabError(f"support index {i} out of range")
+                    indices.add(i)
+            if not indices:
+                raise EmptySupport("support set is empty")
+            return np.array(sorted(indices), dtype=np.intp)
+
+        ch = Channel.identity(Alphabet(["a", "b", "c", "d", "e", "f"]))
+        try:
+            expected = reference(ch, support)
+        except LeakageLabError as err:
+            with pytest.raises(type(err)) as raised:
+                _support_indices(ch, support)
+            assert str(raised.value) == str(err)
+        else:
+            got = _support_indices(ch, support)
+            assert got.dtype == np.intp
+            assert got.tolist() == expected.tolist()
 
     def test_support_only_dependence_bit_exact(self, rng):
         for _ in range(50):

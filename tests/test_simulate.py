@@ -25,6 +25,7 @@ from leakage_lab import (
     learner_channel,
     maximal_leakage,
 )
+from leakage_lab import simulate
 from leakage_lab.simulate import (
     ERM,
     EXPONENTIAL_MECHANISM,
@@ -33,6 +34,10 @@ from leakage_lab.simulate import (
     HypTestConfig,
     LearnerSpec,
     _clopper_pearson_lower,
+    _inverse_cdf_rows,
+    _LearnerTables,
+    _trial_seeds,
+    _uniform_block,
     binomial_tail_table,
     derive_trial_seed,
     map_chunked,
@@ -68,6 +73,86 @@ class TestSeedDerivation:
     def test_negative_index(self):
         with pytest.raises(LeakageLabError):
             derive_trial_seed(1, -1)
+
+    @pytest.mark.parametrize("master", [0, 1, 20260814, 2**63 + 5, 2**64 - 1])
+    def test_vectorized_seeds_match_scalar_derivation(self, master):
+        count = 100_000
+        expected = np.array(
+            [derive_trial_seed(master, i) for i in range(count)], dtype=np.uint64
+        )
+        assert np.array_equal(_trial_seeds(master, 0, count), expected)
+        assert np.array_equal(_trial_seeds(master, 4321, 5000), expected[4321:5000])
+
+
+def splitmix_draw(seed, j):
+    """Draw j of the stream seeded ``seed``, in plain Python integers."""
+    mask = (1 << 64) - 1
+    z = (seed + (j + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestUniformBlock:
+    def test_entries_match_scalar_splitmix(self):
+        seeds = [0, 1, 2**32 + 7, 2**63, 2**64 - 1, derive_trial_seed(99, 12)]
+        width = 37
+        block = _uniform_block(np.array(seeds, dtype=np.uint64), width)
+        assert block.shape == (len(seeds), width)
+        for i, seed in enumerate(seeds):
+            for j in range(width):
+                assert block[i, j] == (splitmix_draw(seed, j) >> 11) / 2.0**53
+
+    def test_range(self):
+        block = _uniform_block(_trial_seeds(5, 0, 2000), 50)
+        assert block.min() >= 0.0 and block.max() < 1.0
+
+
+def old_pick(tables, empirical, u):
+    """The per-trial exponential-mechanism pick the vectorized one replaced."""
+    shifted = empirical - min(empirical.tolist())
+    weights = np.exp(-0.5 * tables.spec.epsilon * tables.n * shifted)
+    cumulative = np.cumsum(weights)
+    x = u * cumulative[-1]
+    return int(min(np.searchsorted(cumulative, x, side="right"), len(weights) - 1))
+
+
+class TestVectorizedLearner:
+    def test_inverse_cdf_matches_searchsorted_with_ties(self):
+        rng = np.random.default_rng(3)
+        # small integer weights with zeros give repeated cumulative values;
+        # u = 0 and u = cumulative[2] / total probe those ties
+        weights = rng.integers(0, 3, size=(400, 6)).astype(np.float64)
+        weights[:, 0] += weights.sum(axis=1) == 0
+        cumulative = np.cumsum(weights, axis=1)
+        u = rng.random(400)
+        u[::2] = cumulative[::2, 2] / cumulative[::2, -1]
+        u[1::4] = 0.0
+        picks = _inverse_cdf_rows(cumulative, u)
+        for i in range(len(u)):
+            x = u[i] * cumulative[i, -1]
+            expected = min(np.searchsorted(cumulative[i], x, side="right"), 5)
+            assert picks[i] == expected
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5, 40.0, 3000.0])
+    def test_learn_matches_per_trial_oracle(self, epsilon):
+        # risks equal across hypotheses and weights that underflow to 0
+        # give ties in both the ERM argmin and the mechanism's CDF
+        hypotheses = ((0, 0), (0, 1), (1, 0), (1, 1))
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, hypotheses, epsilon)
+        n = 5
+        tables = _LearnerTables(spec, 2, n, skewed_dist())
+        u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1)
+        picks, empirical = tables.learn(u)
+        for i in range(len(u)):
+            symbols = np.minimum(
+                np.searchsorted(tables.cum_probs, u[i, :n], side="right"), 3
+            )
+            risks = tables.loss01[symbols].mean(axis=0)
+            h = int(np.argmin(risks)) if epsilon is None else old_pick(tables, risks, u[i, n])
+            assert picks[i] == h
+            assert empirical[i] == risks[h]
 
 
 class TestMapChunked:
@@ -317,6 +402,20 @@ class TestGenErrorExperiment:
         assert rows[0] == ["trial", "hypothesis", "empirical_risk", "gap", "exceeds"]
         assert len(rows) == config.trials + 1
 
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_block_size_does_not_change_results(self, tmp_path, monkeypatch, epsilon):
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, ((0, 0), (0, 1), (1, 0), (1, 1)), epsilon)
+        config = GenErrConfig(2, 5, skewed_dist(), spec, 0.3, 2500, 11)
+        default = tmp_path / "default.csv"
+        report = run_gen_error_experiment(config, trace_path=str(default))
+        for block in (1, 7, 100):
+            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block)
+            sliced = tmp_path / f"{block}.csv"
+            again = run_gen_error_experiment(config, trace_path=str(sliced))
+            assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
+            assert sliced.read_bytes() == default.read_bytes()
+
     def test_require_exact_honors_cap(self):
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
         with pytest.raises(CapExceeded, match="exceed the cap"):
@@ -368,6 +467,17 @@ class TestHypTestExperiment:
             rows = list(csv.reader(handle))
         assert rows[0] == ["trial", "selected", "p_value", "reject_adjusted", "reject_raw"]
         assert len(rows) == config.trials + 1
+
+    def test_block_size_does_not_change_results(self, tmp_path, monkeypatch):
+        config = HypTestConfig(40, 6, 0.01, 0.05, 2500, 5)
+        default = tmp_path / "default.csv"
+        report = run_hyptest_experiment(config, trace_path=str(default))
+        for block in (1, 45, 500):
+            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block)
+            sliced = tmp_path / f"{block}.csv"
+            again = run_hyptest_experiment(config, trace_path=str(sliced))
+            assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
+            assert sliced.read_bytes() == default.read_bytes()
 
     def test_report_json_shape(self):
         config = HypTestConfig(16, 2, 0.05, 0.05, 256, 5)
