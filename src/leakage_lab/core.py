@@ -7,10 +7,10 @@ Input data is accepted when normalized within ``NORMALIZATION_TOL``
 1e-12 by the test suite.
 
 Product alphabets enumerate length-n tuples in lexicographic order and
-expose the Hamming-neighbor relation used by empirical differential
-privacy. Exhaustive enumerations refuse to build more than
-``enumeration_cap()`` states; the default of 10^6 can be overridden with
-the ``LEAKAGE_LAB_CAP`` environment variable.
+expose their digits and strides, from which empirical differential
+privacy finds Hamming neighbors. Exhaustive enumerations refuse to build
+more than ``enumeration_cap()`` states; the default of 10^6 can be
+overridden with the ``LEAKAGE_LAB_CAP`` environment variable.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class Alphabet:
 class ProductAlphabet(Alphabet):
     """All length-``n`` tuples over a base alphabet, lexicographically ordered.
 
-    Labels join the component labels with commas. Two tuples are Hamming
-    neighbors when they differ in exactly one position, so every symbol
-    has exactly ``n * (|base| - 1)`` neighbors.
+    Labels join the component labels with commas. Tuple i has the base
+    indices of row i of ``digit_matrix()``, and raising its position p by
+    one moves the index up by ``strides()[p]``.
     """
 
     __slots__ = ("base", "n", "_strides")
@@ -143,30 +143,13 @@ class ProductAlphabet(Alphabet):
             self, "_strides", tuple(len(base) ** (n - 1 - pos) for pos in range(n))
         )
 
-    def digits(self, index: int) -> tuple[int, ...]:
-        """Base-alphabet indices of the tuple at ``index``."""
-        if not 0 <= index < len(self):
-            raise LeakageLabError(f"tuple index {index} out of range")
-        return tuple((index // stride) % len(self.base) for stride in self._strides)
-
-    def tuple_at(self, index: int) -> tuple[str, ...]:
-        return tuple(self.base.labels[d] for d in self.digits(index))
-
     def digit_matrix(self) -> np.ndarray:
-        """(len(self), n) matrix of base indices, row i = digits(i)."""
+        """(len(self), n) matrix of base indices; row i spells tuple i."""
         idx = np.arange(len(self), dtype=np.int64)
         out = np.empty((len(self), self.n), dtype=np.int64)
         for pos, stride in enumerate(self._strides):
             out[:, pos] = (idx // stride) % len(self.base)
         return out
-
-    def neighbors(self, index: int) -> Iterator[int]:
-        """Indices of all tuples at Hamming distance one from ``index``."""
-        digits = self.digits(index)
-        for pos, stride in enumerate(self._strides):
-            for value in range(len(self.base)):
-                if value != digits[pos]:
-                    yield index + (value - digits[pos]) * stride
 
     def strides(self) -> tuple[int, ...]:
         return self._strides

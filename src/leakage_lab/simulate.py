@@ -7,8 +7,10 @@ Two experiment families check the bounds against live randomness:
   empirical-risk minimization, or the exponential mechanism with weight
   exp(-epsilon * n * risk / 2)); the Monte Carlo frequency of
   |true risk - empirical risk| > eta is compared against
-  2 exp(L - 2 n eta^2), with L the exact learner-channel leakage when
-  the dataset space is enumerable, else the ledger bound;
+  2 exp(L - 2 n eta^2). L is the exact leakage of the learner channel
+  when the C(n + 2d - 1, 2d - 1) symbol histograms of n draws fit under
+  the enumeration cap (the learner sees a dataset only through its
+  histogram), else the ledger bound;
 
 * post-selection hypothesis testing: under a fair-coin null, the
   minimum-p-value rule picks one of T coordinate-window binomial tests
@@ -26,12 +28,13 @@ order, so a report depends only on its config and seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import adjusted_significance, fdr_bound, gen_error_bound
 from .core import (
@@ -146,6 +149,9 @@ def _clopper_pearson_lower(successes: int, trials: int, confidence: float = CONF
         return 0.0
     if successes >= trials:
         return float((1.0 - confidence) ** (1.0 / trials))
+    # imported here so that no other command pays for loading scipy
+    from scipy.special import betaincinv
+
     return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
@@ -154,6 +160,15 @@ def data_alphabet(d: int) -> Alphabet:
     if d < 1:
         raise LeakageLabError(f"domain size must be >= 1, got {d}")
     return Alphabet(f"x{i}:{b}" for i in range(d) for b in (0, 1))
+
+
+def _binary_label(value) -> int:
+    """``value`` as a hypothesis label; only the integers 0 and 1 qualify."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise LeakageLabError(
+            f"hypothesisClass must hold binary label vectors of 0 and 1, got {value!r}"
+        )
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -172,7 +187,7 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in (ERM, EXPONENTIAL_MECHANISM):
             raise LeakageLabError(f"unknown learner kind {self.kind!r}")
-        hypotheses = tuple(tuple(int(v) for v in h) for h in self.hypotheses)
+        hypotheses = tuple(tuple(_binary_label(v) for v in h) for h in self.hypotheses)
         if not hypotheses:
             raise LeakageLabError("hypothesis class is empty")
         widths = {len(h) for h in hypotheses}
@@ -180,10 +195,14 @@ class LearnerSpec:
             raise LeakageLabError("hypotheses must share the domain size")
         if len(set(hypotheses)) != len(hypotheses):
             raise LeakageLabError("hypotheses must be distinct")
-        if any(v not in (0, 1) for h in hypotheses for v in h):
-            raise LeakageLabError("hypotheses must be binary label vectors")
         if self.tie_break != "lowest-index":
             raise LeakageLabError(f"unsupported tie break {self.tie_break!r}")
+        if self.epsilon is not None and (
+            isinstance(self.epsilon, bool)
+            or not isinstance(self.epsilon, numbers.Real)
+            or not math.isfinite(self.epsilon)
+        ):
+            raise LeakageLabError(f"epsilon must be a finite number, got {self.epsilon!r}")
         if self.kind == EXPONENTIAL_MECHANISM:
             if self.epsilon is None or self.epsilon <= 0.0:
                 raise LeakageLabError("exponential mechanism needs epsilon > 0")
@@ -243,6 +262,13 @@ class GenErrConfig:
             raise LeakageLabError(f"trial count must be >= 1, got {self.trials}")
         if self.learner.domain_size != self.d:
             raise LeakageLabError("hypotheses do not cover the domain")
+        # the weights exp(-epsilon * n * risk / 2) need a finite exponent scale
+        if self.learner.kind == EXPONENTIAL_MECHANISM and not math.isfinite(
+            0.5 * self.learner.epsilon * self.n
+        ):
+            raise LeakageLabError(
+                f"epsilon * n / 2 overflows for epsilon = {self.learner.epsilon} and n = {self.n}"
+            )
         if self.data_dist.alphabet != data_alphabet(self.d):
             raise LeakageLabError("data distribution must use the canonical x{i}:{b} symbols")
         _check_seed(self.seed)
@@ -391,7 +417,7 @@ class HypTestReport:
 
 
 class _LearnerTables:
-    """Precomputed loss tables shared by the channel and the trials."""
+    """Precomputed loss tables shared by the type kernel and the trials."""
 
     def __init__(self, spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
         if len(data_dist.alphabet) != 2 * d:
@@ -410,6 +436,38 @@ class _LearnerTables:
         )
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
+    def risks(self, counts: np.ndarray) -> np.ndarray:
+        """(rows, H) empirical risks of the datasets with these symbol histograms.
+
+        Integer misclassification counts over n, so a dataset's risks do
+        not depend on the order of its draws.
+        """
+        return counts @ self.loss01 / self.n
+
+    def _weights(self, empirical: np.ndarray) -> np.ndarray:
+        """Exponential-mechanism weights exp(-epsilon * n * risk / 2), up to a row factor.
+
+        Shifted by the row minimum so that the largest weight of every row is 1.
+        """
+        shifted = empirical - empirical.min(axis=1, keepdims=True)
+        return np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
+
+    def type_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every histogram of n draws, with its (K, H) empirical risks and P(h | histogram).
+
+        ERM rows are one-hot at the lowest-index minimizer; exponential-
+        mechanism rows are the normalized weights.
+        """
+        counts = _histograms(len(self.cum_probs), self.n)
+        empirical = self.risks(counts)
+        if self.spec.kind == ERM:
+            rows = np.zeros_like(empirical)
+            rows[np.arange(len(empirical)), np.argmin(empirical, axis=1)] = 1.0
+        else:
+            rows = self._weights(empirical)
+            rows /= rows.sum(axis=1, keepdims=True)
+        return counts, empirical, rows
+
     def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Picked hypothesis and its empirical risk for each row of uniforms.
 
@@ -420,19 +478,11 @@ class _LearnerTables:
         symbols = len(self.cum_probs)
         drawn = np.searchsorted(self.cum_probs, u[:, : self.n], side="right")
         np.minimum(drawn, symbols - 1, out=drawn)
-        # offset row i's symbols by i * symbols: one bincount counts every row
-        drawn += symbols * np.arange(rows)[:, None]
-        counts = np.bincount(drawn.ravel(), minlength=rows * symbols).reshape(rows, symbols)
-        # integer misclassification counts over n: the same sums the
-        # gather-mean of the enumeration path forms, so the same risks
-        empirical = counts @ self.loss01 / self.n
+        empirical = self.risks(_count_symbols(drawn, symbols))
         if self.spec.kind == ERM:
             picks = np.argmin(empirical, axis=1)
         else:
-            # shifted by the row minimum so that the largest weight is 1
-            shifted = empirical - empirical.min(axis=1, keepdims=True)
-            weights = np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
-            picks = _inverse_cdf_rows(np.cumsum(weights, axis=1), u[:, self.n])
+            picks = _inverse_cdf_rows(np.cumsum(self._weights(empirical), axis=1), u[:, self.n])
         return picks, empirical[np.arange(rows), picks]
 
 
@@ -445,28 +495,64 @@ def _inverse_cdf_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(picks, cumulative.shape[1] - 1)
 
 
-def _enumerate_datasets(spec, d, n, data_dist, cap):
-    """Loss tables, the dataset alphabet and the (N, H) empirical risks."""
+def _count_symbols(drawn: np.ndarray, symbols: int) -> np.ndarray:
+    """(rows, symbols) histogram of each row of symbol indices; offsets ``drawn`` in place."""
+    rows = len(drawn)
+    # offset row i's symbols by i * symbols: one bincount counts every row
+    drawn += symbols * np.arange(rows)[:, None]
+    return np.bincount(drawn.ravel(), minlength=rows * symbols).reshape(rows, symbols)
+
+
+def _type_count(symbols: int, n: int) -> int:
+    """Number of histograms of n draws over ``symbols`` symbols: C(n + symbols - 1, symbols - 1)."""
+    return math.comb(n + symbols - 1, symbols - 1)
+
+
+def _histograms(symbols: int, n: int) -> np.ndarray:
+    """All (K, symbols) histograms of n draws, in lexicographic order, by stars and bars.
+
+    Each choice of ``symbols - 1`` bar positions among ``n + symbols - 1``
+    slots is one histogram: the counts are the runs of stars between bars.
+    Lexicographic bar positions give lexicographic counts.
+    """
+    slots = n + symbols - 1
+    count = _type_count(symbols, n)
+    bars = np.empty((count, symbols + 1), dtype=np.int64)
+    bars[:, 0] = -1
+    bars[:, -1] = slots
+    bars[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), symbols - 1)),
+        dtype=np.int64,
+        count=count * (symbols - 1),
+    ).reshape(count, symbols - 1)
+    return np.diff(bars, axis=1) - 1
+
+
+def _histogram_index(counts: np.ndarray) -> np.ndarray:
+    """Row index in ``_histograms`` of each histogram row of ``counts``.
+
+    The histograms that precede c and first differ from it at position i
+    put fewer than c_i draws there. With r_i draws left before position i
+    and k = symbols - 1 - i positions after it, they number
+    C(r_i + k, k) - C(r_i - c_i + k, k) (the hockey-stick identity).
+    """
+    symbols = counts.shape[1]
+    n = int(counts[0].sum())
+    after = n - np.cumsum(counts, axis=1)  # r_i - c_i
+    k = np.arange(symbols - 1, -1, -1)
+    table = np.array(
+        [[math.comb(m + j, j) for j in range(symbols)] for m in range(n + 1)], dtype=np.int64
+    )
+    return (table[after + counts, k] - table[after, k]).sum(axis=1)
+
+
+def _dataset_table(spec, d, n, data_dist, cap):
+    """Loss tables, the dataset alphabet, each dataset's type index and the type table."""
     tables = _LearnerTables(spec, d, n, data_dist)
     product = ProductAlphabet(data_dist.alphabet, n, cap=cap)
-    empirical = tables.loss01[product.digit_matrix()].mean(axis=1)
-    return tables, product, empirical
-
-
-def _channel_from_risks(spec, n, tables, product, empirical) -> Channel:
-    """The learner channel; overwrites ``empirical`` for the exponential mechanism."""
-    if spec.kind == ERM:
-        rows = np.zeros_like(empirical)
-        rows[np.arange(len(product)), np.argmin(empirical, axis=1)] = 1.0
-    else:
-        # weights exp(-epsilon * n * (risk - row minimum) / 2), in place:
-        # the shift keeps the largest weight of every row at 1
-        rows = empirical
-        rows -= rows.min(axis=1, keepdims=True)
-        rows *= -0.5 * spec.epsilon * n
-        np.exp(rows, out=rows)
-        rows /= rows.sum(axis=1, keepdims=True)
-    return Channel(product, tables.hypothesis_alphabet, rows)
+    index = _histogram_index(_count_symbols(product.digit_matrix(), len(data_dist.alphabet)))
+    _, empirical, rows = tables.type_table()
+    return tables, product, index, empirical, rows
 
 
 def learner_channel(
@@ -476,13 +562,15 @@ def learner_channel(
     data_dist: DiscreteDistribution,
     cap: int | None = None,
 ) -> Channel:
-    """Exact dataset-to-hypothesis channel by enumerating all (2d)^n datasets.
+    """Exact dataset-to-hypothesis channel over all (2d)^n datasets.
 
     ERM rows are one-hot at the lowest-index empirical-risk minimizer;
     exponential-mechanism rows are proportional to
-    exp(-epsilon * n * risk / 2).
+    exp(-epsilon * n * risk / 2). Each dataset's row is the row of its
+    symbol histogram.
     """
-    return _channel_from_risks(spec, n, *_enumerate_datasets(spec, d, n, data_dist, cap))
+    tables, product, index, _, rows = _dataset_table(spec, d, n, data_dist, cap)
+    return Channel(product, tables.hypothesis_alphabet, rows[index])
 
 
 def generalization_event(
@@ -494,9 +582,9 @@ def generalization_event(
     cap: int | None = None,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
-    tables, product, empirical = _enumerate_datasets(spec, d, n, data_dist, cap)
-    mask = np.abs(tables.true_risk[None, :] - empirical) > eta
-    channel = _channel_from_risks(spec, n, tables, product, empirical)
+    tables, product, index, empirical, rows = _dataset_table(spec, d, n, data_dist, cap)
+    mask = np.abs(tables.true_risk[None, :] - empirical[index]) > eta
+    channel = Channel(product, tables.hypothesis_alphabet, rows[index])
     prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
     return joint_from(prior, channel), EventMask(product, channel.output, mask)
 
@@ -508,13 +596,19 @@ def _ledger_bound(spec: LearnerSpec, n: int) -> float:
     return min(candidates)
 
 
-def _exact_leakage(config: GenErrConfig, cap: int) -> float | None:
-    size = len(config.data_dist.alphabet) ** config.n
-    if size > cap:
-        return None
-    channel = learner_channel(config.learner, config.d, config.n, config.data_dist, cap=cap)
-    support = np.flatnonzero(_iid_probs(config.data_dist.probs, config.n) > 0.0)
-    return maximal_leakage(channel, support).nats
+def _exact_leakage(tables: _LearnerTables, data_dist: DiscreteDistribution) -> float:
+    """Maximal leakage of the learner over the histograms of the supported datasets.
+
+    A dataset's row depends only on its histogram, so the column maxima
+    over the supported datasets are those over the supported histograms:
+    the ones that use only symbols of positive probability.
+    """
+    counts, _, rows = tables.type_table()
+    # validated like any channel: finite, nonnegative, rows summing to 1
+    types = Channel(Alphabet(map(str, range(len(rows)))), tables.hypothesis_alphabet, rows)
+    unsupported = np.asarray(data_dist.probs) == 0.0
+    support = np.flatnonzero(~counts[:, unsupported].any(axis=1))
+    return maximal_leakage(types, support).nats
 
 
 def run_gen_error_experiment(
@@ -525,16 +619,19 @@ def run_gen_error_experiment(
 ) -> ExperimentReport:
     """Monte Carlo check of the generalization bound for one learner."""
     cap = enumeration_cap() if cap is None else cap
-    exact_leakage = _exact_leakage(config, cap)
+    tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
+    symbols = len(config.data_dist.alphabet)
+    types = _type_count(symbols, config.n)
+    exact_leakage = None if types > cap else _exact_leakage(tables, config.data_dist)
     if require_exact and exact_leakage is None:
         raise CapExceeded(
-            f"{len(config.data_dist.alphabet)}^{config.n} datasets exceed the cap {cap}"
+            f"C({config.n}+{symbols}-1, {symbols}-1) = {types} dataset histograms "
+            f"exceed the cap {cap}"
         )
     ledger_bound = _ledger_bound(config.learner, config.n)
     used_leakage = ledger_bound if exact_leakage is None else exact_leakage
     bound = gen_error_bound(config.n, config.eta, used_leakage).value
 
-    tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
     width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
 
     def chunk(lo: int, hi: int):

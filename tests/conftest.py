@@ -13,6 +13,22 @@ def bec_channel(alpha: float) -> Channel:
     )
 
 
+def tuple_at(product, index: int) -> tuple[str, ...]:
+    """Base labels of tuple ``index`` of a product alphabet, from its digit matrix."""
+    return tuple(product.base.labels[d] for d in product.digit_matrix()[index])
+
+
+def hamming_neighbors(product, index: int) -> list[int]:
+    """Indices reached from tuple ``index`` by changing one position, by its stride."""
+    digits = product.digit_matrix()[index].tolist()
+    return [
+        index + (value - digit) * stride
+        for digit, stride in zip(digits, product.strides())
+        for value in range(len(product.base))
+        if value != digit
+    ]
+
+
 def uniform(labels) -> DiscreteDistribution:
     labels = list(labels)
     return DiscreteDistribution(Alphabet(labels), np.full(len(labels), 1.0 / len(labels)))

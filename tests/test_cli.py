@@ -20,7 +20,7 @@ from leakage_lab import (
 )
 from leakage_lab.cli import main
 from leakage_lab.core import ProductAlphabet
-from leakage_lab.simulate import ERM, P_VALUE_NOTE
+from leakage_lab.simulate import ERM, EXPONENTIAL_MECHANISM as EM, P_VALUE_NOTE
 
 from conftest import bec_channel, bernoulli_identity_joint
 
@@ -331,7 +331,9 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert out_path.read_text(encoding="utf-8") == stdout
 
-    def test_exact_flag_honors_cap(self, capsys, tmp_path):
+    def test_exact_flag_honors_cap(self, capsys, tmp_path, monkeypatch):
+        # the cap counts the C(15, 3) = 455 histograms of 12 draws over 4 symbols
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "400")
         payload = {
             "d": 2,
             "n": 12,
@@ -354,6 +356,56 @@ class TestSimulate:
         code, doc, _ = run_cli(capsys, "simulate", "generr", "--config", path)
         assert code == 0
         assert doc["exactLeakage_nats"] is None
+
+    def test_exact_counts_histograms_not_datasets(self, capsys, tmp_path):
+        # 4^12 datasets exceed the default cap; their 455 histograms do not
+        payload = {
+            "d": 2,
+            "n": 12,
+            "dataDistribution": DiscreteDistribution(
+                data_alphabet(2), [0.4, 0.1, 0.3, 0.2]
+            ).to_json(),
+            "learner": {"kind": ERM, "hypothesisClass": [[0, 1], [1, 0]]},
+            "eta": 0.3,
+            "trials": 10,
+            "seed": 1,
+        }
+        path = write_json(tmp_path / "big.json", payload)
+        code, doc, _ = run_cli(capsys, "simulate", "generr", "--config", path, "--exact")
+        assert code == 0
+        assert doc["exactLeakage_nats"] == math.log(2.0)
+
+    @pytest.mark.parametrize(
+        "learner,field",
+        [
+            ('{"kind": "ERM", "hypothesisClass": [[0, 1.7], [1, 0]]}', "hypothesisClass"),
+            ('{"kind": "ERM", "hypothesisClass": [[0, true], [1, 0]]}', "hypothesisClass"),
+            (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": true}}', "epsilon"),
+            (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": "nan"}}', "epsilon"),
+            (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": 1e400}}', "epsilon"),
+            (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": NaN}}', "epsilon"),
+        ],
+        ids=["float-label", "bool-label", "bool-epsilon", "string-epsilon", "overflowing-epsilon",
+             "nan-epsilon"],
+    )
+    def test_malformed_learner_is_one_error_line(self, capsys, tmp_path, learner, field):
+        payload = {
+            "d": 2,
+            "n": 4,
+            "dataDistribution": DiscreteDistribution(data_alphabet(2), [0.25] * 4).to_json(),
+            "learner": "LEARNER",
+            "eta": 0.3,
+            "trials": 10,
+            "seed": 1,
+        }
+        path = tmp_path / "learner.json"
+        path.write_text(jsonio.dumps(payload).replace('"LEARNER"', learner), encoding="utf-8")
+        code, doc, err = run_cli(capsys, "simulate", "generr", "--config", str(path))
+        assert code == 2
+        assert doc is None
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in lines[0]
 
     def test_hyptest_passes_with_trace(self, capsys, hyptest_config, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -441,8 +493,23 @@ class TestParser:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_does_not_load_scipy_stats(tmp_path):
+    # neither the import nor bound, compose and measure load any scipy module
     src = str(Path(leakage_lab.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import leakage_lab.cli; " \
-        "sys.exit(int('scipy.stats' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    commands = [
+        ["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"],
+        ["compose", "--dp", "0.1,10", "--cardinality", "4"],
+        ["measure", "ml", "--channel", channel],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import leakage_lab.cli\n"
+        "def scipy_loaded():\n"
+        "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "assert not scipy_loaded(), 'import'\n"
+        f"for argv in {commands!r}:\n"
+        "    assert leakage_lab.cli.main(argv) == 0, argv\n"
+        "    assert not scipy_loaded(), argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiments and their exact scaffolding."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from leakage_lab import (
     maximal_leakage,
 )
 from leakage_lab import simulate
+from leakage_lab.core import Channel, ProductAlphabet
 from leakage_lab.simulate import (
     ERM,
     EXPONENTIAL_MECHANISM,
@@ -34,6 +36,8 @@ from leakage_lab.simulate import (
     HypTestConfig,
     LearnerSpec,
     _clopper_pearson_lower,
+    _histogram_index,
+    _histograms,
     _inverse_cdf_rows,
     _LearnerTables,
     _trial_seeds,
@@ -45,6 +49,8 @@ from leakage_lab.simulate import (
     run_hyptest_experiment,
     statistic_windows,
 )
+
+from conftest import tuple_at
 
 FOUR_SYMBOLS = data_alphabet(2)
 
@@ -310,10 +316,10 @@ class TestLearnerChannel:
             risks = []
             for h in spec.hypotheses:
                 misses = 0
-                for symbol in product.tuple_at(k):
+                for symbol in tuple_at(product, k):
                     point, label = symbol.split(":")
                     misses += h[int(point[1:])] != int(label)
-                risks.append(misses / len(product.tuple_at(k)))
+                risks.append(misses / len(tuple_at(product, k)))
             best = risks.index(min(risks))
             expected = np.zeros(len(spec.hypotheses))
             expected[best] = 1.0
@@ -338,6 +344,102 @@ class TestLearnerChannel:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             learner_channel(full_erm(), 2, 8, skewed_dist(), cap=1000)
+
+
+def per_dataset_oracle(spec, d, n, dist):
+    """Dataset alphabet, (N, H) empirical risks and learner rows, one dataset at a time.
+
+    Each dataset's risks are the mean of its symbols' 0/1 losses, gathered
+    from the digit matrix; no histogram is formed.
+    """
+    tables = _LearnerTables(spec, d, n, dist)
+    product = ProductAlphabet(dist.alphabet, n)
+    empirical = tables.loss01[product.digit_matrix()].mean(axis=1)
+    if spec.kind == ERM:
+        rows = np.zeros_like(empirical)
+        rows[np.arange(len(product)), np.argmin(empirical, axis=1)] = 1.0
+    else:
+        rows = empirical - empirical.min(axis=1, keepdims=True)
+        rows *= -0.5 * spec.epsilon * n
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return product, empirical, rows
+
+
+ZERO_SYMBOL_DIST = DiscreteDistribution(FOUR_SYMBOLS, [0.5, 0.0, 0.3, 0.2])
+
+
+class TestTypeKernel:
+    @pytest.mark.parametrize("symbols,n", [(2, 1), (2, 7), (4, 1), (4, 5), (6, 3)])
+    def test_histograms_are_every_multiset_in_lexicographic_order(self, symbols, n):
+        counts = _histograms(symbols, n)
+        expected = sorted(
+            tuple(combo.count(s) for s in range(symbols))
+            for combo in itertools.combinations_with_replacement(range(symbols), n)
+        )
+        assert [tuple(row) for row in counts.tolist()] == expected
+        assert len(counts) == math.comb(n + symbols - 1, symbols - 1)
+        assert np.array_equal(_histogram_index(counts), np.arange(len(counts)))
+
+    def test_index_of_every_dataset(self):
+        product = ProductAlphabet(FOUR_SYMBOLS, 5)
+        digits = product.digit_matrix()
+        counts = np.stack([(digits == s).sum(axis=1) for s in range(4)], axis=1)
+        index = _histogram_index(counts)
+        assert np.array_equal(_histograms(4, 5)[index], counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("dist", [skewed_dist(), ZERO_SYMBOL_DIST], ids=["skewed", "zero"])
+    @pytest.mark.parametrize(
+        "hypotheses", [((0, 1),), ((0, 0), (0, 1), (1, 0), (1, 1))], ids=["singleton", "full"]
+    )
+    @pytest.mark.parametrize("epsilon", [None, 0.5, 40.0, 3000.0])
+    def test_rows_and_leakage_match_per_dataset_oracle(self, n, dist, hypotheses, epsilon):
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, hypotheses, epsilon)
+        product, empirical, rows = per_dataset_oracle(spec, 2, n, dist)
+        channel = learner_channel(spec, 2, n, dist)
+        assert channel.input == product
+        assert np.array_equal(channel.rows, rows)
+        joint, event = generalization_event(spec, 2, n, dist, 0.3)
+        tables = _LearnerTables(spec, 2, n, dist)
+        assert np.array_equal(event.mask, np.abs(tables.true_risk - empirical) > 0.3)
+        prior = iid_prior(dist, n)
+        assert np.array_equal(joint.mass, prior.probs[:, None] * rows)
+
+        support = np.flatnonzero(prior.probs > 0.0)
+        oracle = maximal_leakage(Channel(product, tables.hypothesis_alphabet, rows), support)
+        config = GenErrConfig(2, n, dist, spec, 0.3, 16, 5)
+        report = run_gen_error_experiment(config, require_exact=True)
+        assert report.exact_leakage_nats == oracle.nats
+
+    def test_exact_leakage_builds_no_dataset_alphabet(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ProductAlphabet built")
+
+        monkeypatch.setattr(ProductAlphabet, "__init__", refuse)
+        spec = LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 0), (0, 1), (1, 0), (1, 1)), 0.5)
+        config = GenErrConfig(2, 100, skewed_dist(), spec, 0.2, 100, 5)
+        report = run_gen_error_experiment(config, require_exact=True)
+        assert math.isfinite(report.exact_leakage_nats)
+        assert report.exact_leakage_nats <= report.ledger_bound_nats
+
+    def test_cap_counts_histograms(self):
+        # d = 2, n = 8: 4^8 = 65536 datasets but C(11, 3) = 165 histograms
+        config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
+        exact = run_gen_error_experiment(config, require_exact=True, cap=165)
+        assert exact.exact_leakage_nats == math.log(4.0)
+        with pytest.raises(CapExceeded, match="165 dataset histograms exceed the cap 164"):
+            run_gen_error_experiment(config, require_exact=True, cap=164)
+
+    def test_non_finite_rows_fail_loudly(self):
+        # epsilon * n / 2 overflows, so a zero risk gap times it is NaN
+        spec = LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 0), (1, 1)), 1e308)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(LeakageLabError, match="non-finite"):
+                learner_channel(spec, 2, 4, skewed_dist())
+        with pytest.raises(LeakageLabError, match="overflows"):
+            GenErrConfig(2, 4, skewed_dist(), spec, 0.3, 10, 1)
 
 
 class TestGeneralizationEvent:
@@ -417,15 +519,16 @@ class TestGenErrorExperiment:
             assert sliced.read_bytes() == default.read_bytes()
 
     def test_require_exact_honors_cap(self):
+        # the cap counts the C(11, 3) = 165 histograms of 8 draws over 4 symbols
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
         with pytest.raises(CapExceeded, match="exceed the cap"):
-            run_gen_error_experiment(config, require_exact=True, cap=1000)
+            run_gen_error_experiment(config, require_exact=True, cap=100)
 
     def test_ledger_fallback_above_cap(self):
         # past the enumeration cap the report falls back to the ledger
         # budget, here log of the hypothesis count
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 200, 1)
-        report = run_gen_error_experiment(config, cap=1000)
+        report = run_gen_error_experiment(config, cap=100)
         assert report.exact_leakage_nats is None
         assert report.ledger_bound_nats == math.log(4.0)
         assert report.theoretical_bound == gen_error_bound(8, 0.3, math.log(4.0)).value
