@@ -40,7 +40,6 @@ __all__ = [
     "BoundReport",
     "adaptive_event_bound",
     "exact_event_probability",
-    "exact_event_probability_by_fibers",
     "mcdiarmid_tail",
     "gen_error_bound",
     "gen_error_bound_sensitivity",
@@ -131,21 +130,6 @@ def exact_event_probability(joint: JointDistribution, event: EventMask) -> float
     if joint.input != event.input or joint.output != event.output:
         raise AlphabetMismatch("event mask is indexed by different alphabets")
     return float(joint.mass[event.mask].sum())
-
-
-def exact_event_probability_by_fibers(joint: JointDistribution, event: EventMask) -> float:
-    """Independent second route: sum over outputs of the fiber mass.
-
-    Kept alongside :func:`exact_event_probability` so ground truth is
-    always computed two ways.
-    """
-    if joint.input != event.input or joint.output != event.output:
-        raise AlphabetMismatch("event mask is indexed by different alphabets")
-    total = 0.0
-    for y in range(len(joint.output)):
-        fiber = event.fiber(y)
-        total += float(joint.mass[fiber, y].sum())
-    return total
 
 
 def mcdiarmid_tail(n: int, t: float, c: float) -> float:

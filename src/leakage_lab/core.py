@@ -166,6 +166,16 @@ def _check_entries(values: np.ndarray, what: str) -> float:
     return total
 
 
+def _check_channel_rows(rows: np.ndarray) -> None:
+    """Finite, nonnegative entries and rows that each sum to 1 within NORMALIZATION_TOL."""
+    _check_entries(rows, "Channel")
+    sums = rows.sum(axis=1)
+    residual = np.abs(sums - 1.0)
+    if residual.max() > NORMALIZATION_TOL:
+        row = int(np.flatnonzero(residual > NORMALIZATION_TOL)[0])
+        raise NotNormalized(float(sums[row] - 1.0), f"channel row {row}")
+
+
 def _check_prob_vector(probs: np.ndarray, what: str) -> None:
     # nonnegative entries summing to ~1 leave a nonempty support
     total = _check_entries(probs, what)
@@ -224,7 +234,7 @@ class _Rectangle:
 
     A subclass names its matrix attribute in ``_field`` (which is also its
     JSON key) and its dtype in ``_dtype``, and adds its own invariant in
-    ``_check``. Float entries must be finite and nonnegative.
+    ``_check``, which by default requires finite, nonnegative entries.
     """
 
     __slots__ = ("input", "output")
@@ -237,15 +247,14 @@ class _Rectangle:
             raise AlphabetMismatch(
                 f"expected a {len(input)}x{len(output)} matrix, got shape {matrix.shape}"
             )
-        if self._dtype is not bool:
-            _check_entries(matrix, type(self).__name__)
         self._check(matrix)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "output", output)
         object.__setattr__(self, self._field, _readonly(matrix))
 
     def _check(self, matrix: np.ndarray) -> None:
-        """Invariant beyond shape and entries; none by default."""
+        """Invariant beyond the shape."""
+        _check_entries(matrix, type(self).__name__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -284,11 +293,7 @@ class Channel(_Rectangle):
     _field = "rows"
 
     def _check(self, matrix: np.ndarray) -> None:
-        sums = matrix.sum(axis=1)
-        residual = np.abs(sums - 1.0)
-        if residual.max() > NORMALIZATION_TOL:
-            row = int(np.flatnonzero(residual > NORMALIZATION_TOL)[0])
-            raise NotNormalized(float(sums[row] - 1.0), f"channel row {row}")
+        _check_channel_rows(matrix)
 
     def row(self, label: str) -> np.ndarray:
         return self.rows[self.input.index(label)]
@@ -314,7 +319,7 @@ class JointDistribution(_Rectangle):
     _field = "mass"
 
     def _check(self, matrix: np.ndarray) -> None:
-        total = float(matrix.sum())
+        total = _check_entries(matrix, "JointDistribution")
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(total - 1.0, "joint mass")
 
@@ -344,6 +349,9 @@ class EventMask(_Rectangle):
     __slots__ = ("mask",)
     _field = "mask"
     _dtype = bool
+
+    def _check(self, matrix: np.ndarray) -> None:
+        """Any boolean matrix is an event."""
 
     def fiber(self, y: int | str) -> np.ndarray:
         """Input indices belonging to the event at output ``y``."""

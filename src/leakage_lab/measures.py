@@ -86,6 +86,11 @@ def _log_clamped(total: float) -> float:
     return value
 
 
+def _column_max_leakage(rows: np.ndarray) -> float:
+    """log of the sum of the column maxima of ``rows``, the supported rows of a channel."""
+    return _log_clamped(float(rows.max(axis=0).sum()))
+
+
 def _support_indices(channel: Channel, support) -> np.ndarray:
     """Sorted distinct input indices of ``support`` (labels or indices).
 
@@ -127,8 +132,7 @@ def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None
         support produce bit-identical results.
     """
     idx = _support_indices(channel, support)
-    column_max = channel.rows[idx].max(axis=0)
-    return LeakageValue(_log_clamped(float(column_max.sum())), int(idx.size))
+    return LeakageValue(_column_max_leakage(channel.rows[idx]), int(idx.size))
 
 
 def maximal_leakage_of_joint(joint: JointDistribution) -> LeakageValue:

@@ -44,13 +44,14 @@ from .core import (
     EventMask,
     JointDistribution,
     ProductAlphabet,
+    _check_channel_rows,
     _iid_probs,
     enumeration_cap,
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError
 from .ledger import cardinality_bound, dp_to_leakage
-from .measures import maximal_leakage
+from .measures import _column_max_leakage
 
 __all__ = [
     "LearnerSpec",
@@ -83,6 +84,8 @@ CONFIDENCE = 0.99
 
 ERM = "ERM"
 EXPONENTIAL_MECHANISM = "exponential-mechanism"
+# the one tie break: ties in empirical risk go to the lowest hypothesis index
+TIE_BREAK = "lowest-index"
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -143,16 +146,16 @@ def map_chunked(worker: Callable[[int, int], object], total: int) -> list:
     return [worker(lo, min(lo + _CHUNK_TRIALS, total)) for lo in range(0, total, _CHUNK_TRIALS)]
 
 
-def _clopper_pearson_lower(successes: int, trials: int, confidence: float = CONFIDENCE) -> float:
-    """One-sided lower confidence bound for a binomial proportion."""
+def _clopper_pearson_lower(successes: int, trials: int) -> float:
+    """One-sided lower bound for a binomial proportion at confidence CONFIDENCE."""
     if successes <= 0:
         return 0.0
     if successes >= trials:
-        return float((1.0 - confidence) ** (1.0 / trials))
+        return float((1.0 - CONFIDENCE) ** (1.0 / trials))
     # imported here so that no other command pays for loading scipy
     from scipy.special import betaincinv
 
-    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
+    return float(betaincinv(successes, trials - successes + 1, 1.0 - CONFIDENCE))
 
 
 def data_alphabet(d: int) -> Alphabet:
@@ -176,13 +179,12 @@ class LearnerSpec:
     """An enumerable learner over a finite hypothesis class.
 
     ``hypotheses`` are binary label vectors over the domain; ties in
-    empirical risk always resolve to the lowest index.
+    empirical risk always resolve to the lowest index (``TIE_BREAK``).
     """
 
     kind: str
     hypotheses: tuple[tuple[int, ...], ...]
     epsilon: float | None = None
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.kind not in (ERM, EXPONENTIAL_MECHANISM):
@@ -195,8 +197,6 @@ class LearnerSpec:
             raise LeakageLabError("hypotheses must share the domain size")
         if len(set(hypotheses)) != len(hypotheses):
             raise LeakageLabError("hypotheses must be distinct")
-        if self.tie_break != "lowest-index":
-            raise LeakageLabError(f"unsupported tie break {self.tie_break!r}")
         if self.epsilon is not None and (
             isinstance(self.epsilon, bool)
             or not isinstance(self.epsilon, numbers.Real)
@@ -216,7 +216,7 @@ class LearnerSpec:
         payload: dict = {
             "kind": self.kind,
             "hypothesisClass": [list(h) for h in self.hypotheses],
-            "tieBreak": self.tie_break,
+            "tieBreak": TIE_BREAK,
         }
         if self.epsilon is not None:
             payload["epsilon"] = self.epsilon
@@ -224,19 +224,30 @@ class LearnerSpec:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "LearnerSpec":
+        tie_break = payload.get("tieBreak", TIE_BREAK)
+        if tie_break != TIE_BREAK:
+            raise LeakageLabError(f"unsupported tie break {tie_break!r}")
         return cls(
             kind=str(payload["kind"]),
             hypotheses=tuple(tuple(h) for h in payload["hypothesisClass"]),
             epsilon=payload.get("epsilon"),
-            tie_break=str(payload.get("tieBreak", "lowest-index")),
         )
 
 
 def _check_seed(seed: int) -> int:
+    """``seed`` if it is a 64-bit unsigned integer; shared by ``simulate`` and ``verify``."""
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise LeakageLabError("seed must be a 64-bit unsigned integer")
     return seed
+
+
+def _read_int(payload: Mapping, key: str) -> int:
+    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise LeakageLabError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -287,13 +298,13 @@ class GenErrConfig:
     @classmethod
     def from_json(cls, payload: Mapping) -> "GenErrConfig":
         return cls(
-            d=int(payload["d"]),
-            n=int(payload["n"]),
+            d=_read_int(payload, "d"),
+            n=_read_int(payload, "n"),
             data_dist=DiscreteDistribution.from_json(payload["dataDistribution"]),
             learner=LearnerSpec.from_json(payload["learner"]),
             eta=float(payload["eta"]),
-            trials=int(payload["trials"]),
-            seed=int(payload["seed"]),
+            trials=_read_int(payload, "trials"),
+            seed=_read_int(payload, "seed"),
         )
 
 
@@ -334,12 +345,12 @@ class HypTestConfig:
     @classmethod
     def from_json(cls, payload: Mapping) -> "HypTestConfig":
         return cls(
-            n=int(payload["n"]),
-            num_stats=int(payload["numStats"]),
+            n=_read_int(payload, "n"),
+            num_stats=_read_int(payload, "numStats"),
             sigma=float(payload["sigma"]),
             delta=float(payload["delta"]),
-            trials=int(payload["trials"]),
-            seed=int(payload["seed"]),
+            trials=_read_int(payload, "trials"),
+            seed=_read_int(payload, "seed"),
         )
 
 
@@ -604,11 +615,10 @@ def _exact_leakage(tables: _LearnerTables, data_dist: DiscreteDistribution) -> f
     the ones that use only symbols of positive probability.
     """
     counts, _, rows = tables.type_table()
-    # validated like any channel: finite, nonnegative, rows summing to 1
-    types = Channel(Alphabet(map(str, range(len(rows)))), tables.hypothesis_alphabet, rows)
+    # validated like any channel's rows, without labelling the K types
+    _check_channel_rows(rows)
     unsupported = np.asarray(data_dist.probs) == 0.0
-    support = np.flatnonzero(~counts[:, unsupported].any(axis=1))
-    return maximal_leakage(types, support).nats
+    return _column_max_leakage(rows[~counts[:, unsupported].any(axis=1)])
 
 
 def run_gen_error_experiment(

@@ -6,9 +6,11 @@ Three suites, each over independently seeded instances:
   event) triples never exceed exp(L) * max_y P_X(E_y), and the
   identity-channel diagonal-event family attains equality;
 * ``composition``: post-processing cannot increase leakage; two-step
-  and three-step adaptively composed channels respect the sums of their
-  per-step certificates, and the three-step chain also respects the sum
-  of conditional leakages along the prefix;
+  and three-step adaptive chains (see :func:`adaptive_channel`) respect
+  the sums of their per-step certificates, and the three-step chain also
+  respects the sum of conditional leakages along the prefix. Both sums
+  bill each later step by the conditional maximal leakage of its stage
+  channel, over all (x, prefix) pairs or over those the prior reaches;
 * ``maxinfo``: budgeted max-information never exceeds leakage plus
   log(1/beta), is nonincreasing in the budget, dominates leakage at zero
   budget, and the threshold scan agrees with exhaustive enumeration.
@@ -44,7 +46,7 @@ from .measures import (
     maximal_leakage,
     maximal_leakage_of_joint,
 )
-from .simulate import derive_trial_seed
+from .simulate import _check_seed, derive_trial_seed
 
 __all__ = [
     "SOUNDNESS_TOL",
@@ -55,8 +57,7 @@ __all__ = [
     "random_channel",
     "random_joint",
     "random_event",
-    "two_step_channel",
-    "three_step_channel",
+    "adaptive_channel",
     "diagonal_equality_gap",
     "sweep_soundness",
     "sweep_composition",
@@ -82,26 +83,19 @@ def _named_alphabet(prefix: str, size: int) -> Alphabet:
     return Alphabet(f"{prefix}{i}" for i in range(size))
 
 
-def random_distribution(
-    rng: np.random.Generator, size: int, allow_zeros: bool = False, prefix: str = "x"
-) -> DiscreteDistribution:
+def random_distribution(rng: np.random.Generator, size: int,
+                        allow_zeros: bool = False) -> DiscreteDistribution:
     weights = rng.random(size) + 1e-3
     if allow_zeros and size > 1 and rng.random() < 0.5:
         kill = rng.random(size) < 0.35
         if kill.all():
             kill[int(rng.integers(size))] = False
         weights[kill] = 0.0
-    return DiscreteDistribution(_named_alphabet(prefix, size), weights / weights.sum())
+    return DiscreteDistribution(_named_alphabet("x", size), weights / weights.sum())
 
 
-def random_channel(
-    rng: np.random.Generator,
-    inputs: int,
-    outputs: int,
-    allow_zeros: bool = True,
-    input_alphabet: Alphabet | None = None,
-    output_alphabet: Alphabet | None = None,
-) -> Channel:
+def _random_rows(rng: np.random.Generator, inputs: int, outputs: int, allow_zeros: bool = True):
+    """Row-stochastic (inputs, outputs) matrix; with zeros, each row keeps its largest entry."""
     rows = rng.random((inputs, outputs)) + 1e-3
     if allow_zeros:
         kill = rng.random((inputs, outputs)) < 0.3
@@ -109,10 +103,16 @@ def random_channel(
         kill[np.arange(inputs), keep] = False
         rows[kill] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def random_channel(rng: np.random.Generator, inputs: int, outputs: int, allow_zeros: bool = True,
+                   input_alphabet: Alphabet | None = None,
+                   output_alphabet: Alphabet | None = None) -> Channel:
     return Channel(
         input_alphabet if input_alphabet is not None else _named_alphabet("x", inputs),
         output_alphabet if output_alphabet is not None else _named_alphabet("y", outputs),
-        rows,
+        _random_rows(rng, inputs, outputs, allow_zeros),
     )
 
 
@@ -133,52 +133,35 @@ def random_event(rng: np.random.Generator, inputs: int, outputs: int,
     return EventMask(input_alphabet, output_alphabet, rng.random((inputs, outputs)) < 0.5)
 
 
-def two_step_channel(
-    first: Channel, second_by_y: dict[str, Channel]
-) -> Channel:
-    """Joint channel x -> (y, z) of an adaptive pair.
+def _by_input(stage_rows: np.ndarray, inputs: int) -> np.ndarray:
+    """Prefix-major stage rows as an (input, prefix, output) array."""
+    return stage_rows.reshape(-1, inputs, stage_rows.shape[1]).transpose(1, 0, 2)
 
-    ``second_by_y[y]`` is the channel used when the first step returned
-    y; the pair output carries P(y, z | x) = P(y|x) P(z|x, y).
+
+def adaptive_channel(first: Channel, *stages: Channel) -> Channel:
+    """Joint channel x -> (y_1, ..., y_k) of an adaptive chain.
+
+    Stage k >= 2 is a channel from the (x, prefix) pairs, where a prefix
+    is an output of the chain so far, to y_k. Its rows are stored
+    prefix-major: row p * |X| + i is P(y_k | x_i, prefix p), with the
+    prefixes in the joint's output order. The joint output (prefix, y_k)
+    is labelled ``prefix&y_k`` and carries P(prefix | x) P(y_k | x, prefix).
     """
-    inner = next(iter(second_by_y.values()))
-    pair_alphabet = Alphabet(
-        f"{y}&{z}" for y in first.output.labels for z in inner.output.labels
-    )
-    rows = np.empty((len(first.input), len(pair_alphabet)))
-    width = len(inner.output)
-    for j, y in enumerate(first.output.labels):
-        block = second_by_y[y]
-        if block.input != first.input or block.output != inner.output:
-            raise LeakageLabError("adaptive second-step channels must share alphabets")
-        rows[:, j * width : (j + 1) * width] = first.rows[:, j : j + 1] * block.rows
-    return Channel(first.input, pair_alphabet, rows)
+    inputs = len(first.input)
+    rows, labels = first.rows, first.output.labels
+    for stage in stages:
+        if len(stage.input) != len(labels) * inputs:
+            raise LeakageLabError(f"an adaptive stage needs {len(labels) * inputs} (x, prefix) "
+                                  f"rows, got {len(stage.input)}")
+        rows = (rows[:, :, None] * _by_input(stage.rows, inputs)).reshape(inputs, -1)
+        labels = [f"{p}&{z}" for p in labels for z in stage.output.labels]
+    return Channel(first.input, Alphabet(labels), rows)
 
 
-def three_step_channel(
-    first: Channel,
-    second_by_y: dict[str, Channel],
-    third_by_yz: dict[tuple[str, str], Channel],
-) -> Channel:
-    """Joint channel x -> (y, z, w) of a three-step adaptive chain."""
-    pair = two_step_channel(first, second_by_y)
-    inner = next(iter(third_by_yz.values()))
-    out_alphabet = Alphabet(
-        f"{pair_label}&{w}" for pair_label in pair.output.labels for w in inner.output.labels
-    )
-    rows = np.empty((len(first.input), len(out_alphabet)))
-    width = len(inner.output)
-    for j, pair_label in enumerate(pair.output.labels):
-        y, z = pair_label.split("&")
-        block = third_by_yz[(y, z)]
-        rows[:, j * width : (j + 1) * width] = pair.rows[:, j : j + 1] * block.rows
-    return Channel(first.input, out_alphabet, rows)
-
-
-def diagonal_equality_gap(max_size: int = 8) -> float:
-    """Worst |bound - exact| over the uniform identity/diagonal family."""
+def diagonal_equality_gap() -> float:
+    """Worst |bound - exact| over the uniform identity/diagonal family of sizes 2..8."""
     worst = 0.0
-    for size in range(2, max_size + 1):
+    for size in range(2, 9):
         alphabet = _named_alphabet("x", size)
         prior = DiscreteDistribution(alphabet, np.full(size, 1.0 / size))
         channel = Channel.identity(alphabet)
@@ -223,7 +206,6 @@ def _run_sweep(
     instances: int,
     tolerances: dict[str, float],
     run_instance: Callable[[int, dict[str, _Check]], None],
-    extra: dict | None = None,
 ) -> dict:
     """Run instances 0 .. instances-1 into one check per named tolerance."""
     if instances < 1:
@@ -233,16 +215,13 @@ def _run_sweep(
         run_instance(index, checks)
 
     failures = [f for check in checks.values() for f in check.failures][:_MAX_FAILURES_KEPT]
-    result = {
+    return {
         "suite": suite,
         "instances": instances,
         "checks": {name: check.to_json() for name, check in checks.items()},
         "failures": failures,
         "pass": all(check.violations == 0 for check in checks.values()),
     }
-    if extra:
-        result.update(extra)
-    return result
 
 
 def sweep_soundness(instances: int, seed: int) -> dict:
@@ -270,40 +249,60 @@ def sweep_soundness(instances: int, seed: int) -> dict:
             },
         )
 
-    return _run_sweep(
-        "soundness",
-        instances,
-        {"event_bound": SOUNDNESS_TOL},
-        run_instance,
-        extra={"diagonal_equality_gap": diagonal_equality_gap()},
-    )
+    result = _run_sweep("soundness", instances, {"event_bound": SOUNDNESS_TOL}, run_instance)
+    result["diagonal_equality_gap"] = diagonal_equality_gap()
+    return result
 
 
-def _random_adaptive_chain(rng: np.random.Generator, steps: int):
+def _random_stages(rng: np.random.Generator, steps: int) -> list[Channel]:
+    """First channel x -> y and the stage channels of a random adaptive chain.
+
+    Stage k >= 2 holds one random block of rows per prefix, drawn in the
+    joint's output order (see :func:`adaptive_channel`); its inputs are
+    labelled ``x|p`` for prefix index p.
+    """
     nx = int(rng.integers(2, 5))
-    x_alphabet = _named_alphabet("x", nx)
     sizes = [int(rng.integers(2, 4)) for _ in range(steps)]
-    first = random_channel(rng, nx, sizes[0], input_alphabet=x_alphabet,
-                           output_alphabet=_named_alphabet("y", sizes[0]))
-    second_out = _named_alphabet("z", sizes[1]) if steps > 1 else None
-    second = {
-        y: random_channel(rng, nx, sizes[1], input_alphabet=x_alphabet,
-                          output_alphabet=second_out)
-        for y in first.output.labels
-    } if steps > 1 else {}
-    third = {}
-    if steps > 2:
-        third_out = _named_alphabet("w", sizes[2])
-        for y in first.output.labels:
-            for z in second_out.labels:
-                third[(y, z)] = random_channel(
-                    rng, nx, sizes[2], input_alphabet=x_alphabet, output_alphabet=third_out
-                )
-    return x_alphabet, first, second, third
+    chain = [random_channel(rng, nx, sizes[0])]
+    prefixes = sizes[0]
+    for size, name in zip(sizes[1:], "zw"):
+        rows = np.vstack([_random_rows(rng, nx, size) for _ in range(prefixes)])
+        pairs = Alphabet(f"{x}|{p}" for p in range(prefixes) for x in chain[0].input.labels)
+        chain.append(Channel(pairs, _named_alphabet(name, size), rows))
+        prefixes *= size
+    return chain
 
 
-def _max_step_leakage(channels) -> float:
-    return max(maximal_leakage(ch).nats for ch in channels)
+def _stage_pairs(stage: Channel, first: Channel) -> list[tuple[str, int]]:
+    """(x, prefix index) of each row of a prefix-major stage of the chain that ``first`` starts."""
+    xs = first.input.labels
+    return [(x, p) for p in range(len(stage.input) // len(xs)) for x in xs]
+
+
+def _certificate_total(first: Channel, stages: list[Channel]) -> float:
+    """Sum, in step order, of per-step certificates: step k's worst leakage over every prefix."""
+    steps = (conditional_maximal_leakage(s, _stage_pairs(s, first)).nats for s in stages)
+    return sum(steps, maximal_leakage(first).nats)
+
+
+def _conditional_chain_total(
+    prior: DiscreteDistribution, first: Channel, stages: list[Channel]
+) -> float:
+    """Sum of per-step conditional leakages along the chain prefix.
+
+    Step k conditions on its prefix and sees only the (x, prefix) pairs
+    that the prior and the earlier steps reach with positive probability.
+    """
+    nx = len(first.input)
+    total = maximal_leakage(first, prior.support_labels()).nats
+    reached = (prior.probs > 0.0)[:, None] & (first.rows > 0.0)  # (x, prefix)
+    for stage in stages:
+        pairs = _stage_pairs(stage, first)
+        support = [pair for pair, on in zip(pairs, reached.T.ravel()) if on]
+        total += conditional_maximal_leakage(stage, pairs, support).nats
+        step = _by_input(stage.rows, nx) > 0.0  # (x, prefix, output)
+        reached = (reached[:, :, None] & step).reshape(nx, -1)
+    return total
 
 
 def sweep_composition(instances: int, seed: int) -> dict:
@@ -324,86 +323,28 @@ def sweep_composition(instances: int, seed: int) -> dict:
             lambda: {"instance": index, "first": la, "cascade": lc, "a": a.to_json(), "b": b.to_json()},
         )
 
-        # two-step adaptive pair vs per-step certificates
-        _, first, second, _ = _random_adaptive_chain(rng, 2)
-        pair = two_step_channel(first, second)
-        k1 = maximal_leakage(first).nats
-        k2 = _max_step_leakage(second.values())
-        pair_leak = maximal_leakage(pair).nats
-        checks["two_step"].record(
-            pair_leak - (k1 + k2),
-            lambda: {"instance": index, "joint": pair_leak, "budget": k1 + k2},
-        )
+        # two- and three-step chains vs the sums of their per-step
+        # certificates; the three-step chain also vs its conditional leakages
+        for name, steps in (("two_step", 2), ("three_step", 3)):
+            first, *stages = _random_stages(rng, steps)
+            joint = maximal_leakage(adaptive_channel(first, *stages)).nats
+            budget = _certificate_total(first, stages)
+            checks[name].record(
+                joint - budget,
+                lambda: {"instance": index, "joint": joint, "budget": budget},
+            )
 
-        # three-step chain vs certificates and vs conditional leakages
-        x_alphabet, first3, second3, third3 = _random_adaptive_chain(rng, 3)
-        chain = three_step_channel(first3, second3, third3)
-        b1 = maximal_leakage(first3).nats
-        b2 = _max_step_leakage(second3.values())
-        b3 = _max_step_leakage(third3.values())
-        chain_leak = maximal_leakage(chain).nats
-        checks["three_step"].record(
-            chain_leak - (b1 + b2 + b3),
-            lambda: {"instance": index, "joint": chain_leak, "budget": b1 + b2 + b3},
-        )
-
-        prior = random_distribution(rng, len(x_alphabet), allow_zeros=False)
-        cond_total = _conditional_chain_total(prior, first3, second3, third3)
+        prior = random_distribution(rng, len(first.input), allow_zeros=False)
+        cond_total = _conditional_chain_total(prior, first, stages)
         checks["conditional_chain"].record(
-            chain_leak - cond_total,
-            lambda: {"instance": index, "joint": chain_leak, "conditional_sum": cond_total},
+            joint - cond_total,
+            lambda: {"instance": index, "joint": joint, "conditional_sum": cond_total},
         )
 
     names = ("post_processing", "two_step", "three_step", "conditional_chain")
     return _run_sweep(
         "composition", instances, dict.fromkeys(names, COMPOSITION_TOL), run_instance
     )
-
-
-def _conditional_chain_total(
-    prior: DiscreteDistribution,
-    first: Channel,
-    second_by_y: dict[str, Channel],
-    third_by_yz: dict[tuple[str, str], Channel],
-) -> float:
-    """Sum of per-step conditional leakages along the chain prefix."""
-    xs = list(first.input.labels)
-    total = maximal_leakage(first, prior.support_labels()).nats
-
-    # step two conditions on y
-    pair_labels = [(x, y) for y in first.output.labels for x in xs]
-    pair_alphabet = Alphabet(f"{x}|{y}" for x, y in pair_labels)
-    rows = np.vstack([second_by_y[y].rows for y in first.output.labels])
-    stage_two = Channel(pair_alphabet, next(iter(second_by_y.values())).output, rows)
-    support_xy = {
-        (x, y)
-        for i, x in enumerate(xs)
-        for j, y in enumerate(first.output.labels)
-        if prior.probs[i] > 0.0 and first.rows[i, j] > 0.0
-    }
-    total += conditional_maximal_leakage(stage_two, pair_labels, support_xy).nats
-
-    # step three conditions on (y, z); its support also needs P(z | x, y) > 0
-    triple_labels = [
-        (x, f"{y}&{z}")
-        for y in first.output.labels
-        for z in next(iter(second_by_y.values())).output.labels
-        for x in xs
-    ]
-    triple_alphabet = Alphabet(f"{x}|{yz}" for x, yz in triple_labels)
-    blocks = []
-    support_xyz = set()
-    for y in first.output.labels:
-        for z_index, z in enumerate(next(iter(second_by_y.values())).output.labels):
-            blocks.append(third_by_yz[(y, z)].rows)
-            for i, x in enumerate(xs):
-                if (x, y) in support_xy and second_by_y[y].rows[i, z_index] > 0.0:
-                    support_xyz.add((x, f"{y}&{z}"))
-    stage_three = Channel(
-        triple_alphabet, next(iter(third_by_yz.values())).output, np.vstack(blocks)
-    )
-    total += conditional_maximal_leakage(stage_three, triple_labels, support_xyz).nats
-    return total
 
 
 _JOINT_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3))
@@ -476,5 +417,6 @@ SUITES = {
 
 def run_suites(names, instances: int, seed: int) -> dict:
     """Run the requested suites and bundle their results."""
+    _check_seed(seed)
     results = [SUITES[name](instances, seed) for name in names]
     return {"suites": results, "pass": all(r["pass"] for r in results)}

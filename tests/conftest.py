@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leakage_lab import Alphabet, Channel, DiscreteDistribution, joint_from
+from leakage_lab import Alphabet, AlphabetMismatch, Channel, DiscreteDistribution, joint_from
 
 
 def bec_channel(alpha: float) -> Channel:
@@ -27,6 +27,23 @@ def hamming_neighbors(product, index: int) -> list[int]:
         for value in range(len(product.base))
         if value != digit
     ]
+
+
+def exact_event_probability_by_fibers(joint, event) -> float:
+    """Oracle for ``exact_event_probability``: the sum over outputs of the fiber mass."""
+    if joint.input != event.input or joint.output != event.output:
+        raise AlphabetMismatch("event mask is indexed by different alphabets")
+    total = 0.0
+    for y in range(len(joint.output)):
+        fiber = event.fiber(y)
+        total += float(joint.mass[fiber, y].sum())
+    return total
+
+
+def stage_of(first, prefixes, blocks) -> Channel:
+    """Prefix-major adaptive stage: one channel from ``first.input`` per prefix, stacked."""
+    pairs = Alphabet(f"{x}|{p}" for p in prefixes for x in first.input.labels)
+    return Channel(pairs, blocks[0].output, np.vstack([block.rows for block in blocks]))
 
 
 def uniform(labels) -> DiscreteDistribution:

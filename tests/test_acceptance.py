@@ -169,9 +169,7 @@ def test_criterion_03_leakage_property_suite():
         leakage = maximal_leakage(channel).nats
         range_ok = range_ok and 0.0 <= leakage <= math.log(min(nx, ny)) + 1e-12
 
-        prior = random_distribution(
-            rng, nx, allow_zeros=True, prefix="x"
-        )
+        prior = random_distribution(rng, nx, allow_zeros=True)
         prior = DiscreteDistribution(channel.input, prior.probs)
         support = prior.support()
         restricted = maximal_leakage(channel, support).nats

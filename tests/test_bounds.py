@@ -21,7 +21,6 @@ from leakage_lab import (
     dp_sensitivity_reference_bound,
     dwork_dp_bound,
     exact_event_probability,
-    exact_event_probability_by_fibers,
     fdr_bound,
     fiber_max_prob,
     gen_error_bound,
@@ -34,7 +33,7 @@ from leakage_lab import (
 )
 from leakage_lab.verify import random_channel, random_distribution, random_event
 
-from conftest import uniform
+from conftest import exact_event_probability_by_fibers, uniform
 
 
 class TestAdaptiveEventBound:

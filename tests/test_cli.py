@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in process)."""
 
+import json
 import math
 import subprocess
 import sys
@@ -255,6 +256,13 @@ class TestVerify:
         assert doc["pass"] is True
         assert [suite["suite"] for suite in doc["suites"]] == ["soundness"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_one_error_line(self, capsys, seed):
+        code, doc, err = run_cli(capsys, "verify", "soundness", "--instances", "5", "--seed", seed)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: seed must be a 64-bit unsigned integer"]
+
     def test_all_suites_deterministic_across_workers(self, capsys):
         argv = ["verify", "all", "--instances", "30", "--seed", "5"]
         code1 = main(argv + ["--workers", "1"])
@@ -406,6 +414,42 @@ class TestSimulate:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert field in lines[0]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_one_error_line(self, capsys, hyptest_config, seed):
+        code, doc, err = run_cli(
+            capsys, "simulate", "hyptest", "--config", hyptest_config, "--seed", str(seed)
+        )
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: seed must be a 64-bit unsigned integer"]
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("generr", "seed", 1.5),
+            ("generr", "trials", True),
+            ("generr", "n", "6"),
+            ("generr", "d", 2.0),
+            ("hyptest", "numStats", 10.7),
+            ("hyptest", "seed", "11"),
+            ("hyptest", "trials", False),
+            ("hyptest", "n", 64.0),
+        ],
+    )
+    def test_integer_fields_are_strict(self, capsys, tmp_path, generr_config, hyptest_config,
+                                       kind, key, value):
+        path = generr_config if kind == "generr" else hyptest_config
+        payload = jsonio.loads(Path(path).read_text(encoding="utf-8"))
+        payload[key] = value
+        # the standard encoder keeps the ".0" of an integral float
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, doc, err = run_cli(capsys, "simulate", kind, "--config", str(bad))
+        assert code == 2
+        assert doc is None
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be an integer")
 
     def test_hyptest_passes_with_trace(self, capsys, hyptest_config, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -18,7 +18,9 @@ from leakage_lab import (
     maximal_leakage,
     maxinfo_to_leakage,
 )
-from leakage_lab.verify import random_channel, two_step_channel
+from leakage_lab.verify import adaptive_channel, random_channel
+
+from conftest import stage_of
 
 
 class TestConversions:
@@ -196,14 +198,14 @@ class TestLedgerSoundness:
             ny = int(rng.integers(2, 5))
             nz = int(rng.integers(2, 5))
             first = random_channel(rng, nx, ny)
-            second = {
-                y: random_channel(rng, nx, nz, input_alphabet=first.input)
-                for y in first.output.labels
-            }
+            second = [
+                random_channel(rng, nx, nz, input_alphabet=first.input)
+                for _ in first.output.labels
+            ]
             ledger = LeakageLedger().with_entry(
                 LedgerEntry.from_channel("first", first)
             )
-            worst = max(maximal_leakage(branch).nats for branch in second.values())
+            worst = max(maximal_leakage(branch).nats for branch in second)
             ledger = ledger.with_entry(LedgerEntry.declared("second", worst))
-            joint = two_step_channel(first, second)
+            joint = adaptive_channel(first, stage_of(first, first.output.labels, second))
             assert maximal_leakage(joint).nats <= ledger.total() + 1e-10

@@ -17,7 +17,6 @@ from leakage_lab import (
     data_alphabet,
     empirical_dp,
     exact_event_probability,
-    exact_event_probability_by_fibers,
     fiber_max_prob,
     gen_error_bound,
     generalization_event,
@@ -50,7 +49,7 @@ from leakage_lab.simulate import (
     statistic_windows,
 )
 
-from conftest import tuple_at
+from conftest import exact_event_probability_by_fibers, tuple_at
 
 FOUR_SYMBOLS = data_alphabet(2)
 
@@ -243,7 +242,7 @@ class TestLearnerSpec:
         with pytest.raises(LeakageLabError, match="epsilon"):
             LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 1),))
         with pytest.raises(LeakageLabError, match="tie break"):
-            LearnerSpec(ERM, ((0, 1),), tie_break="random")
+            LearnerSpec.from_json({"kind": ERM, "hypothesisClass": [[0, 1]], "tieBreak": "random"})
 
     def test_json_round_trip(self):
         erm = full_erm()
