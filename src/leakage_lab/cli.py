@@ -90,6 +90,14 @@ def _in_bits(nats: float) -> float:
     return nats / _NATS_PER_BIT if math.isfinite(nats) else nats
 
 
+def _load_pairs(path: str) -> list[tuple]:
+    """The [x, z] pairs that the JSON file at ``path`` lists."""
+    entries = jsonio.load_path(path)
+    pairs = isinstance(entries, list) and all(isinstance(e, list) and len(e) == 2 for e in entries)
+    _require(pairs, f"{path} must hold a list of [x, z] pairs")
+    return [tuple(pair) for pair in entries]
+
+
 def _cmd_measure(args) -> tuple[dict, int]:
     kind = args.kind
     inputs: dict = {}
@@ -105,10 +113,8 @@ def _cmd_measure(args) -> tuple[dict, int]:
         _require(args.channel is not None, "measure cml needs --channel")
         _require(args.pairs is not None, "measure cml needs --pairs")
         channel = Channel.from_json(jsonio.load_path(args.channel))
-        pairs = [tuple(pair) for pair in jsonio.load_path(args.pairs)]
-        support = None
-        if args.support:
-            support = {tuple(pair) for pair in jsonio.load_path(args.support)}
+        pairs = _load_pairs(args.pairs)
+        support = set(_load_pairs(args.support)) if args.support else None
         value = conditional_maximal_leakage(channel, pairs, support).nats
         inputs = {"channel": args.channel, "pairs": args.pairs}
         if args.support:

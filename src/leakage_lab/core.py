@@ -128,10 +128,10 @@ class ProductAlphabet(Alphabet):
 
     SEPARATOR = ","
 
-    def __init__(self, base: Alphabet, n: int, cap: int | None = None):
+    def __init__(self, base: Alphabet, n: int):
         if n < 1:
             raise LeakageLabError(f"product power must be >= 1, got {n}")
-        cap = enumeration_cap() if cap is None else cap
+        cap = enumeration_cap()
         size = len(base) ** n
         if size > cap:
             raise CapExceeded(f"{len(base)}^{n} = {size} states exceed the enumeration cap {cap}")
@@ -295,9 +295,6 @@ class Channel(_Rectangle):
     def _check(self, matrix: np.ndarray) -> None:
         _check_channel_rows(matrix)
 
-    def row(self, label: str) -> np.ndarray:
-        return self.rows[self.input.index(label)]
-
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Channel":
         return cls(alphabet, alphabet, np.eye(len(alphabet)))
@@ -389,9 +386,9 @@ def _iid_probs(probs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def iid_prior(base: DiscreteDistribution, n: int, cap: int | None = None) -> DiscreteDistribution:
+def iid_prior(base: DiscreteDistribution, n: int) -> DiscreteDistribution:
     """Product distribution of ``n`` independent copies of ``base``."""
-    alphabet = ProductAlphabet(base.alphabet, n, cap=cap)
+    alphabet = ProductAlphabet(base.alphabet, n)
     return DiscreteDistribution(alphabet, _iid_probs(base.probs, n))
 
 

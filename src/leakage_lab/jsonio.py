@@ -4,14 +4,18 @@ Every real is written with up to 17 significant digits so that parsing
 the text recovers the exact IEEE-754 double; round trips are bit-exact.
 Positive infinity, which some measures legitimately return, must be
 converted to the string ``"inf"`` by the caller before serialization
-(plain ``float('inf')`` is rejected here on purpose).
+(plain ``float('inf')`` is rejected here on purpose). ``_read_int`` and
+``_read_number`` read one typed field of a parsed document.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import numbers
+from typing import Any, Mapping
+
+from .errors import LeakageLabError
 
 __all__ = ["dumps", "loads", "load_path", "encode_extended", "decode_extended"]
 
@@ -73,6 +77,22 @@ def loads(text: str) -> Any:
 def load_path(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _read_int(payload: Mapping, key: str) -> int:
+    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise LeakageLabError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _read_number(payload: Mapping, key: str) -> float:
+    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise LeakageLabError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def encode_extended(x: float) -> float | str:

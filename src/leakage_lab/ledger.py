@@ -22,6 +22,7 @@ from typing import Iterable, Mapping
 
 from .core import Channel
 from .errors import BetaOutOfRange, LeakageLabError, NegativeEpsilon
+from .jsonio import _read_int, _read_number
 from .measures import maximal_leakage
 
 __all__ = [
@@ -89,14 +90,14 @@ class LedgerEntry:
             raise LeakageLabError(f"entry {self.label!r} has negative bound")
         if kind == "dp-derived":
             expected = dp_to_leakage(
-                float(self.provenance["epsilon"]), int(self.provenance["n"])
+                _read_number(self.provenance, "epsilon"), _read_int(self.provenance, "n")
             )
             if self.bound_nats != expected:
                 raise LeakageLabError(
                     f"dp-derived entry {self.label!r} must carry epsilon * n = {expected}"
                 )
         elif kind == "cardinality":
-            expected = cardinality_bound(int(self.provenance["output_size"]))
+            expected = cardinality_bound(_read_int(self.provenance, "output_size"))
             if self.bound_nats != expected:
                 raise LeakageLabError(
                     f"cardinality entry {self.label!r} must carry log(output_size) = {expected}"
@@ -136,7 +137,7 @@ class LedgerEntry:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "LedgerEntry":
-        return cls(str(payload["label"]), float(payload["bound_nats"]), payload["provenance"])
+        return cls(str(payload["label"]), _read_number(payload, "bound_nats"), payload["provenance"])
 
 
 @dataclass(frozen=True)

@@ -94,30 +94,22 @@ def _column_max_leakage(rows: np.ndarray) -> float:
 def _support_indices(channel: Channel, support) -> np.ndarray:
     """Sorted distinct input indices of ``support`` (labels or indices).
 
-    An integer array is range-checked and deduplicated in array passes;
-    other iterables, usually a few labels, go through a Python set.
+    Labels become their indices, which are range-checked and deduplicated
+    in array passes; an object array keeps Python integers exact until then.
     """
     size = len(channel.input)
     if support is None:
         return np.arange(size)
-    if isinstance(support, np.ndarray) and support.dtype.kind in "iu":
-        values = support
-        bounds = (values.min(), values.max()) if values.size else None
-    else:
-        values = [
-            channel.input.index(item) if isinstance(item, str) else int(item)
-            for item in support
-        ]
-        bounds = (min(values), max(values)) if values else None
-    if bounds is None:
+    if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"):
+        items = [channel.input.index(i) if isinstance(i, str) else int(i) for i in support]
+        support = np.array(items, dtype=object)
+    if not support.size:
         raise EmptySupport("support set is empty")
-    if bounds[0] < 0 or bounds[1] >= size:
-        first = next(int(i) for i in values if not 0 <= i < size)
+    if support.min() < 0 or support.max() >= size:
+        first = next(int(i) for i in support if not 0 <= i < size)
         raise LeakageLabError(f"support index {first} out of range")
-    if isinstance(values, list):
-        return np.array(sorted(set(values)), dtype=np.intp)
     chosen = np.zeros(size, dtype=bool)
-    chosen[values] = True
+    chosen[support.astype(np.intp)] = True
     return np.flatnonzero(chosen)
 
 

@@ -20,9 +20,12 @@ Two experiment families check the bounds against live randomness:
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
 seed_t + (j + 1) * GOLDEN, a counter-based stream computed for a whole
-block of trials at once in numpy uint64 arithmetic. The trial stream is
-split into fixed-size chunks and aggregation adds integer counts in chunk
-order, so a report depends only on its config and seed.
+block of trials at once in numpy uint64 arithmetic. Both experiments run
+on one harness: ``map_chunked`` cuts the trial range into slices whose
+bounds depend only on the trial count and the draws per trial, each
+experiment maps a slice's seeds to boolean hit columns (and per-trial
+trace columns), and the hits are added as integers in slice order, so a
+report depends only on its config and seed.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .core import (
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError
+from .jsonio import _read_int, _read_number
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _column_max_leakage
 
@@ -76,9 +80,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _CHUNK_TRIALS = 1024
-# Most draws one block of a chunk holds; a chunk's trials are processed in
-# row slices of at most this many draws so that the working set stays
-# bounded whatever n is. Results do not depend on it.
+# Most draws one slice holds: trials that draw many values each come in
+# slices shorter than _CHUNK_TRIALS, so that the working set stays bounded
+# whatever n is. Results depend on neither size.
 _BLOCK_DRAWS = 1 << 16
 CONFIDENCE = 0.99
 
@@ -132,18 +136,15 @@ def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
     return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _row_slices(lo: int, hi: int, per_row: int):
-    """Consecutive ranges covering [lo, hi), each of at most _BLOCK_DRAWS // per_row rows."""
-    step = max(1, _BLOCK_DRAWS // per_row)
-    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
+def map_chunked(worker: Callable[[int, int], object], total: int, per_trial: int = 1) -> list:
+    """Results of ``worker(lo, hi)`` over consecutive slices of ``range(total)``, in order.
 
-
-def map_chunked(worker: Callable[[int, int], object], total: int) -> list:
-    """Results of ``worker(lo, hi)`` over fixed-size chunks of ``range(total)``, in order.
-
-    The chunk boundaries depend only on ``total``.
+    A slice holds at most _CHUNK_TRIALS trials and at most _BLOCK_DRAWS
+    draws of ``per_trial`` each, but never fewer than one trial; the slice
+    boundaries depend only on ``total`` and ``per_trial``.
     """
-    return [worker(lo, min(lo + _CHUNK_TRIALS, total)) for lo in range(0, total, _CHUNK_TRIALS)]
+    step = max(1, min(_CHUNK_TRIALS, _BLOCK_DRAWS // per_trial))
+    return [worker(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _clopper_pearson_lower(successes: int, trials: int) -> float:
@@ -156,6 +157,43 @@ def _clopper_pearson_lower(successes: int, trials: int) -> float:
     from scipy.special import betaincinv
 
     return float(betaincinv(successes, trials - successes + 1, 1.0 - CONFIDENCE))
+
+
+def _tail_check(hits: int, trials: int, bound: float) -> tuple[float, float, bool]:
+    """Empirical tail, its Monte Carlo half-width, and whether the tail passes.
+
+    The half-width reaches down to the Clopper-Pearson lower edge, and the
+    tail passes when that edge does not exceed ``bound``.
+    """
+    tail = hits / trials
+    half_width = tail - _clopper_pearson_lower(hits, trials)
+    return tail, half_width, tail - half_width <= bound
+
+
+def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
+                  header: tuple[str, ...], trace_path: str | None) -> list[int]:
+    """Hits of each column ``block`` returns, summed over trials 0..trials-1 of ``seed``.
+
+    ``block(seeds)`` maps the uint64 seeds of a slice of consecutive
+    trials, which draw ``per_trial`` values each, to (boolean hit columns,
+    trace columns). With ``trace_path`` every trial's trace columns make
+    one CSV row under ``header``, in trial order.
+    """
+
+    def run(lo: int, hi: int):
+        hits, columns = block(_trial_seeds(seed, lo, hi))
+        rows = list(zip(range(lo, hi), *(c.tolist() for c in columns))) if trace_path else []
+        return [int(h.sum()) for h in hits], rows
+
+    # called through the module global, so that a wrapper installed there sees it
+    results = map_chunked(run, trials, per_trial)
+    if trace_path:
+        with open(trace_path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for _, rows in results:
+                writer.writerows(rows)
+    return [sum(column) for column in zip(*(counts for counts, _ in results))]
 
 
 def data_alphabet(d: int) -> Alphabet:
@@ -242,14 +280,6 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _read_int(payload: Mapping, key: str) -> int:
-    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise LeakageLabError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GenErrConfig:
     """Generalization-error experiment parameters."""
@@ -302,7 +332,7 @@ class GenErrConfig:
             n=_read_int(payload, "n"),
             data_dist=DiscreteDistribution.from_json(payload["dataDistribution"]),
             learner=LearnerSpec.from_json(payload["learner"]),
-            eta=float(payload["eta"]),
+            eta=_read_number(payload, "eta"),
             trials=_read_int(payload, "trials"),
             seed=_read_int(payload, "seed"),
         )
@@ -347,8 +377,8 @@ class HypTestConfig:
         return cls(
             n=_read_int(payload, "n"),
             num_stats=_read_int(payload, "numStats"),
-            sigma=float(payload["sigma"]),
-            delta=float(payload["delta"]),
+            sigma=_read_number(payload, "sigma"),
+            delta=_read_number(payload, "delta"),
             trials=_read_int(payload, "trials"),
             seed=_read_int(payload, "seed"),
         )
@@ -557,22 +587,16 @@ def _histogram_index(counts: np.ndarray) -> np.ndarray:
     return (table[after + counts, k] - table[after, k]).sum(axis=1)
 
 
-def _dataset_table(spec, d, n, data_dist, cap):
+def _dataset_table(spec, d, n, data_dist):
     """Loss tables, the dataset alphabet, each dataset's type index and the type table."""
     tables = _LearnerTables(spec, d, n, data_dist)
-    product = ProductAlphabet(data_dist.alphabet, n, cap=cap)
+    product = ProductAlphabet(data_dist.alphabet, n)
     index = _histogram_index(_count_symbols(product.digit_matrix(), len(data_dist.alphabet)))
     _, empirical, rows = tables.type_table()
     return tables, product, index, empirical, rows
 
 
-def learner_channel(
-    spec: LearnerSpec,
-    d: int,
-    n: int,
-    data_dist: DiscreteDistribution,
-    cap: int | None = None,
-) -> Channel:
+def learner_channel(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution) -> Channel:
     """Exact dataset-to-hypothesis channel over all (2d)^n datasets.
 
     ERM rows are one-hot at the lowest-index empirical-risk minimizer;
@@ -580,7 +604,7 @@ def learner_channel(
     exp(-epsilon * n * risk / 2). Each dataset's row is the row of its
     symbol histogram.
     """
-    tables, product, index, _, rows = _dataset_table(spec, d, n, data_dist, cap)
+    tables, product, index, _, rows = _dataset_table(spec, d, n, data_dist)
     return Channel(product, tables.hypothesis_alphabet, rows[index])
 
 
@@ -590,10 +614,9 @@ def generalization_event(
     n: int,
     data_dist: DiscreteDistribution,
     eta: float,
-    cap: int | None = None,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
-    tables, product, index, empirical, rows = _dataset_table(spec, d, n, data_dist, cap)
+    tables, product, index, empirical, rows = _dataset_table(spec, d, n, data_dist)
     mask = np.abs(tables.true_risk[None, :] - empirical[index]) > eta
     channel = Channel(product, tables.hypothesis_alphabet, rows[index])
     prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
@@ -625,10 +648,9 @@ def run_gen_error_experiment(
     config: GenErrConfig,
     trace_path: str | None = None,
     require_exact: bool = False,
-    cap: int | None = None,
 ) -> ExperimentReport:
     """Monte Carlo check of the generalization bound for one learner."""
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
     symbols = len(config.data_dist.alphabet)
     types = _type_count(symbols, config.n)
@@ -644,39 +666,24 @@ def run_gen_error_experiment(
 
     width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
 
-    def chunk(lo: int, hi: int):
-        exceed = 0
-        rows = [] if trace_path else None
-        for a, b in _row_slices(lo, hi, width):
-            u = _uniform_block(_trial_seeds(config.seed, a, b), width)
-            picks, empirical = tables.learn(u)
-            gaps = np.abs(tables.true_risk[picks] - empirical)
-            hits = gaps > config.eta
-            exceed += int(hits.sum())
-            if rows is not None:
-                rows.extend(zip(range(a, b), picks.tolist(), empirical.tolist(),
-                                gaps.tolist(), hits.tolist()))
-        return exceed, rows
+    def block(seeds: np.ndarray):
+        picks, empirical = tables.learn(_uniform_block(seeds, width))
+        gaps = np.abs(tables.true_risk[picks] - empirical)
+        hits = gaps > config.eta
+        return (hits,), (picks, empirical, gaps, hits)
 
-    results = map_chunked(chunk, config.trials)
-    exceed_total = sum(count for count, _ in results)
-    empirical_tail = exceed_total / config.trials
-    half_width = empirical_tail - _clopper_pearson_lower(exceed_total, config.trials)
-
-    if trace_path:
-        with open(trace_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["trial", "hypothesis", "empirical_risk", "gap", "exceeds"])
-            for _, rows in results:
-                writer.writerows(rows)
-
+    (exceed,) = _count_trials(
+        config.seed, config.trials, width, block,
+        ("trial", "hypothesis", "empirical_risk", "gap", "exceeds"), trace_path,
+    )
+    empirical_tail, half_width, passed = _tail_check(exceed, config.trials, bound)
     return ExperimentReport(
         empirical_tail=empirical_tail,
         mc_half_width=half_width,
         theoretical_bound=bound,
         exact_leakage_nats=exact_leakage,
         ledger_bound_nats=ledger_bound,
-        passed=empirical_tail - half_width <= bound,
+        passed=passed,
     )
 
 
@@ -715,51 +722,28 @@ def run_hyptest_experiment(
     selection_bound = cardinality_bound(config.num_stats)
     adjusted_sigma = adjusted_significance(config.delta, selection_bound)
 
-    def chunk(lo: int, hi: int):
-        hits_adjusted = 0
-        hits_raw = 0
-        rows = [] if trace_path else None
-        for a, b in _row_slices(lo, hi, max(config.n, windows.size)):
-            # the top bit of each draw is a fair coin
-            bits = (_counter_mix(_trial_seeds(config.seed, a, b), 0, config.n)
-                    >> np.uint64(63)).astype(np.intp)
-            p_values = table[bits[:, windows].sum(axis=2)]
-            selected = np.argmin(p_values, axis=1)
-            p_min = p_values[np.arange(b - a), selected]
-            reject_adjusted = p_min <= adjusted_sigma
-            reject_raw = p_min <= config.sigma
-            hits_adjusted += int(reject_adjusted.sum())
-            hits_raw += int(reject_raw.sum())
-            if rows is not None:
-                rows.extend(zip(range(a, b), selected.tolist(), p_min.tolist(),
-                                reject_adjusted.tolist(), reject_raw.tolist()))
-        return hits_adjusted, hits_raw, rows
+    def block(seeds: np.ndarray):
+        # the top bit of each draw is a fair coin
+        bits = (_counter_mix(seeds, 0, config.n) >> np.uint64(63)).astype(np.intp)
+        p_values = table[bits[:, windows].sum(axis=2)]
+        selected = np.argmin(p_values, axis=1)
+        p_min = p_values[np.arange(len(seeds)), selected]
+        reject_adjusted = p_min <= adjusted_sigma
+        reject_raw = p_min <= config.sigma
+        return (reject_adjusted, reject_raw), (selected, p_min, reject_adjusted, reject_raw)
 
-    results = map_chunked(chunk, config.trials)
-    total_adjusted = sum(a for a, _, _ in results)
-    total_raw = sum(r for _, r, _ in results)
-
-    if trace_path:
-        with open(trace_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["trial", "selected", "p_value", "reject_adjusted", "reject_raw"])
-            for _, _, rows in results:
-                writer.writerows(rows)
+    hits_adjusted, hits_raw = _count_trials(
+        config.seed, config.trials, max(config.n, windows.size), block,
+        ("trial", "selected", "p_value", "reject_adjusted", "reject_raw"), trace_path,
+    )
 
     def check(level: float, hits: int) -> SignificanceCheck:
-        empirical = hits / config.trials
-        half_width = empirical - _clopper_pearson_lower(hits, config.trials)
         bound = fdr_bound(level, selection_bound).value
-        return SignificanceCheck(
-            significance=level,
-            empirical_tail=empirical,
-            mc_half_width=half_width,
-            theoretical_bound=bound,
-            passed=empirical - half_width <= bound,
-        )
+        empirical, half_width, passed = _tail_check(hits, config.trials, bound)
+        return SignificanceCheck(level, empirical, half_width, bound, passed)
 
-    adjusted = check(adjusted_sigma, total_adjusted)
-    raw = check(config.sigma, total_raw)
+    adjusted = check(adjusted_sigma, hits_adjusted)
+    raw = check(config.sigma, hits_raw)
     return HypTestReport(
         adjusted_sigma=adjusted_sigma,
         ledger_bound_nats=selection_bound,

@@ -94,25 +94,23 @@ def random_distribution(rng: np.random.Generator, size: int,
     return DiscreteDistribution(_named_alphabet("x", size), weights / weights.sum())
 
 
-def _random_rows(rng: np.random.Generator, inputs: int, outputs: int, allow_zeros: bool = True):
-    """Row-stochastic (inputs, outputs) matrix; with zeros, each row keeps its largest entry."""
+def _random_rows(rng: np.random.Generator, inputs: int, outputs: int):
+    """Row-stochastic (inputs, outputs) matrix with zeros; each row keeps its largest entry."""
     rows = rng.random((inputs, outputs)) + 1e-3
-    if allow_zeros:
-        kill = rng.random((inputs, outputs)) < 0.3
-        keep = rows.argmax(axis=1)
-        kill[np.arange(inputs), keep] = False
-        rows[kill] = 0.0
+    kill = rng.random((inputs, outputs)) < 0.3
+    kill[np.arange(inputs), rows.argmax(axis=1)] = False
+    rows[kill] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 
 
-def random_channel(rng: np.random.Generator, inputs: int, outputs: int, allow_zeros: bool = True,
+def random_channel(rng: np.random.Generator, inputs: int, outputs: int,
                    input_alphabet: Alphabet | None = None,
                    output_alphabet: Alphabet | None = None) -> Channel:
     return Channel(
         input_alphabet if input_alphabet is not None else _named_alphabet("x", inputs),
         output_alphabet if output_alphabet is not None else _named_alphabet("y", outputs),
-        _random_rows(rng, inputs, outputs, allow_zeros),
+        _random_rows(rng, inputs, outputs),
     )
 
 

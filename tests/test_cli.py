@@ -83,6 +83,31 @@ class TestMeasure:
         # each z section holds two x values with disjoint outputs
         assert doc["nats"] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flag,entries",
+        [
+            ("--pairs", ["a0", "b0", "a1", "b1"]),
+            ("--pairs", [["x0", "z0", "w"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
+            ("--pairs", {"x0": "z0"}),
+            ("--support", ["x0z0"]),
+            ("--support", [["x0", "z0"], ["x1"]]),
+        ],
+    )
+    def test_cml_entries_must_be_pairs(self, capsys, tmp_path, flag, entries):
+        good = [["x0", "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]
+        channel_path = write_json(
+            tmp_path / "id.json", Channel.identity(Alphabet(("a", "b", "c", "d"))).to_json()
+        )
+        bad = write_json(tmp_path / "bad.json", entries)
+        paths = {"--pairs": write_json(tmp_path / "pairs.json", good), flag: bad}
+        code, doc, err = run_cli(
+            capsys, "measure", "cml", "--channel", channel_path,
+            "--pairs", paths["--pairs"], *(["--support", bad] if flag == "--support" else []),
+        )
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {bad} must hold a list of [x, z] pairs"]
+
     def test_joint_measures(self, capsys, joint_path):
         code, doc, _ = run_cli(capsys, "measure", "maxinfo", "--joint", joint_path)
         assert code == 0
@@ -165,6 +190,28 @@ class TestCompose:
         assert code == 0
         assert doc["total_nats"] == math.log(1.5)
         assert doc["total_bits"] == pytest.approx(math.log2(1.5), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"bound_nats": "0.25", "provenance": {"kind": "declared"}},
+             "bound_nats must be a number, got '0.25'"),
+            ({"bound_nats": True, "provenance": {"kind": "declared"}},
+             "bound_nats must be a number, got True"),
+            ({"bound_nats": 0.1 * 15, "provenance": {"kind": "dp-derived", "epsilon": 0.1, "n": 15.9}},
+             "n must be an integer, got 15.9"),
+            ({"bound_nats": 1.5, "provenance": {"kind": "dp-derived", "epsilon": "0.1", "n": 15}},
+             "epsilon must be a number, got '0.1'"),
+            ({"bound_nats": math.log(4), "provenance": {"kind": "cardinality", "output_size": 4.7}},
+             "output_size must be an integer, got 4.7"),
+        ],
+    )
+    def test_ledger_numbers_are_strict(self, capsys, tmp_path, entry, message):
+        path = write_json(tmp_path / "ledger.json", {"entries": [{"label": "s", **entry}]})
+        code, doc, err = run_cli(capsys, "compose", "--ledger", path)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_malformed_dp(self, capsys):
         code, _, err = run_cli(capsys, "compose", "--dp", "0.1")
@@ -451,6 +498,26 @@ class TestSimulate:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be an integer")
 
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("generr", "eta", "0.3"),
+            ("hyptest", "sigma", "0.01"),
+            ("hyptest", "delta", "0.05"),
+            ("hyptest", "sigma", None),
+        ],
+    )
+    def test_number_fields_are_strict(self, capsys, tmp_path, generr_config, hyptest_config,
+                                      kind, key, value):
+        path = generr_config if kind == "generr" else hyptest_config
+        payload = jsonio.loads(Path(path).read_text(encoding="utf-8"))
+        payload[key] = value
+        bad = write_json(tmp_path / "bad.json", payload)
+        code, doc, err = run_cli(capsys, "simulate", kind, "--config", bad)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {key} must be a number, got {value!r}"]
+
     def test_hyptest_passes_with_trace(self, capsys, hyptest_config, tmp_path):
         trace = tmp_path / "trace.csv"
         code, doc, _ = run_cli(
@@ -557,3 +624,30 @@ def test_import_does_not_load_scipy_stats(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_counts_every_trial(tmp_path):
+    # bench/tracing.py wraps simulate.map_chunked and counts the trials it is given
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(leakage_lab.__file__).resolve().parents[1])
+    config = write_json(tmp_path / "generr.json", {
+        "d": 2,
+        "n": 6,
+        "dataDistribution": DiscreteDistribution(data_alphabet(2), [0.4, 0.1, 0.3, 0.2]).to_json(),
+        "learner": {"kind": ERM, "hypothesisClass": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+        "eta": 0.45,
+        "trials": 2500,
+        "seed": 11,
+    })
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {str(root / 'bench')!r}]\n"
+        "import tracing\n"
+        "from leakage_lab import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        f"assert cli.main(['simulate', 'generr', '--config', {config!r}]) == 0\n"
+        "print(tracer.counts['simulate.trials'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "2500"

@@ -95,9 +95,10 @@ class TestProductAlphabet:
                 a, b = tuple_at(p, i), tuple_at(p, j)
                 assert sum(u != v for u, v in zip(a, b)) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", str(10**6))
         with pytest.raises(CapExceeded, match="exceed"):
-            ProductAlphabet(Alphabet(["0", "1"]), 30, cap=10**6)
+            ProductAlphabet(Alphabet(["0", "1"]), 30)
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "8")

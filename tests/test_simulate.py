@@ -39,6 +39,7 @@ from leakage_lab.simulate import (
     _histograms,
     _inverse_cdf_rows,
     _LearnerTables,
+    _tail_check,
     _trial_seeds,
     _uniform_block,
     binomial_tail_table,
@@ -167,6 +168,28 @@ class TestMapChunked:
 
     def test_short_input_is_one_chunk(self):
         assert map_chunked(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
+
+    @pytest.mark.parametrize(
+        "per_trial,step",
+        [(1, 1024), (64, 1024), (65, 1008), (5001, 13), (2**16, 1), (2**16 + 1, 1), (10**6, 1)],
+    )
+    def test_slices_hold_at_most_block_draws(self, per_trial, step):
+        # at most 1024 trials and 2^16 draws per slice, but at least one trial
+        total = 3000
+        ranges = map_chunked(lambda lo, hi: (lo, hi), total, per_trial)
+        expected = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+        assert ranges == expected
+
+
+class TestTailCheck:
+    @pytest.mark.parametrize("hits,trials", [(0, 1000), (1000, 1000), (37, 1000), (1, 3)])
+    @pytest.mark.parametrize("bound", [0.0, 0.02, 0.5, 1.0])
+    def test_matches_inline_rule(self, hits, trials, bound):
+        # the rule each experiment used to apply inline
+        empirical = hits / trials
+        half_width = empirical - _clopper_pearson_lower(hits, trials)
+        expected = (empirical, half_width, empirical - half_width <= bound)
+        assert _tail_check(hits, trials, bound) == expected
 
 
 class TestClopperPearson:
@@ -340,9 +363,10 @@ class TestLearnerChannel:
         budget = min(0.5 * 4, math.log(4.0))
         assert maximal_leakage(channel).nats <= budget + 1e-10
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "1000")
         with pytest.raises(CapExceeded):
-            learner_channel(full_erm(), 2, 8, skewed_dist(), cap=1000)
+            learner_channel(full_erm(), 2, 8, skewed_dist())
 
 
 def per_dataset_oracle(spec, d, n, dist):
@@ -423,13 +447,15 @@ class TestTypeKernel:
         assert math.isfinite(report.exact_leakage_nats)
         assert report.exact_leakage_nats <= report.ledger_bound_nats
 
-    def test_cap_counts_histograms(self):
+    def test_cap_counts_histograms(self, monkeypatch):
         # d = 2, n = 8: 4^8 = 65536 datasets but C(11, 3) = 165 histograms
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
-        exact = run_gen_error_experiment(config, require_exact=True, cap=165)
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "165")
+        exact = run_gen_error_experiment(config, require_exact=True)
         assert exact.exact_leakage_nats == math.log(4.0)
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "164")
         with pytest.raises(CapExceeded, match="165 dataset histograms exceed the cap 164"):
-            run_gen_error_experiment(config, require_exact=True, cap=164)
+            run_gen_error_experiment(config, require_exact=True)
 
     def test_non_finite_rows_fail_loudly(self):
         # epsilon * n / 2 overflows, so a zero risk gap times it is NaN
@@ -517,17 +543,19 @@ class TestGenErrorExperiment:
             assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
             assert sliced.read_bytes() == default.read_bytes()
 
-    def test_require_exact_honors_cap(self):
+    def test_require_exact_honors_cap(self, monkeypatch):
         # the cap counts the C(11, 3) = 165 histograms of 8 draws over 4 symbols
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "100")
         with pytest.raises(CapExceeded, match="exceed the cap"):
-            run_gen_error_experiment(config, require_exact=True, cap=100)
+            run_gen_error_experiment(config, require_exact=True)
 
-    def test_ledger_fallback_above_cap(self):
+    def test_ledger_fallback_above_cap(self, monkeypatch):
         # past the enumeration cap the report falls back to the ledger
         # budget, here log of the hypothesis count
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 200, 1)
-        report = run_gen_error_experiment(config, cap=100)
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "100")
+        report = run_gen_error_experiment(config)
         assert report.exact_leakage_nats is None
         assert report.ledger_bound_nats == math.log(4.0)
         assert report.theoretical_bound == gen_error_bound(8, 0.3, math.log(4.0)).value

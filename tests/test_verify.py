@@ -56,9 +56,9 @@ class TestGenerators:
             assert (joint.mass > 0.0).any()
 
 
-def random_stage(rng, first, prefixes, outputs, allow_zeros=True):
+def random_stage(rng, first, prefixes, outputs):
     blocks = [
-        random_channel(rng, len(first.input), outputs, allow_zeros, input_alphabet=first.input)
+        random_channel(rng, len(first.input), outputs, input_alphabet=first.input)
         for _ in prefixes
     ]
     return stage_of(first, prefixes, blocks)
@@ -105,8 +105,8 @@ class TestAdaptiveChannels:
 
     def test_two_step_marginalizes_to_first(self, rng):
         for _ in range(25):
-            first = random_channel(rng, 3, 3, allow_zeros=False)
-            second = random_stage(rng, first, first.output.labels, 2, allow_zeros=False)
+            first = random_channel(rng, 3, 3)
+            second = random_stage(rng, first, first.output.labels, 2)
             pair = adaptive_channel(first, second)
             # pair labels iterate z fastest, so each y owns a block
             width = 2
@@ -115,18 +115,18 @@ class TestAdaptiveChannels:
                 assert np.allclose(block, first.rows[:, j], atol=1e-12)
 
     def test_two_step_labels(self, rng):
-        first = random_channel(rng, 2, 2, allow_zeros=False)
-        second = random_stage(rng, first, first.output.labels, 2, allow_zeros=False)
+        first = random_channel(rng, 2, 2)
+        second = random_stage(rng, first, first.output.labels, 2)
         pair = adaptive_channel(first, second)
         ys = list(first.output.labels)
         zs = list(second.output.labels)
         assert list(pair.output.labels) == [f"{y}&{z}" for y in ys for z in zs]
 
     def test_three_step_marginalizes_to_pair(self, rng):
-        first = random_channel(rng, 2, 2, allow_zeros=False)
-        second = random_stage(rng, first, first.output.labels, 2, allow_zeros=False)
+        first = random_channel(rng, 2, 2)
+        second = random_stage(rng, first, first.output.labels, 2)
         pair = adaptive_channel(first, second)
-        third = random_stage(rng, first, pair.output.labels, 3, allow_zeros=False)
+        third = random_stage(rng, first, pair.output.labels, 3)
         triple = adaptive_channel(first, second, third)
         width = 3
         for j in range(pair.rows.shape[1]):
@@ -221,8 +221,8 @@ class TestSweeps:
 def test_compose_channels_matches_two_step_marginal(rng):
     # a non-adaptive second step collapses the adaptive construction to
     # ordinary channel composition
-    first = random_channel(rng, 3, 3, allow_zeros=False)
-    fixed = random_channel(rng, 3, 2, allow_zeros=False, input_alphabet=first.input)
+    first = random_channel(rng, 3, 3)
+    fixed = random_channel(rng, 3, 2, input_alphabet=first.input)
     # same second channel regardless of y, but adaptive in form
     pair = adaptive_channel(first, stage_of(first, first.output.labels, [fixed] * 3))
     assert maximal_leakage(pair).nats <= (
