@@ -1,0 +1,109 @@
+"""Counter-based random streams shared by ``simulate`` and ``verify``.
+
+Work item t of master seed s has the seed ``derive_trial_seed(s, t)``,
+and its draw j is the SplitMix64 mix of seed_t + (j + 1) * GOLDEN. The
+draws of a whole block of items come out of one numpy uint64 computation
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+so an item's draws depend only on (s, t, j), never on the slice that
+computed them. ``map_chunked`` cuts an item range into such slices.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from .errors import LeakageLabError
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_CHUNK_TRIALS = 1024
+# Most draws one slice holds: items that draw many values each come in
+# slices shorter than _CHUNK_TRIALS, so that the working set stays bounded
+# whatever the width is. Results depend on neither size.
+_BLOCK_DRAWS = 1 << 16
+
+
+def _check_seed(seed: int) -> int:
+    """``seed`` if it is a 64-bit unsigned integer."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise LeakageLabError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
+def derive_trial_seed(master_seed: int, index: int) -> int:
+    """Counter-mixed per-trial seed (a SplitMix64 step).
+
+    For a fixed master seed the map index -> seed is injective, so no
+    two trials ever share a stream.
+    """
+    if index < 0:
+        raise LeakageLabError(f"trial index must be nonnegative, got {index}")
+    z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
+    z ^= z >> 30
+    z = (z * _MIX1) & _MASK64
+    z ^= z >> 27
+    z = (z * _MIX2) & _MASK64
+    z ^= z >> 31
+    return z
+
+
+def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
+
+    The result has shape ``base.shape + (count,)``; uint64 arithmetic
+    wraps modulo 2**64 exactly like the masked Python integers of
+    ``derive_trial_seed``.
+    """
+    counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z = np.asarray(base, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, t)`` for t in ``range(lo, hi)``, as uint64."""
+    return _counter_mix(np.uint64(master_seed), lo, hi - lo)
+
+
+def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) doubles in [0, 1): the top 53 bits of draws 0..width-1 per seed."""
+    return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
+
+
+class _Draws:
+    """Consecutive column blocks of a slice's (items, width) uniform rows."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.used = 0
+
+    def uniform(self, *shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        block = self.u[:, self.used : self.used + count]
+        self.used += count
+        return block.reshape(len(self.u), *shape)
+
+    def integers(self, high) -> np.ndarray:
+        """One integer in [0, high) per item; ``high`` may differ by item."""
+        return np.minimum((self.uniform() * high).astype(np.intp), np.asarray(high) - 1)
+
+
+def map_chunked(worker: Callable[[int, int], object], total: int, per_trial: int = 1) -> list:
+    """Results of ``worker(lo, hi)`` over consecutive slices of ``range(total)``, in order.
+
+    A slice holds at most _CHUNK_TRIALS trials and at most _BLOCK_DRAWS
+    draws of ``per_trial`` each, but never fewer than one trial; the slice
+    boundaries depend only on ``total`` and ``per_trial``.
+    """
+    step = max(1, min(_CHUNK_TRIALS, _BLOCK_DRAWS // per_trial))
+    return [worker(lo, min(lo + step, total)) for lo in range(0, total, step)]

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import EventMask, JointDistribution
+from .core import EventMask, JointDistribution, _event_mass
 from .errors import (
     AlphabetMismatch,
     DenominatorNonPositive,
@@ -129,7 +129,7 @@ def exact_event_probability(joint: JointDistribution, event: EventMask) -> float
     """Brute-force P(E): total joint mass inside the mask."""
     if joint.input != event.input or joint.output != event.output:
         raise AlphabetMismatch("event mask is indexed by different alphabets")
-    return float(joint.mass[event.mask].sum())
+    return float(_event_mass(joint.mass[None], event.mask[None])[0])
 
 
 def mcdiarmid_tail(n: int, t: float, c: float) -> float:

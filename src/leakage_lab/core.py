@@ -43,6 +43,7 @@ __all__ = [
     "EventMask",
     "joint_from",
     "compose_channels",
+    "adaptive_channel",
     "iid_prior",
     "fiber_max_prob",
 ]
@@ -166,14 +167,19 @@ def _check_entries(values: np.ndarray, what: str) -> float:
     return total
 
 
-def _check_channel_rows(rows: np.ndarray) -> None:
-    """Finite, nonnegative entries and rows that each sum to 1 within NORMALIZATION_TOL."""
+def _check_channel_rows(rows: np.ndarray, live: np.ndarray | float = 1.0) -> None:
+    """Finite, nonnegative entries and rows that each sum to 1 within NORMALIZATION_TOL.
+
+    ``rows`` may stack channels along leading axes. Padding rows, where
+    the boolean ``live`` (shaped like ``rows`` without its last axis) is
+    False, must instead sum to 0, so they are all zero.
+    """
     _check_entries(rows, "Channel")
-    sums = rows.sum(axis=1)
-    residual = np.abs(sums - 1.0)
-    if residual.max() > NORMALIZATION_TOL:
-        row = int(np.flatnonzero(residual > NORMALIZATION_TOL)[0])
-        raise NotNormalized(float(sums[row] - 1.0), f"channel row {row}")
+    excess = (rows.sum(axis=-1) - live).reshape(-1)
+    off = np.abs(excess) > NORMALIZATION_TOL
+    if off.any():
+        row = int(np.flatnonzero(off)[0])
+        raise NotNormalized(float(excess[row]), f"channel row {row}")
 
 
 def _check_prob_vector(probs: np.ndarray, what: str) -> None:
@@ -378,6 +384,40 @@ def compose_channels(first: Channel, second: Channel) -> Channel:
     return Channel(first.input, second.output, first.rows @ second.rows)
 
 
+def _chain_rows(first: np.ndarray, *stages: np.ndarray) -> np.ndarray:
+    """(B, X, prefixes) joint rows of stacked adaptive chains.
+
+    ``first`` is (B, X, Y) and stage k >= 2 is (B, P, X, Z), its rows for
+    prefix p of the chain so far. The joint output (p, z) is column
+    p * Z + z. On boolean masks this propagates supports instead.
+    """
+    rows = first
+    for stage in stages:
+        rows = (rows[..., None] * stage.transpose(0, 2, 1, 3)).reshape(*rows.shape[:2], -1)
+    return rows
+
+
+def adaptive_channel(first: Channel, *stages: Channel) -> Channel:
+    """Joint channel x -> (y_1, ..., y_k) of an adaptive chain.
+
+    Stage k >= 2 is a channel from the (x, prefix) pairs, where a prefix
+    is an output of the chain so far, to y_k. Its rows are stored
+    prefix-major: row p * |X| + i is P(y_k | x_i, prefix p), with the
+    prefixes in the joint's output order. The joint output (prefix, y_k)
+    is labelled ``prefix&y_k`` and carries P(prefix | x) P(y_k | x, prefix).
+    """
+    inputs = len(first.input)
+    labels = first.output.labels
+    blocks = []
+    for stage in stages:
+        if len(stage.input) != len(labels) * inputs:
+            raise LeakageLabError(f"an adaptive stage needs {len(labels) * inputs} (x, prefix) "
+                                  f"rows, got {len(stage.input)}")
+        blocks.append(stage.rows.reshape(1, len(labels), inputs, -1))
+        labels = [f"{p}&{z}" for p in labels for z in stage.output.labels]
+    return Channel(first.input, Alphabet(labels), _chain_rows(first.rows[None], *blocks)[0])
+
+
 def _iid_probs(probs: np.ndarray, n: int) -> np.ndarray:
     """Probabilities of all length-``n`` tuples, in ProductAlphabet order."""
     out = np.ones(1)
@@ -392,11 +432,21 @@ def iid_prior(base: DiscreteDistribution, n: int) -> DiscreteDistribution:
     return DiscreteDistribution(alphabet, _iid_probs(base.probs, n))
 
 
+def _event_mass(mass: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Total mass inside each event of a stack: (B, X, Y) masses and masks -> (B,)."""
+    return np.where(mask, mass, 0.0).reshape(len(mass), -1).sum(axis=1)
+
+
+def _fiber_max(mask: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """max_y of the prior mass of each stacked event's fiber at y: (B, X, Y), (B, X) -> (B,)."""
+    fibers = np.where(mask, probs[:, :, None], 0.0).sum(axis=1)
+    # the sum of a subset of the masses can overshoot 1 by an ulp
+    return np.minimum(fibers.max(axis=1), 1.0)
+
+
 def fiber_max_prob(event: EventMask, prior: DiscreteDistribution) -> float:
     """max over outputs y of the prior mass of the event's fiber at y."""
     if prior.alphabet != event.input:
         raise AlphabetMismatch("prior alphabet differs from event input")
-    fibers = event.mask.T @ prior.probs
-    # the sum of a subset of the masses can overshoot 1 by an ulp
-    return float(min(fibers.max(), 1.0))
+    return float(_fiber_max(event.mask[None], prior.probs[None])[0])
 

@@ -79,19 +79,25 @@ def load_path(path: str) -> Any:
         return json.load(handle)
 
 
-def _read_int(payload: Mapping, key: str) -> int:
-    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
+def _read_int(payload: Mapping, key: str, where: str = "") -> int:
+    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused.
+
+    An error names the field as ``where`` followed by ``key``.
+    """
     value = payload[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise LeakageLabError(f"{key} must be an integer, got {value!r}")
+        raise LeakageLabError(f"{where}{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _read_number(payload: Mapping, key: str) -> float:
-    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused."""
+def _read_number(payload: Mapping, key: str, where: str = "") -> float:
+    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused.
+
+    An error names the field as ``where`` followed by ``key``.
+    """
     value = payload[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise LeakageLabError(f"{key} must be a number, got {value!r}")
+        raise LeakageLabError(f"{where}{key} must be a number, got {value!r}")
     return float(value)
 
 

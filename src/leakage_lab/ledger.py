@@ -88,16 +88,18 @@ class LedgerEntry:
             raise LeakageLabError(f"unknown provenance kind {kind!r}")
         if self.bound_nats < 0.0:
             raise LeakageLabError(f"entry {self.label!r} has negative bound")
+        where = f"entry {self.label!r}: provenance."
         if kind == "dp-derived":
             expected = dp_to_leakage(
-                _read_number(self.provenance, "epsilon"), _read_int(self.provenance, "n")
+                _read_number(self.provenance, "epsilon", where),
+                _read_int(self.provenance, "n", where),
             )
             if self.bound_nats != expected:
                 raise LeakageLabError(
                     f"dp-derived entry {self.label!r} must carry epsilon * n = {expected}"
                 )
         elif kind == "cardinality":
-            expected = cardinality_bound(_read_int(self.provenance, "output_size"))
+            expected = cardinality_bound(_read_int(self.provenance, "output_size", where))
             if self.bound_nats != expected:
                 raise LeakageLabError(
                     f"cardinality entry {self.label!r} must carry log(output_size) = {expected}"
@@ -137,7 +139,9 @@ class LedgerEntry:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "LedgerEntry":
-        return cls(str(payload["label"]), _read_number(payload, "bound_nats"), payload["provenance"])
+        label = str(payload["label"])
+        return cls(label, _read_number(payload, "bound_nats", f"entry {label!r}: "),
+                   payload["provenance"])
 
 
 @dataclass(frozen=True)

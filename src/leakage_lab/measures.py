@@ -74,32 +74,52 @@ class LeakageValue:
         return self.nats
 
 
-def _log_clamped(total: float) -> float:
-    value = math.log(total)
-    if value < -_ZERO_GUARD:
-        raise LeakageLabError(f"column maxima sum to {total}, below any valid channel")
-    # the sum is mathematically >= 1, with equality exactly for channels
-    # whose supported rows coincide; snap the float noise around 1 to 0
-    # so that equality case reports a true zero
-    if value <= _ZERO_GUARD:
-        return 0.0
-    return value
+def _log_clamped(totals: np.ndarray) -> np.ndarray:
+    """log of each column-maxima sum, with the float noise around 1 snapped to 0.
+
+    Each sum is mathematically >= 1, with equality exactly for channels
+    whose supported rows coincide, so that case reports a true zero. The
+    logs are ``math.log`` values, so one object's leakage does not depend
+    on the batch it comes in.
+    """
+    values = np.array([math.log(total) for total in totals.tolist()])
+    low = values < -_ZERO_GUARD
+    if low.any():
+        raise LeakageLabError(f"column maxima sum to {totals[low][0]}, below any valid channel")
+    values[values <= _ZERO_GUARD] = 0.0
+    return values
 
 
-def _column_max_leakage(rows: np.ndarray) -> float:
-    """log of the sum of the column maxima of ``rows``, the supported rows of a channel."""
-    return _log_clamped(float(rows.max(axis=0).sum()))
+def _section_leakage(sections: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Leakage of each stacked channel over sections of its rows: (B, S, L, Y), (B, S, L) -> (B,).
+
+    Item b is log max_s sum_y max over the rows l of section s with
+    ``support[b, s, l]`` of ``sections[b, s, l, y]``. Rows outside the
+    support, such as padding, count as zero rows, and a section without
+    support sums to 0, so it never wins. One section is plain maximal
+    leakage; the sections of a conditional leakage are its z values.
+    """
+    masked = np.where(support[..., None], sections, 0.0)
+    return _log_clamped(masked.max(axis=2).sum(axis=2).max(axis=1))
 
 
-def _support_indices(channel: Channel, support) -> np.ndarray:
-    """Sorted distinct input indices of ``support`` (labels or indices).
+def _joint_leakage(mass: np.ndarray) -> np.ndarray:
+    """Maximal leakage of the conditional channel of each stacked joint over its input support."""
+    row_sums = mass.sum(axis=2, keepdims=True)
+    live = row_sums[..., 0] > 0.0
+    rows = np.divide(mass, row_sums, out=np.zeros_like(mass), where=row_sums > 0.0)
+    return _section_leakage(rows[:, None], live[:, None])
 
-    Labels become their indices, which are range-checked and deduplicated
-    in array passes; an object array keeps Python integers exact until then.
+
+def _support_mask(channel: Channel, support) -> np.ndarray:
+    """Boolean input mask of ``support`` (labels or indices).
+
+    Labels become their indices, which are range-checked in array passes;
+    an object array keeps Python integers exact until then.
     """
     size = len(channel.input)
     if support is None:
-        return np.arange(size)
+        return np.ones(size, dtype=bool)
     if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"):
         items = [channel.input.index(i) if isinstance(i, str) else int(i) for i in support]
         support = np.array(items, dtype=object)
@@ -110,7 +130,7 @@ def _support_indices(channel: Channel, support) -> np.ndarray:
         raise LeakageLabError(f"support index {first} out of range")
     chosen = np.zeros(size, dtype=bool)
     chosen[support.astype(np.intp)] = True
-    return np.flatnonzero(chosen)
+    return chosen
 
 
 def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None) -> LeakageValue:
@@ -123,8 +143,9 @@ def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None
         Defaults to the whole input alphabet. Two priors with equal
         support produce bit-identical results.
     """
-    idx = _support_indices(channel, support)
-    return LeakageValue(_column_max_leakage(channel.rows[idx]), int(idx.size))
+    chosen = _support_mask(channel, support)
+    nats = _section_leakage(channel.rows[None, None], chosen[None, None])[0]
+    return LeakageValue(float(nats), int(chosen.sum()))
 
 
 def maximal_leakage_of_joint(joint: JointDistribution) -> LeakageValue:
@@ -132,7 +153,7 @@ def maximal_leakage_of_joint(joint: JointDistribution) -> LeakageValue:
     support = joint.marginal_input().support()
     if support.size == 0:
         raise EmptySupport("joint has an empty input marginal")
-    return maximal_leakage(joint.channel(), support)
+    return LeakageValue(float(_joint_leakage(joint.mass[None])[0]), int(support.size))
 
 
 def conditional_maximal_leakage(
@@ -171,11 +192,16 @@ def conditional_maximal_leakage(
     if not sections:
         raise EmptySupport("conditional support is empty")
 
-    worst = 0.0
-    for rows_idx in sections.values():
-        section = channel.rows[np.array(rows_idx, dtype=np.intp)]
-        worst = max(worst, float(section.max(axis=0).sum()))
-    return LeakageValue(_log_clamped(worst), len(xs))
+    # sections of one size stack without padding; log and the zero snap are
+    # monotone, so the worst section's leakage is the largest group result
+    by_size: dict[int, list[list[int]]] = {}
+    for rows in sections.values():
+        by_size.setdefault(len(rows), []).append(rows)
+    nats = max(
+        _section_leakage(channel.rows[np.array(group)][None], np.ones((1, len(group), size), bool))[0]
+        for size, group in by_size.items()
+    )
+    return LeakageValue(float(nats), len(xs))
 
 
 def mutual_information(joint: JointDistribution) -> float:
@@ -210,15 +236,42 @@ def renyi_inf_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> fl
 
 
 def _ratio_order(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
-    # Sort outcomes by p/q descending; q = 0 with p > 0 counts as +inf
-    # and p = 0 sinks to the end (such cells never change an optimum).
+    # Sort outcomes by p/q descending, along the last axis; q = 0 with
+    # p > 0 counts as +inf and p = 0 sinks to the end (such cells, and
+    # zero padding, never change an optimum).
     ratio = np.where(pv > 0.0, np.inf, -np.inf)
     np.divide(pv, qv, out=ratio, where=qv > 0.0)
-    return np.argsort(-ratio, kind="stable")
+    return np.argsort(-ratio, axis=-1, kind="stable")
 
 
-def _approx_max_div_vectors(pv: np.ndarray, qv: np.ndarray, delta: float) -> float:
-    """Ratio-threshold prefix scan.
+def _check_budgets(deltas) -> None:
+    for delta in deltas:
+        if not 0.0 <= delta < 1.0:
+            raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
+
+
+def _best_ratio_logs(mass: np.ndarray, denom: np.ndarray, deltas) -> np.ndarray:
+    """log max over the columns with mass above delta of (mass - delta) / denom: (B, K) -> (B, D).
+
+    Each column is an outcome set with its p-mass and q-mass. A feasible
+    set without q-mass divides a positive numerator by zero, which makes
+    the result +inf; a row without a feasible set keeps -inf.
+    """
+    out = np.empty((len(mass), len(deltas)))
+    for k, delta in enumerate(deltas):
+        ratios = mass - delta
+        ratios[mass <= delta] = -np.inf
+        with np.errstate(divide="ignore"):
+            ratios /= denom
+        best = ratios.max(axis=1)
+        if (best == -np.inf).any():
+            raise NoFeasibleSet(f"no outcome set has mass above {delta}")
+        out[:, k] = [math.log(value) for value in best.tolist()]
+    return out
+
+
+def _approx_max_div_scan(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
+    """Ratio-threshold prefix scan of each row pair at each budget: (B, M), (B, M) -> (B, D).
 
     The objective (p(O) - delta)/q(O) strictly improves when adding an
     outcome whose ratio p/q exceeds the current value and when dropping
@@ -226,22 +279,23 @@ def _approx_max_div_vectors(pv: np.ndarray, qv: np.ndarray, delta: float) -> flo
     maximum; the scan evaluates every feasible prefix. ``cumsum`` adds in
     order, so each prefix sum is the one a sequential loop would form, and
     prefix sums of nonnegative terms never decrease: the feasible prefixes
-    are those from the first one with mass above delta on.
+    are those from the first one with mass above delta on. Zero cells
+    padding a row repeat its prefix sums and leave its value unchanged.
     """
-    if not 0.0 <= delta < 1.0:
-        raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
+    _check_budgets(deltas)
     order = _ratio_order(pv, qv)
-    mass = pv[order].cumsum()
-    denom = qv[order].cumsum()
-    first = int(mass.searchsorted(delta, side="right"))
-    if first == mass.size:
-        raise NoFeasibleSet(f"no outcome set has mass above {delta}")
-    if denom[first] == 0.0:
-        return math.inf
-    return math.log(((mass[first:] - delta) / denom[first:]).max())
+    mass = np.take_along_axis(pv, order, axis=1).cumsum(axis=1)
+    denom = np.take_along_axis(qv, order, axis=1).cumsum(axis=1)
+    return _best_ratio_logs(mass, denom, deltas)
+
+
+def _approx_max_div_vectors(pv: np.ndarray, qv: np.ndarray, delta: float) -> float:
+    """The prefix scan of one pair of vectors at one budget."""
+    return float(_approx_max_div_scan(pv[None], qv[None], (delta,))[0, 0])
 
 
 _ENUM_LIMIT = 16
+_ENUM_BLOCK = 1 << 18
 _subset_cache: dict[int, np.ndarray] = {}
 
 
@@ -254,23 +308,22 @@ def _subset_matrix(m: int) -> np.ndarray:
     return _subset_cache[m]
 
 
-def _approx_max_div_enumerated(pv: np.ndarray, qv: np.ndarray, delta: float) -> float:
-    """Exhaustive twin of the prefix scan, for small alphabets only."""
-    if not 0.0 <= delta < 1.0:
-        raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
-    m = pv.size
+def _approx_max_div_enumerated(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
+    """Exhaustive twin of the prefix scan over all nonempty outcome sets: (B, m) rows -> (B, D).
+
+    For small alphabets only; rows of different lengths go in separate calls.
+    """
+    _check_budgets(deltas)
+    m = pv.shape[1]
     if m > _ENUM_LIMIT:
         raise LeakageLabError(f"enumeration oracle is limited to {_ENUM_LIMIT} outcomes")
-    subsets = _subset_matrix(m)
-    mass = subsets @ pv
-    denom = subsets @ qv
-    feasible = mass > delta
-    if not np.any(feasible):
-        raise NoFeasibleSet(f"no outcome set has mass above {delta}")
-    if np.any(feasible & (denom == 0.0)):
-        return math.inf
-    values = (mass[feasible] - delta) / denom[feasible]
-    return math.log(float(values.max()))
+    subsets = _subset_matrix(m).T
+    # rows a few at a time, so that the (rows, 2^m - 1) sums stay near _ENUM_BLOCK values
+    step = max(1, _ENUM_BLOCK // subsets.shape[1])
+    return np.concatenate([
+        _best_ratio_logs(pv[lo : lo + step] @ subsets, qv[lo : lo + step] @ subsets, deltas)
+        for lo in range(0, len(pv), step)
+    ])
 
 
 def approx_max_divergence(
@@ -288,22 +341,33 @@ def approx_max_divergence_by_enumeration(
     p: DiscreteDistribution, q: DiscreteDistribution, delta: float
 ) -> float:
     pv, qv = _common_vectors(p, q)
-    return _approx_max_div_enumerated(pv, qv, delta)
+    return float(_approx_max_div_enumerated(pv[None], qv[None], (delta,))[0, 0])
 
 
-def _joint_product_vectors(joint: JointDistribution):
-    px = joint.mass.sum(axis=1)
-    py = joint.mass.sum(axis=0)
-    return joint.mass.reshape(-1), np.outer(px, py).reshape(-1)
+def _joint_product_vectors(mass: np.ndarray):
+    """Flattened (B, X * Y) masses of stacked joints and of the products of their marginals."""
+    px = mass.sum(axis=2)
+    py = mass.sum(axis=1)
+    product = px[:, :, None] * py[:, None, :]
+    return mass.reshape(len(mass), -1), product.reshape(len(mass), -1)
+
+
+def _max_information(mass: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """Renyi-infinity divergence of each flattened joint from its product of marginals."""
+    # mass(x, y) > 0 forces both marginals positive, so the ratio is finite;
+    # cells without mass read log 1 = 0, the floor of the result anyway
+    ratio = np.divide(mass, product, out=np.ones_like(mass), where=mass > 0.0)
+    return np.maximum(np.log(ratio).max(axis=1), 0.0)
 
 
 def max_information(joint: JointDistribution) -> float:
     """Renyi-infinity divergence of the joint from the product of marginals."""
-    mass, product = _joint_product_vectors(joint)
-    on = mass > 0.0
-    # mass(x, y) > 0 forces both marginals positive, so the ratio is finite.
-    value = float(np.log(mass[on] / product[on]).max())
-    return max(value, 0.0)
+    return float(_max_information(*_joint_product_vectors(joint.mass[None]))[0])
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
 
 
 def approx_max_information(joint: JointDistribution, beta: float) -> float:
@@ -311,17 +375,15 @@ def approx_max_information(joint: JointDistribution, beta: float) -> float:
 
     A zero budget is exactly :func:`max_information`; call that instead.
     """
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    mass, product = _joint_product_vectors(joint)
-    return _approx_max_div_vectors(mass, product, beta)
+    _check_beta(beta)
+    mass, product = _joint_product_vectors(joint.mass[None])
+    return float(_approx_max_div_scan(mass, product, (beta,))[0, 0])
 
 
 def approx_max_information_by_enumeration(joint: JointDistribution, beta: float) -> float:
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    mass, product = _joint_product_vectors(joint)
-    return _approx_max_div_enumerated(mass, product, beta)
+    _check_beta(beta)
+    mass, product = _joint_product_vectors(joint.mass[None])
+    return float(_approx_max_div_enumerated(mass, product, (beta,))[0, 0])
 
 
 def empirical_dp(channel: Channel) -> float:

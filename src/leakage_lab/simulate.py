@@ -19,8 +19,8 @@ Two experiment families check the bounds against live randomness:
 
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
-seed_t + (j + 1) * GOLDEN, a counter-based stream computed for a whole
-block of trials at once in numpy uint64 arithmetic. Both experiments run
+seed_t + (j + 1) * GOLDEN, a counter-based stream (see ``_stream``)
+computed for a whole block of trials at once. Both experiments run
 on one harness: ``map_chunked`` cuts the trial range into slices whose
 bounds depend only on the trial count and the draws per trial, each
 experiment maps a slice's seeds to boolean hit columns (and per-trial
@@ -30,6 +30,7 @@ report depends only on its config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -39,6 +40,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ._stream import (
+    _check_seed,
+    _counter_mix,
+    _trial_seeds,
+    _uniform_block,
+    derive_trial_seed,
+    map_chunked,
+)
 from .bounds import adjusted_significance, fdr_bound, gen_error_bound
 from .core import (
     Alphabet,
@@ -55,7 +64,7 @@ from .core import (
 from .errors import CapExceeded, LeakageLabError
 from .jsonio import _read_int, _read_number
 from .ledger import cardinality_bound, dp_to_leakage
-from .measures import _column_max_leakage
+from .measures import _section_leakage
 
 __all__ = [
     "LearnerSpec",
@@ -75,76 +84,12 @@ __all__ = [
     "run_hyptest_experiment",
 ]
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_CHUNK_TRIALS = 1024
-# Most draws one slice holds: trials that draw many values each come in
-# slices shorter than _CHUNK_TRIALS, so that the working set stays bounded
-# whatever n is. Results depend on neither size.
-_BLOCK_DRAWS = 1 << 16
 CONFIDENCE = 0.99
 
 ERM = "ERM"
 EXPONENTIAL_MECHANISM = "exponential-mechanism"
 # the one tie break: ties in empirical risk go to the lowest hypothesis index
 TIE_BREAK = "lowest-index"
-
-
-def derive_trial_seed(master_seed: int, index: int) -> int:
-    """Counter-mixed per-trial seed (a SplitMix64 step).
-
-    For a fixed master seed the map index -> seed is injective, so no
-    two trials ever share a stream.
-    """
-    if index < 0:
-        raise LeakageLabError(f"trial index must be nonnegative, got {index}")
-    z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
-    """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
-
-    The result has shape ``base.shape + (count,)``; uint64 arithmetic
-    wraps modulo 2**64 exactly like the masked Python integers of
-    ``derive_trial_seed``.
-    """
-    counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    z = np.asarray(base, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """``derive_trial_seed(master_seed, t)`` for t in ``range(lo, hi)``, as uint64."""
-    return _counter_mix(np.uint64(master_seed), lo, hi - lo)
-
-
-def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) doubles in [0, 1): the top 53 bits of draws 0..width-1 per seed."""
-    return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
-
-
-def map_chunked(worker: Callable[[int, int], object], total: int, per_trial: int = 1) -> list:
-    """Results of ``worker(lo, hi)`` over consecutive slices of ``range(total)``, in order.
-
-    A slice holds at most _CHUNK_TRIALS trials and at most _BLOCK_DRAWS
-    draws of ``per_trial`` each, but never fewer than one trial; the slice
-    boundaries depend only on ``total`` and ``per_trial``.
-    """
-    step = max(1, min(_CHUNK_TRIALS, _BLOCK_DRAWS // per_trial))
-    return [worker(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _clopper_pearson_lower(successes: int, trials: int) -> float:
@@ -177,23 +122,27 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
     ``block(seeds)`` maps the uint64 seeds of a slice of consecutive
     trials, which draw ``per_trial`` values each, to (boolean hit columns,
     trace columns). With ``trace_path`` every trial's trace columns make
-    one CSV row under ``header``, in trial order.
+    one CSV row under ``header``, in trial order. The file is opened
+    before the first trial and each slice's rows are written as the slice
+    completes, so an unwritable path fails at once and no slice's rows
+    outlive it.
     """
-
-    def run(lo: int, hi: int):
-        hits, columns = block(_trial_seeds(seed, lo, hi))
-        rows = list(zip(range(lo, hi), *(c.tolist() for c in columns))) if trace_path else []
-        return [int(h.sum()) for h in hits], rows
-
-    # called through the module global, so that a wrapper installed there sees it
-    results = map_chunked(run, trials, per_trial)
-    if trace_path:
-        with open(trace_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if trace_path:
+            writer = csv.writer(stack.enter_context(
+                open(trace_path, "w", newline="", encoding="utf-8")))
             writer.writerow(header)
-            for _, rows in results:
-                writer.writerows(rows)
-    return [sum(column) for column in zip(*(counts for counts, _ in results))]
+
+        def run(lo: int, hi: int):
+            hits, columns = block(_trial_seeds(seed, lo, hi))
+            if writer is not None:
+                writer.writerows(zip(range(lo, hi), *(c.tolist() for c in columns)))
+            return [int(h.sum()) for h in hits]
+
+        # called through the module global, so that a wrapper installed there sees it
+        results = map_chunked(run, trials, per_trial)
+    return [sum(column) for column in zip(*results)]
 
 
 def data_alphabet(d: int) -> Alphabet:
@@ -270,14 +219,6 @@ class LearnerSpec:
             hypotheses=tuple(tuple(h) for h in payload["hypothesisClass"]),
             epsilon=payload.get("epsilon"),
         )
-
-
-def _check_seed(seed: int) -> int:
-    """``seed`` if it is a 64-bit unsigned integer; shared by ``simulate`` and ``verify``."""
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise LeakageLabError("seed must be a 64-bit unsigned integer")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -641,7 +582,8 @@ def _exact_leakage(tables: _LearnerTables, data_dist: DiscreteDistribution) -> f
     # validated like any channel's rows, without labelling the K types
     _check_channel_rows(rows)
     unsupported = np.asarray(data_dist.probs) == 0.0
-    return _column_max_leakage(rows[~counts[:, unsupported].any(axis=1)])
+    supported = ~counts[:, unsupported].any(axis=1)
+    return float(_section_leakage(rows[None, None], supported[None, None])[0])
 
 
 def run_gen_error_experiment(

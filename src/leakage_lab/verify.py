@@ -1,22 +1,26 @@
 """Randomized property sweeps behind the ``verify`` command.
 
-Three suites, each over independently seeded instances:
+Three suites, each over independently drawn instances:
 
 * ``soundness``: exact event probabilities of random (prior, channel,
   event) triples never exceed exp(L) * max_y P_X(E_y), and the
   identity-channel diagonal-event family attains equality;
-* ``composition``: post-processing cannot increase leakage; two-step
-  and three-step adaptive chains (see :func:`adaptive_channel`) respect
-  the sums of their per-step certificates, and the three-step chain also
-  respects the sum of conditional leakages along the prefix. Both sums
-  bill each later step by the conditional maximal leakage of its stage
-  channel, over all (x, prefix) pairs or over those the prior reaches;
+* ``composition``: post-processing cannot increase leakage; two- and
+  three-step adaptive chains (see ``core.adaptive_channel``) respect the
+  sums of their per-step certificates, each later step billed by the
+  conditional leakage of its stage over all (x, prefix) pairs, and the
+  three-step chain the sum over the pairs that the prior reaches;
 * ``maxinfo``: budgeted max-information never exceeds leakage plus
   log(1/beta), is nonincreasing in the budget, dominates leakage at zero
   budget, and the threshold scan agrees with exhaustive enumeration.
 
-Instance i draws its generator from the same counter-mixed seed scheme
-as the simulator, so a sweep's result depends only on its seed.
+Instance i of a sweep with seed s draws row i of the counter stream
+``_uniform_block(_trial_seeds(s, 0, instances), width)`` (see
+``_stream``), so its draws depend only on (s, i). Instances are drawn a
+slice at once, padded with zero rows and columns to the suite's largest
+shape, and checked on the stacked arrays through the kernels that the
+single-object measures call with a batch of one. Failure payloads are
+Channel, JointDistribution and EventMask JSON, built only when kept.
 """
 
 from __future__ import annotations
@@ -26,37 +30,34 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import adaptive_event_bound, exact_event_probability
+from ._stream import _check_seed, _Draws, _trial_seeds, _uniform_block, map_chunked
 from .core import (
     Alphabet,
     Channel,
     DiscreteDistribution,
     EventMask,
     JointDistribution,
-    compose_channels,
-    fiber_max_prob,
-    joint_from,
+    _chain_rows,
+    _check_channel_rows,
+    _event_mass,
+    _fiber_max,
+    adaptive_channel,
 )
 from .errors import LeakageLabError
 from .measures import (
-    approx_max_information,
-    approx_max_information_by_enumeration,
-    conditional_maximal_leakage,
-    max_information,
-    maximal_leakage,
-    maximal_leakage_of_joint,
+    _approx_max_div_enumerated,
+    _approx_max_div_scan,
+    _joint_leakage,
+    _joint_product_vectors,
+    _max_information,
+    _section_leakage,
 )
-from .simulate import _check_seed, derive_trial_seed
 
 __all__ = [
     "SOUNDNESS_TOL",
     "COMPOSITION_TOL",
     "MAXINFO_TOL",
     "ENUMERATION_TOL",
-    "random_distribution",
-    "random_channel",
-    "random_joint",
-    "random_event",
     "adaptive_channel",
     "diagonal_equality_gap",
     "sweep_soundness",
@@ -75,100 +76,67 @@ _BETA_GRID = (0.01, 0.05, 0.1, 0.3)
 _MAX_FAILURES_KEPT = 5
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(derive_trial_seed(seed, index))
-
-
 def _named_alphabet(prefix: str, size: int) -> Alphabet:
     return Alphabet(f"{prefix}{i}" for i in range(size))
 
 
-def random_distribution(rng: np.random.Generator, size: int,
-                        allow_zeros: bool = False) -> DiscreteDistribution:
-    weights = rng.random(size) + 1e-3
-    if allow_zeros and size > 1 and rng.random() < 0.5:
-        kill = rng.random(size) < 0.35
-        if kill.all():
-            kill[int(rng.integers(size))] = False
+def _live(sizes: np.ndarray, width: int) -> np.ndarray:
+    """(instances, width) mask of the first ``sizes[i]`` positions."""
+    return np.arange(width) < sizes[:, None]
+
+
+def _distribution(draws: _Draws, live: np.ndarray, allow_zeros: bool) -> np.ndarray:
+    """A probability row on the live positions of each row of ``live``, zero elsewhere.
+
+    With ``allow_zeros``, half of the rows lose about 35% of their entries, but one stays.
+    """
+    weights = np.where(live, draws.uniform(live.shape[1]) + 1e-3, 0.0)
+    if allow_zeros:
+        kill = (draws.uniform(1) < 0.5) & (draws.uniform(live.shape[1]) < 0.35)
+        kill[np.arange(len(live)), draws.integers(live.sum(axis=1))] = False
         weights[kill] = 0.0
-    return DiscreteDistribution(_named_alphabet("x", size), weights / weights.sum())
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    _check_channel_rows(probs)
+    return probs
 
 
-def _random_rows(rng: np.random.Generator, inputs: int, outputs: int):
-    """Row-stochastic (inputs, outputs) matrix with zeros; each row keeps its largest entry."""
-    rows = rng.random((inputs, outputs)) + 1e-3
-    kill = rng.random((inputs, outputs)) < 0.3
-    kill[np.arange(inputs), rows.argmax(axis=1)] = False
+def _stochastic_rows(draws: _Draws, live_rows: np.ndarray, live_cols: np.ndarray) -> np.ndarray:
+    """Row-stochastic rows on the live (instances, ..., rows) x (instances, columns) rectangles.
+
+    About 30% of the entries are zero, but every live row keeps its largest.
+    """
+    shape = live_rows.shape[1:] + live_cols.shape[1:]
+    cols = live_cols.reshape(len(live_cols), *(1,) * (live_rows.ndim - 1), -1)
+    rows = np.where(live_rows[..., None] & cols, draws.uniform(*shape) + 1e-3, 0.0)
+    kill = draws.uniform(*shape) < 0.3
+    np.put_along_axis(kill, rows.argmax(axis=-1)[..., None], False, axis=-1)
     rows[kill] = 0.0
-    rows /= rows.sum(axis=1, keepdims=True)
+    sums = rows.sum(axis=-1, keepdims=True)
+    rows = np.divide(rows, sums, out=rows, where=sums > 0.0)
+    _check_channel_rows(rows, live_rows)
     return rows
 
 
-def random_channel(rng: np.random.Generator, inputs: int, outputs: int,
-                   input_alphabet: Alphabet | None = None,
-                   output_alphabet: Alphabet | None = None) -> Channel:
-    return Channel(
-        input_alphabet if input_alphabet is not None else _named_alphabet("x", inputs),
-        output_alphabet if output_alphabet is not None else _named_alphabet("y", outputs),
-        _random_rows(rng, inputs, outputs),
-    )
+def _leakage(rows: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """Maximal leakage of each stacked channel over its nonzero rows, or over ``support``."""
+    support = rows.any(axis=2) if support is None else support
+    return _section_leakage(rows[:, None], support[:, None])
 
 
-def random_joint(rng: np.random.Generator, inputs: int, outputs: int) -> JointDistribution:
-    mass = rng.random((inputs, outputs))
-    kill = rng.random((inputs, outputs)) < 0.3
-    kill.flat[int(rng.integers(mass.size))] = False
-    mass[kill] = 0.0
-    if mass.sum() == 0.0:
-        mass.flat[0] = 1.0
-    return JointDistribution(
-        _named_alphabet("x", inputs), _named_alphabet("y", outputs), mass / mass.sum()
-    )
-
-
-def random_event(rng: np.random.Generator, inputs: int, outputs: int,
-                 input_alphabet: Alphabet, output_alphabet: Alphabet) -> EventMask:
-    return EventMask(input_alphabet, output_alphabet, rng.random((inputs, outputs)) < 0.5)
-
-
-def _by_input(stage_rows: np.ndarray, inputs: int) -> np.ndarray:
-    """Prefix-major stage rows as an (input, prefix, output) array."""
-    return stage_rows.reshape(-1, inputs, stage_rows.shape[1]).transpose(1, 0, 2)
-
-
-def adaptive_channel(first: Channel, *stages: Channel) -> Channel:
-    """Joint channel x -> (y_1, ..., y_k) of an adaptive chain.
-
-    Stage k >= 2 is a channel from the (x, prefix) pairs, where a prefix
-    is an output of the chain so far, to y_k. Its rows are stored
-    prefix-major: row p * |X| + i is P(y_k | x_i, prefix p), with the
-    prefixes in the joint's output order. The joint output (prefix, y_k)
-    is labelled ``prefix&y_k`` and carries P(prefix | x) P(y_k | x, prefix).
-    """
-    inputs = len(first.input)
-    rows, labels = first.rows, first.output.labels
-    for stage in stages:
-        if len(stage.input) != len(labels) * inputs:
-            raise LeakageLabError(f"an adaptive stage needs {len(labels) * inputs} (x, prefix) "
-                                  f"rows, got {len(stage.input)}")
-        rows = (rows[:, :, None] * _by_input(stage.rows, inputs)).reshape(inputs, -1)
-        labels = [f"{p}&{z}" for p in labels for z in stage.output.labels]
-    return Channel(first.input, Alphabet(labels), rows)
+def _event_bounds(prior: np.ndarray, rows: np.ndarray, event: np.ndarray):
+    """Exact P(E) and the bound exp(L) * max_y P_X(E_y) of stacked (prior, channel, event)."""
+    exact = _event_mass(prior[:, :, None] * rows, event)
+    bound = np.exp(_leakage(rows, prior > 0.0)) * _fiber_max(event, prior)
+    return exact, bound
 
 
 def diagonal_equality_gap() -> float:
     """Worst |bound - exact| over the uniform identity/diagonal family of sizes 2..8."""
-    worst = 0.0
-    for size in range(2, 9):
-        alphabet = _named_alphabet("x", size)
-        prior = DiscreteDistribution(alphabet, np.full(size, 1.0 / size))
-        channel = Channel.identity(alphabet)
-        event = EventMask.diagonal(alphabet)
-        exact = exact_event_probability(joint_from(prior, channel), event)
-        leakage = maximal_leakage(channel, prior.support())
-        bound = adaptive_event_bound(fiber_max_prob(event, prior), leakage.nats)
-        worst = max(worst, abs(bound.value - exact))
-    return worst
+    sizes = np.arange(2, 9)
+    live = _live(sizes, 8)
+    identity = np.eye(8) * live[:, :, None]
+    exact, bound = _event_bounds(live / sizes[:, None], identity, identity > 0.0)
+    return float(np.abs(bound - exact).max())
 
 
 class _Check:
@@ -181,37 +149,65 @@ class _Check:
         self.worst_margin = -math.inf
         self.failures: list[dict] = []
 
-    def record(self, margin: float, payload: Callable[[], dict]) -> None:
-        self.count += 1
-        if margin > self.worst_margin:
-            self.worst_margin = margin
-        if margin > self.tolerance:
-            self.violations += 1
-            if len(self.failures) < _MAX_FAILURES_KEPT:
-                self.failures.append(payload())
+    def record(self, margins: np.ndarray, payload: Callable[[int, int], dict],
+               where: np.ndarray | None = None) -> None:
+        """Record a slice's (instances, k) margins, in instance order, where ``where`` holds.
+
+        ``payload(i, j)`` builds the failure of entry (i, j), only if it is kept.
+        """
+        margins = margins.reshape(len(margins), -1)
+        on = np.ones(margins.shape, dtype=bool) if where is None else where
+        values = margins[on]
+        self.count += values.size
+        if values.size:
+            self.worst_margin = max(self.worst_margin, float(values.max()))
+        bad = np.argwhere(on & (margins > self.tolerance))
+        self.violations += len(bad)
+        for i, j in bad[: _MAX_FAILURES_KEPT - len(self.failures)].tolist():
+            self.failures.append(payload(i, j))
 
     def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-        }
+        return {"count": self.count, "violations": self.violations,
+                "worst_margin": self.worst_margin, "tolerance": self.tolerance}
 
 
-def _run_sweep(
-    suite: str,
-    instances: int,
-    tolerances: dict[str, float],
-    run_instance: Callable[[int, dict[str, _Check]], None],
-) -> dict:
-    """Run instances 0 .. instances-1 into one check per named tolerance."""
+def _payload(lo: int, **fields) -> Callable[[int, int], dict]:
+    """Failure payload of entry (i, j) of a slice that starts at instance ``lo``.
+
+    A field is a (B,) array per instance, a (B, k) array per entry, or a function of (i, j).
+    """
+    def build(i: int, j: int) -> dict:
+        return {"instance": lo + i, **{
+            key: value(i, j) if callable(value) else float(value[(i, j)[: value.ndim]])
+            for key, value in fields.items()
+        }}
+
+    return build
+
+
+def _rectangle(cls, matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray, names: str = "xy"):
+    """Payload field: JSON of instance i's unpadded ``matrix`` as a ``cls`` rectangle."""
+    return lambda i, _: cls(_named_alphabet(names[0], rows[i]), _named_alphabet(names[1], cols[i]),
+                            matrix[i, : rows[i], : cols[i]]).to_json()
+
+
+def _run_sweep(suite: str, instances: int, seed: int, width: int,
+               tolerances: dict[str, float], evaluate: Callable) -> dict:
+    """Run instances 0 .. instances-1 into one check per named tolerance.
+
+    ``evaluate(u, lo)`` maps the (instances, width) uniform rows of a
+    slice that starts at instance ``lo`` to ``{check: (margins, payload
+    [, where])}``, the arguments of :meth:`_Check.record`.
+    """
     if instances < 1:
         raise LeakageLabError(f"instance count must be >= 1, got {instances}")
     checks = {name: _Check(tolerance) for name, tolerance in tolerances.items()}
-    for index in range(instances):
-        run_instance(index, checks)
 
+    def run(lo: int, hi: int) -> None:
+        for name, recorded in evaluate(_uniform_block(_trial_seeds(seed, lo, hi), width), lo).items():
+            checks[name].record(*recorded)
+
+    map_chunked(run, instances, width)
     failures = [f for check in checks.values() for f in check.failures][:_MAX_FAILURES_KEPT]
     return {
         "suite": suite,
@@ -222,195 +218,198 @@ def _run_sweep(
     }
 
 
+# sizes 2..8, a prior with zeros allowed, a channel, an event
+_SOUNDNESS_WIDTH = 2 + 18 + 2 * 64 + 64
+
+
+def _soundness_draws(u: np.ndarray):
+    """Sizes, priors (B, 8), channel rows (B, 8, 8) and event masks (B, 8, 8)."""
+    draws = _Draws(u)
+    nx, ny = 2 + draws.integers(7), 2 + draws.integers(7)
+    live_x, live_y = _live(nx, 8), _live(ny, 8)
+    prior = _distribution(draws, live_x, allow_zeros=True)
+    rows = _stochastic_rows(draws, live_x, live_y)
+    event = (draws.uniform(8, 8) < 0.5) & live_x[:, :, None] & live_y[:, None, :]
+    return nx, ny, prior, rows, event
+
+
+def _soundness_checks(u: np.ndarray, lo: int) -> dict:
+    nx, ny, prior, rows, event = _soundness_draws(u)
+    exact, bound = _event_bounds(prior, rows, event)
+
+    payload = _payload(
+        lo, exact=exact, bound=bound,
+        prior=lambda i, _: DiscreteDistribution(_named_alphabet("x", nx[i]),
+                                                prior[i, : nx[i]]).to_json(),
+        channel=_rectangle(Channel, rows, nx, ny), event=_rectangle(EventMask, event, nx, ny),
+    )
+    return {"event_bound": (exact - bound, payload)}
+
+
 def sweep_soundness(instances: int, seed: int) -> dict:
     """Adaptive event bound vs exact probability on random instances."""
-
-    def run_instance(index, checks):
-        rng = _instance_rng(seed, index)
-        nx = int(rng.integers(2, 9))
-        ny = int(rng.integers(2, 9))
-        prior = random_distribution(rng, nx, allow_zeros=True)
-        channel = random_channel(rng, nx, ny, input_alphabet=prior.alphabet)
-        event = random_event(rng, nx, ny, prior.alphabet, channel.output)
-        exact = exact_event_probability(joint_from(prior, channel), event)
-        leakage = maximal_leakage(channel, prior.support())
-        bound = adaptive_event_bound(fiber_max_prob(event, prior), leakage.nats)
-        checks["event_bound"].record(
-            exact - bound.value,
-            lambda: {
-                "instance": index,
-                "exact": exact,
-                "bound": bound.value,
-                "prior": prior.to_json(),
-                "channel": channel.to_json(),
-                "event": event.to_json(),
-            },
-        )
-
-    result = _run_sweep("soundness", instances, {"event_bound": SOUNDNESS_TOL}, run_instance)
+    result = _run_sweep("soundness", instances, seed, _SOUNDNESS_WIDTH,
+                        {"event_bound": SOUNDNESS_TOL}, _soundness_checks)
     result["diagonal_equality_gap"] = diagonal_equality_gap()
     return result
 
 
-def _random_stages(rng: np.random.Generator, steps: int) -> list[Channel]:
-    """First channel x -> y and the stage channels of a random adaptive chain.
+def _chain_draws(draws: _Draws, steps: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Sizes (inputs, then each step's outputs) and rows of random adaptive chains.
 
-    Stage k >= 2 holds one random block of rows per prefix, drawn in the
-    joint's output order (see :func:`adaptive_channel`); its inputs are
-    labelled ``x|p`` for prefix index p.
+    Inputs number 2..4 and each step has 2..3 outputs. The first rows
+    are (B, 4, 3) and stage k >= 2 is (B, P, 4, 3); its prefixes are the
+    padded joint outputs, so it holds a block of rows for every prefix,
+    in the joint's output order (see :func:`_chain_rows`).
     """
-    nx = int(rng.integers(2, 5))
-    sizes = [int(rng.integers(2, 4)) for _ in range(steps)]
-    chain = [random_channel(rng, nx, sizes[0])]
-    prefixes = sizes[0]
-    for size, name in zip(sizes[1:], "zw"):
-        rows = np.vstack([_random_rows(rng, nx, size) for _ in range(prefixes)])
-        pairs = Alphabet(f"{x}|{p}" for p in range(prefixes) for x in chain[0].input.labels)
-        chain.append(Channel(pairs, _named_alphabet(name, size), rows))
-        prefixes *= size
-    return chain
+    sizes = [2 + draws.integers(3)] + [2 + draws.integers(2) for _ in range(steps)]
+    live_x, live_prefix = _live(sizes[0], 4), _live(sizes[1], 3)
+    chain = [_stochastic_rows(draws, live_x, live_prefix)]
+    for size in sizes[2:]:
+        live_out = _live(size, 3)
+        chain.append(_stochastic_rows(draws, live_prefix[:, :, None] & live_x[:, None, :], live_out))
+        live_prefix = (live_prefix[:, :, None] & live_out[:, None, :]).reshape(len(size), -1)
+    return sizes, chain
 
 
-def _stage_pairs(stage: Channel, first: Channel) -> list[tuple[str, int]]:
-    """(x, prefix index) of each row of a prefix-major stage of the chain that ``first`` starts."""
-    xs = first.input.labels
-    return [(x, p) for p in range(len(stage.input) // len(xs)) for x in xs]
-
-
-def _certificate_total(first: Channel, stages: list[Channel]) -> float:
+def _certificate_total(first: np.ndarray, stages: list[np.ndarray]) -> np.ndarray:
     """Sum, in step order, of per-step certificates: step k's worst leakage over every prefix."""
-    steps = (conditional_maximal_leakage(s, _stage_pairs(s, first)).nats for s in stages)
-    return sum(steps, maximal_leakage(first).nats)
+    total = _leakage(first)
+    for stage in stages:
+        total = total + _section_leakage(stage, stage.any(axis=3))
+    return total
 
 
-def _conditional_chain_total(
-    prior: DiscreteDistribution, first: Channel, stages: list[Channel]
-) -> float:
+def _conditional_chain_total(prior: np.ndarray, first: np.ndarray,
+                             stages: list[np.ndarray]) -> np.ndarray:
     """Sum of per-step conditional leakages along the chain prefix.
 
     Step k conditions on its prefix and sees only the (x, prefix) pairs
     that the prior and the earlier steps reach with positive probability.
     """
-    nx = len(first.input)
-    total = maximal_leakage(first, prior.support_labels()).nats
-    reached = (prior.probs > 0.0)[:, None] & (first.rows > 0.0)  # (x, prefix)
+    total = _leakage(first, prior > 0.0)
+    reached = (prior > 0.0)[:, :, None] & (first > 0.0)  # (B, x, prefix)
     for stage in stages:
-        pairs = _stage_pairs(stage, first)
-        support = [pair for pair, on in zip(pairs, reached.T.ravel()) if on]
-        total += conditional_maximal_leakage(stage, pairs, support).nats
-        step = _by_input(stage.rows, nx) > 0.0  # (x, prefix, output)
-        reached = (reached[:, :, None] & step).reshape(nx, -1)
+        total = total + _section_leakage(stage, reached.transpose(0, 2, 1))
+        reached = _chain_rows(reached, stage > 0.0)
     return total
+
+
+# three sizes 2..6 and two channels, a two-step and a three-step chain, a prior
+_COMPOSITION_WIDTH = 3 + 2 * 72 + (3 + 24 + 72) + (4 + 24 + 72 + 216) + 4
+
+
+def _composition_draws(u: np.ndarray):
+    """Sizes and rows of a two-channel cascade, of a two-step and a three-step chain, and a prior."""
+    draws = _Draws(u)
+    nx, ny, nz = (2 + draws.integers(5) for _ in range(3))
+    live_x, live_y, live_z = _live(nx, 6), _live(ny, 6), _live(nz, 6)
+    a = _stochastic_rows(draws, live_x, live_y)
+    b = _stochastic_rows(draws, live_y, live_z)
+    chains = [_chain_draws(draws, steps) for steps in (2, 3)]
+    prior = _distribution(draws, _live(chains[1][0][0], 4), allow_zeros=False)
+    return (nx, ny, nz), a, b, chains, prior
+
+
+def _composition_checks(u: np.ndarray, lo: int) -> dict:
+    (nx, ny, nz), a, b, chains, prior = _composition_draws(u)
+
+    # post-processing: a cascade never leaks more than its first stage
+    cascade = a @ b
+    _check_channel_rows(cascade, a.any(axis=2))
+    la, lc = _leakage(a), _leakage(cascade)
+
+    checks = {"post_processing": (lc - la, _payload(
+        lo, first=la, cascade=lc,
+        a=_rectangle(Channel, a, nx, ny), b=_rectangle(Channel, b, ny, nz, "yz"),
+    ))}
+
+    # two- and three-step chains vs the sums of their per-step
+    # certificates; the three-step chain also vs its conditional leakages
+    for name, (_, (first, *stages)) in zip(("two_step", "three_step"), chains):
+        joint_rows = _chain_rows(first, *stages)
+        _check_channel_rows(joint_rows, first.any(axis=2))
+        joint, budget = _leakage(joint_rows), _certificate_total(first, stages)
+        checks[name] = (joint - budget, _payload(lo, joint=joint, budget=budget))
+
+    conditional = _conditional_chain_total(prior, first, stages)
+    checks["conditional_chain"] = (
+        joint - conditional, _payload(lo, joint=joint, conditional_sum=conditional)
+    )
+    return checks
 
 
 def sweep_composition(instances: int, seed: int) -> dict:
     """Post-processing and adaptive-composition inequalities."""
-
-    def run_instance(index, checks):
-        rng = _instance_rng(seed, index)
-
-        # post-processing: a cascade never leaks more than its first stage
-        nx, ny, nz = (int(rng.integers(2, 7)) for _ in range(3))
-        a = random_channel(rng, nx, ny)
-        b = random_channel(rng, ny, nz, input_alphabet=a.output)
-        cascade = compose_channels(a, b)
-        la = maximal_leakage(a).nats
-        lc = maximal_leakage(cascade).nats
-        checks["post_processing"].record(
-            lc - la,
-            lambda: {"instance": index, "first": la, "cascade": lc, "a": a.to_json(), "b": b.to_json()},
-        )
-
-        # two- and three-step chains vs the sums of their per-step
-        # certificates; the three-step chain also vs its conditional leakages
-        for name, steps in (("two_step", 2), ("three_step", 3)):
-            first, *stages = _random_stages(rng, steps)
-            joint = maximal_leakage(adaptive_channel(first, *stages)).nats
-            budget = _certificate_total(first, stages)
-            checks[name].record(
-                joint - budget,
-                lambda: {"instance": index, "joint": joint, "budget": budget},
-            )
-
-        prior = random_distribution(rng, len(first.input), allow_zeros=False)
-        cond_total = _conditional_chain_total(prior, first, stages)
-        checks["conditional_chain"].record(
-            joint - cond_total,
-            lambda: {"instance": index, "joint": joint, "conditional_sum": cond_total},
-        )
-
     names = ("post_processing", "two_step", "three_step", "conditional_chain")
-    return _run_sweep(
-        "composition", instances, dict.fromkeys(names, COMPOSITION_TOL), run_instance
-    )
+    return _run_sweep("composition", instances, seed, _COMPOSITION_WIDTH,
+                      dict.fromkeys(names, COMPOSITION_TOL), _composition_checks)
 
 
 _JOINT_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3))
+# a shape, masses, zeros, and one cell that stays
+_MAXINFO_WIDTH = 1 + 2 * 24 + 1
+
+
+def _joint_draws(u: np.ndarray):
+    """Shapes, joint masses (B, 4, 6) and their live cells: about 30% zeros, never one random cell."""
+    draws = _Draws(u)
+    nx, ny = np.array(_JOINT_SHAPES)[draws.integers(len(_JOINT_SHAPES))].T
+    live = _live(nx, 4)[:, :, None] & _live(ny, 6)[:, None, :]
+    mass = np.where(live, draws.uniform(4, 6) + 1e-3, 0.0)
+    kill = draws.uniform(4, 6) < 0.3
+    keep = draws.integers(nx * ny)
+    kill[np.arange(len(u)), keep // ny, keep % ny] = False
+    mass[kill] = 0.0
+    mass /= mass.sum(axis=(1, 2), keepdims=True)
+    _check_channel_rows(mass.reshape(len(u), -1))
+    return nx, ny, mass, live
+
+
+def _maxinfo_checks(u: np.ndarray, lo: int) -> dict:
+    nx, ny, mass, live = _joint_draws(u)
+    leakage = _joint_leakage(mass)
+    pv, qv = _joint_product_vectors(mass)
+    exact_info = _max_information(pv, qv)
+    scan = _approx_max_div_scan(pv, qv, _BETA_GRID)
+    # the subset enumeration runs once per cell count, on the live cells in row-major order
+    enumerated = np.empty_like(scan)
+    cells = nx * ny
+    for m in np.unique(cells).tolist():
+        group = np.flatnonzero(cells == m)
+        on = live.reshape(len(u), -1)[group]
+        enumerated[group] = _approx_max_div_enumerated(
+            pv[group][on].reshape(-1, m), qv[group][on].reshape(-1, m), _BETA_GRID
+        )
+
+    with np.errstate(invalid="ignore"):  # inf - inf where both sides are infinite
+        gap = np.abs(scan - enumerated)
+        monotone = scan[:, 1:] - scan[:, :-1]
+    gap[scan == enumerated] = 0.0
+    budget = leakage[:, None] + np.array([math.log(1.0 / beta) for beta in _BETA_GRID])
+    betas, joint = np.broadcast_to(_BETA_GRID, scan.shape), _rectangle(JointDistribution, mass, nx, ny)
+    finite = np.isfinite(scan)
+    return {
+        "leakage_budget": (scan - budget, _payload(
+            lo, beta=betas, approx_max_information=scan, budget=budget, joint=joint), finite),
+        "enumeration_match": (gap, _payload(
+            lo, beta=betas, scan=lambda i, j: repr(float(scan[i, j])),
+            enumeration=lambda i, j: repr(float(enumerated[i, j])), joint=joint)),
+        "beta_monotone": (monotone, _payload(
+            lo, beta=betas[:, 1:], previous=scan[:, :-1], value=scan[:, 1:]), finite[:, :-1]),
+        "dominates_leakage": (
+            leakage - exact_info, _payload(lo, leakage=leakage, max_information=exact_info)),
+    }
 
 
 def sweep_maxinfo(instances: int, seed: int) -> dict:
     """Budgeted max-information inequalities and the enumeration cross-check."""
-
-    def run_instance(index, checks):
-        rng = _instance_rng(seed, index)
-        nx, ny = _JOINT_SHAPES[int(rng.integers(len(_JOINT_SHAPES)))]
-        joint = random_joint(rng, nx, ny)
-        leakage = maximal_leakage_of_joint(joint).nats
-        exact_info = max_information(joint)
-        checks["dominates_leakage"].record(
-            leakage - exact_info,
-            lambda: {"instance": index, "leakage": leakage, "max_information": exact_info},
-        )
-        previous = None
-        for beta in _BETA_GRID:
-            value = approx_max_information(joint, beta)
-            enumerated = approx_max_information_by_enumeration(joint, beta)
-            if math.isinf(value) or math.isinf(enumerated):
-                gap = 0.0 if value == enumerated else math.inf
-            else:
-                gap = abs(value - enumerated)
-            checks["enumeration_match"].record(
-                gap,
-                lambda: {
-                    "instance": index,
-                    "beta": beta,
-                    "scan": repr(value),
-                    "enumeration": repr(enumerated),
-                    "joint": joint.to_json(),
-                },
-            )
-            if not math.isinf(value):
-                checks["leakage_budget"].record(
-                    value - (leakage + math.log(1.0 / beta)),
-                    lambda: {
-                        "instance": index,
-                        "beta": beta,
-                        "approx_max_information": value,
-                        "budget": leakage + math.log(1.0 / beta),
-                        "joint": joint.to_json(),
-                    },
-                )
-            if previous is not None and not math.isinf(previous):
-                checks["beta_monotone"].record(
-                    value - previous,
-                    lambda: {"instance": index, "beta": beta, "previous": previous, "value": value},
-                )
-            previous = value
-
-    tolerances = {
-        "leakage_budget": MAXINFO_TOL,
-        "enumeration_match": ENUMERATION_TOL,
-        "beta_monotone": ENUMERATION_TOL,
-        "dominates_leakage": MAXINFO_TOL,
-    }
-    return _run_sweep("maxinfo", instances, tolerances, run_instance)
+    tolerances = {"leakage_budget": MAXINFO_TOL, "enumeration_match": ENUMERATION_TOL,
+                  "beta_monotone": ENUMERATION_TOL, "dominates_leakage": MAXINFO_TOL}
+    return _run_sweep("maxinfo", instances, seed, _MAXINFO_WIDTH, tolerances, _maxinfo_checks)
 
 
-SUITES = {
-    "soundness": sweep_soundness,
-    "composition": sweep_composition,
-    "maxinfo": sweep_maxinfo,
-}
+SUITES = {"soundness": sweep_soundness, "composition": sweep_composition, "maxinfo": sweep_maxinfo}
 
 
 def run_suites(names, instances: int, seed: int) -> dict:

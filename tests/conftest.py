@@ -1,7 +1,68 @@
 import numpy as np
 import pytest
 
-from leakage_lab import Alphabet, AlphabetMismatch, Channel, DiscreteDistribution, joint_from
+from leakage_lab import (
+    Alphabet,
+    AlphabetMismatch,
+    Channel,
+    DiscreteDistribution,
+    EventMask,
+    JointDistribution,
+    joint_from,
+)
+
+
+def named_alphabet(prefix: str, size: int) -> Alphabet:
+    return Alphabet(f"{prefix}{i}" for i in range(size))
+
+
+def random_distribution(rng: np.random.Generator, size: int,
+                        allow_zeros: bool = False) -> DiscreteDistribution:
+    """Random probability vector; with ``allow_zeros``, half of them lose about 35% of their entries."""
+    weights = rng.random(size) + 1e-3
+    if allow_zeros and size > 1 and rng.random() < 0.5:
+        kill = rng.random(size) < 0.35
+        if kill.all():
+            kill[int(rng.integers(size))] = False
+        weights[kill] = 0.0
+    return DiscreteDistribution(named_alphabet("x", size), weights / weights.sum())
+
+
+def random_rows(rng: np.random.Generator, inputs: int, outputs: int) -> np.ndarray:
+    """Row-stochastic (inputs, outputs) matrix with zeros; each row keeps its largest entry."""
+    rows = rng.random((inputs, outputs)) + 1e-3
+    kill = rng.random((inputs, outputs)) < 0.3
+    kill[np.arange(inputs), rows.argmax(axis=1)] = False
+    rows[kill] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def random_channel(rng: np.random.Generator, inputs: int, outputs: int,
+                   input_alphabet: Alphabet | None = None,
+                   output_alphabet: Alphabet | None = None) -> Channel:
+    return Channel(
+        input_alphabet if input_alphabet is not None else named_alphabet("x", inputs),
+        output_alphabet if output_alphabet is not None else named_alphabet("y", outputs),
+        random_rows(rng, inputs, outputs),
+    )
+
+
+def random_joint(rng: np.random.Generator, inputs: int, outputs: int) -> JointDistribution:
+    mass = rng.random((inputs, outputs))
+    kill = rng.random((inputs, outputs)) < 0.3
+    kill.flat[int(rng.integers(mass.size))] = False
+    mass[kill] = 0.0
+    if mass.sum() == 0.0:
+        mass.flat[0] = 1.0
+    return JointDistribution(
+        named_alphabet("x", inputs), named_alphabet("y", outputs), mass / mass.sum()
+    )
+
+
+def random_event(rng: np.random.Generator, inputs: int, outputs: int,
+                 input_alphabet: Alphabet, output_alphabet: Alphabet) -> EventMask:
+    return EventMask(input_alphabet, output_alphabet, rng.random((inputs, outputs)) < 0.5)
 
 
 def bec_channel(alpha: float) -> Channel:

@@ -49,15 +49,15 @@ from leakage_lab.simulate import (
     run_gen_error_experiment,
     run_hyptest_experiment,
 )
-from leakage_lab.verify import (
+from leakage_lab.verify import sweep_composition, sweep_maxinfo, sweep_soundness
+
+from conftest import (
+    bec_channel,
+    bernoulli_identity_joint,
     random_channel,
     random_distribution,
-    sweep_composition,
-    sweep_maxinfo,
-    sweep_soundness,
+    uniform,
 )
-
-from conftest import bec_channel, bernoulli_identity_joint, uniform
 
 SEED = 20260814
 

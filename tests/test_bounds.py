@@ -31,9 +31,13 @@ from leakage_lab import (
     mi_gen_bound,
     sample_complexity,
 )
-from leakage_lab.verify import random_channel, random_distribution, random_event
-
-from conftest import exact_event_probability_by_fibers, uniform
+from conftest import (
+    exact_event_probability_by_fibers,
+    random_channel,
+    random_distribution,
+    random_event,
+    uniform,
+)
 
 
 class TestAdaptiveEventBound:

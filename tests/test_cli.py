@@ -19,6 +19,7 @@ from leakage_lab import (
     empirical_dp,
     jsonio,
 )
+from leakage_lab import cli, simulate
 from leakage_lab.cli import main
 from leakage_lab.core import ProductAlphabet
 from leakage_lab.simulate import ERM, EXPONENTIAL_MECHANISM as EM, P_VALUE_NOTE
@@ -211,7 +212,9 @@ class TestCompose:
         code, doc, err = run_cli(capsys, "compose", "--ledger", path)
         assert code == 2
         assert doc is None
-        assert err.splitlines() == [f"error: {message}"]
+        # the message names the entry, and a provenance field by its path
+        field = "" if message.startswith("bound_nats") else "provenance."
+        assert err.splitlines() == [f"error: entry 's': {field}{message}"]
 
     def test_malformed_dp(self, capsys):
         code, _, err = run_cli(capsys, "compose", "--dp", "0.1")
@@ -534,6 +537,28 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "generr", "--config", "/nope.json")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["generr", "hyptest"])
+    def test_unwritable_trace_fails_before_any_trial(self, capsys, monkeypatch, tmp_path,
+                                                     generr_config, hyptest_config, kind):
+        trials = []
+        counted = simulate.map_chunked
+
+        def counting(worker, total, per_trial=1):
+            trials.append(total)
+            return counted(worker, total, per_trial)
+
+        monkeypatch.setattr(simulate, "map_chunked", counting)
+        config = generr_config if kind == "generr" else hyptest_config
+        trace = str(tmp_path / "missing" / "trace.csv")
+        code, doc, err = run_cli(capsys, "simulate", kind, "--config", config, "--trace", trace)
+        assert code == 2
+        assert doc is None
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert trials == []
+        # the same run with a writable path goes through the counted harness
+        run_cli(capsys, "simulate", kind, "--config", config, "--trace", str(tmp_path / "t.csv"))
+        assert trials == [1500]
+
     def test_exponential_mechanism_weights_do_not_underflow(self, capsys, tmp_path):
         # epsilon * n * risk / 2 reaches 1500 for the worse hypothesis, so
         # every weight exp(-epsilon * n * risk / 2) alone would be 0
@@ -568,6 +593,40 @@ class TestParser:
     def test_bad_theorem(self, capsys):
         assert main(["bound", "--theorem", "magic"]) == 2
         capsys.readouterr()
+
+    def test_parser_is_built_once_and_reused_like_fresh_ones(self, capsys, monkeypatch,
+                                                               tmp_path, bec_path):
+        report = tmp_path / "report.json"
+        runs = [
+            ["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"],
+            ["compose", "--dp", "0.1,10", "--cardinality", "4", "--bits"],
+            ["measure", "ml", "--channel", bec_path, "--output", str(report)],
+            ["bound", "--theorem", "magic"],
+            ["compose", "--dp", "0.2,5"],
+            ["verify", "soundness", "--instances", "5", "--seed", "3"],
+            ["measure", "ml", "--channel", bec_path],
+            ["measure", "cml", "--channel", bec_path],
+        ]
+
+        def run_all():
+            outcomes = []
+            for argv in runs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            return outcomes
+
+        builds = []
+        built = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or built())
+        cli._parser.cache_clear()
+        reused = run_all()
+        assert len(builds) == 1
+        assert report.read_text(encoding="utf-8") == reused[2][1]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0, 2]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == reused
+        assert len(builds) == 1 + len(runs)
 
     def test_ledger_file_with_nan_bound_names_the_entry(self, capsys, tmp_path):
         path = tmp_path / "ledger.json"

@@ -18,9 +18,9 @@ from leakage_lab import (
     maximal_leakage,
     maxinfo_to_leakage,
 )
-from leakage_lab.verify import adaptive_channel, random_channel
+from leakage_lab.verify import adaptive_channel
 
-from conftest import stage_of
+from conftest import random_channel, stage_of
 
 
 class TestConversions:

@@ -31,10 +31,16 @@ from leakage_lab import (
     mutual_information,
     renyi_inf_divergence,
 )
-from leakage_lab.measures import _approx_max_div_vectors, _ratio_order, _support_indices
-from leakage_lab.verify import random_channel, random_distribution, random_joint
+from leakage_lab.measures import _approx_max_div_vectors, _ratio_order, _support_mask
 
-from conftest import bec_channel, bernoulli_identity_joint, uniform
+from conftest import (
+    bec_channel,
+    bernoulli_identity_joint,
+    random_channel,
+    random_distribution,
+    random_joint,
+    uniform,
+)
 
 LOG2 = math.log(2.0)
 
@@ -126,10 +132,10 @@ class TestMaximalLeakage:
             expected = reference(ch, support)
         except LeakageLabError as err:
             with pytest.raises(type(err)) as raised:
-                _support_indices(ch, support)
+                _support_mask(ch, support)
             assert str(raised.value) == str(err)
         else:
-            got = _support_indices(ch, support)
+            got = np.flatnonzero(_support_mask(ch, support))
             assert got.dtype == np.intp
             assert got.tolist() == expected.tolist()
 
@@ -248,6 +254,27 @@ class TestConditionalLeakage:
                 expected = max(expected, brute_force_leakage(rows, idx))
             got = conditional_maximal_leakage(ch, pairs).nats
             assert got == pytest.approx(max(expected, 0.0), abs=1e-12)
+
+    def test_matches_per_section_loop_bit_for_bit(self, rng):
+        # the per-section loop that the stacked kernel replaced, as the
+        # reference: sections of mixed sizes, with and without a support
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            zs = [f"z{k}" for k in rng.integers(0, 4, n)]
+            pairs = [(f"x{i}", z) for i, z in enumerate(zs)]
+            ch = random_channel(rng, n, int(rng.integers(2, 5)))
+            support = [p for p in pairs if rng.random() < 0.7] or pairs[:1]
+            for chosen in (None, support):
+                wanted = set(pairs if chosen is None else chosen)
+                worst = 0.0
+                for z in dict.fromkeys(zs):
+                    idx = [i for i, p in enumerate(pairs) if p[1] == z and p in wanted]
+                    if idx:
+                        worst = max(worst, float(ch.rows[idx].max(axis=0).sum()))
+                want = math.log(worst)
+                assert conditional_maximal_leakage(ch, pairs, chosen).nats == (
+                    0.0 if want <= 1e-8 else want
+                )
 
     def test_support_filters_sections(self):
         pairs = [("a", "0"), ("b", "0"), ("a", "1"), ("b", "1")]

@@ -25,7 +25,7 @@ from leakage_lab import (
     learner_channel,
     maximal_leakage,
 )
-from leakage_lab import simulate
+from leakage_lab import _stream
 from leakage_lab.core import Channel, ProductAlphabet
 from leakage_lab.simulate import (
     ERM,
@@ -537,7 +537,7 @@ class TestGenErrorExperiment:
         default = tmp_path / "default.csv"
         report = run_gen_error_experiment(config, trace_path=str(default))
         for block in (1, 7, 100):
-            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block)
+            monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
             sliced = tmp_path / f"{block}.csv"
             again = run_gen_error_experiment(config, trace_path=str(sliced))
             assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
@@ -603,7 +603,7 @@ class TestHypTestExperiment:
         default = tmp_path / "default.csv"
         report = run_hyptest_experiment(config, trace_path=str(default))
         for block in (1, 45, 500):
-            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block)
+            monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
             sliced = tmp_path / f"{block}.csv"
             again = run_hyptest_experiment(config, trace_path=str(sliced))
             assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())

@@ -1,59 +1,109 @@
-"""Tests for the randomized verification sweeps and their generators."""
+"""Tests for the randomized verification sweeps, their draws and their batched kernels."""
+
+import math
 
 import numpy as np
 import pytest
 
 from leakage_lab import (
+    Alphabet,
     Channel,
+    DiscreteDistribution,
+    EventMask,
+    JointDistribution,
     LeakageLabError,
+    adaptive_event_bound,
+    approx_max_information,
+    approx_max_information_by_enumeration,
+    compose_channels,
     conditional_maximal_leakage,
+    exact_event_probability,
+    fiber_max_prob,
+    joint_from,
+    max_information,
     maximal_leakage,
+    maximal_leakage_of_joint,
 )
+from leakage_lab import verify
+from leakage_lab._stream import _Draws, _trial_seeds, _uniform_block
 from leakage_lab.verify import (
     SUITES,
+    _BETA_GRID,
     _certificate_total,
+    _chain_draws,
+    _composition_draws,
     _conditional_chain_total,
-    _random_stages,
+    _distribution,
+    _joint_draws,
+    _live,
+    _soundness_draws,
+    _stochastic_rows,
     adaptive_channel,
     diagonal_equality_gap,
-    random_channel,
-    random_distribution,
-    random_joint,
     run_suites,
     sweep_composition,
     sweep_maxinfo,
     sweep_soundness,
 )
 
-from conftest import stage_of
+from conftest import named_alphabet, random_channel, stage_of
+
+WIDTHS = {
+    "soundness": verify._SOUNDNESS_WIDTH,
+    "composition": verify._COMPOSITION_WIDTH,
+    "maxinfo": verify._MAXINFO_WIDTH,
+}
+EVALUATE = {
+    "soundness": verify._soundness_checks,
+    "composition": verify._composition_checks,
+    "maxinfo": verify._maxinfo_checks,
+}
+
+
+def uniforms(suite, seed, count):
+    return _uniform_block(_trial_seeds(seed, 0, count), WIDTHS[suite])
+
+
+def recorded(entry):
+    """Margins and recorded-entry mask of one check's ``(margins, payload[, where])``."""
+    margins = entry[0].reshape(len(entry[0]), -1)
+    where = entry[2] if len(entry) > 2 else np.ones(margins.shape, dtype=bool)
+    return margins, where
 
 
 class TestGenerators:
-    def test_random_distribution_is_valid(self, rng):
-        saw_zero = False
-        for _ in range(200):
-            dist = random_distribution(rng, int(rng.integers(2, 9)), allow_zeros=True)
-            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert dist.probs.min() >= 0.0
-            assert len(dist.support()) >= 1
-            saw_zero = saw_zero or (dist.probs == 0.0).any()
-        assert saw_zero
+    def test_random_distribution_is_valid(self):
+        u = uniforms("soundness", 5, 400)
+        sizes = 2 + _Draws(u).integers(7)
+        for allow_zeros in (False, True):
+            live = _live(sizes, 8)
+            probs = _distribution(_Draws(u[:, 1:]), live, allow_zeros)
+            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+            assert probs.min() >= 0.0
+            assert not probs[~live].any()
+            assert ((probs > 0.0).sum(axis=1) >= 1).all()
+            assert (probs[live] == 0.0).any() == allow_zeros
 
-    def test_random_channel_rows_are_valid(self, rng):
-        saw_zero = False
-        for _ in range(200):
-            channel = random_channel(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            assert np.allclose(channel.rows.sum(axis=1), 1.0, atol=1e-12)
-            assert (channel.rows.max(axis=1) > 0.0).all()
-            saw_zero = saw_zero or (channel.rows == 0.0).any()
-        assert saw_zero
+    def test_random_channel_rows_are_valid(self):
+        u = uniforms("composition", 5, 400)
+        draws = _Draws(u)
+        nx, ny = 2 + draws.integers(5), 2 + draws.integers(5)
+        live_x, live_y = _live(nx, 6), _live(ny, 6)
+        rows = _stochastic_rows(draws, live_x, live_y)
+        live = live_x[:, :, None] & live_y[:, None, :]
+        assert np.allclose(rows.sum(axis=2)[live_x], 1.0, atol=1e-12)
+        assert not rows[~live].any()
+        assert (rows.max(axis=2)[live_x] > 0.0).all()
+        assert (rows[live] == 0.0).any()
 
-    def test_random_joint_is_valid(self, rng):
-        for _ in range(100):
-            joint = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            assert joint.mass.sum() == pytest.approx(1.0, abs=1e-12)
-            assert joint.mass.min() >= 0.0
-            assert (joint.mass > 0.0).any()
+    def test_random_joint_is_valid(self):
+        nx, ny, mass, live = _joint_draws(uniforms("maxinfo", 5, 400))
+        assert np.allclose(mass.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        assert mass.min() >= 0.0
+        assert not mass[~live].any()
+        assert live.reshape(len(mass), -1).sum(axis=1).tolist() == (nx * ny).tolist()
+        assert (mass.reshape(len(mass), -1) > 0.0).any(axis=1).all()
+        assert sorted(set(zip(nx.tolist(), ny.tolist()))) == sorted(verify._JOINT_SHAPES)
 
 
 def random_stage(rng, first, prefixes, outputs):
@@ -145,13 +195,192 @@ class TestAdaptiveChannels:
         assert maximal_leakage(pair).nats <= 2.0 * single
 
 
+# ---------------------------------------------------------------------------
+# per-object oracles: each drawn instance rebuilt as Channel, JointDistribution
+# and EventMask objects and measured through the public single-object measures
+
+
+def chain_objects(i, sizes, chain):
+    """Instance i of padded chain draws as a first Channel and prefix-major stage Channels."""
+    nx, *outputs = (int(size[i]) for size in sizes)
+    xs = named_alphabet("x", nx)
+    objects = [Channel(xs, named_alphabet("y", outputs[0]), chain[0][i, :nx, : outputs[0]])]
+    live_prefix = np.arange(3) < outputs[0]
+    for stage, width in zip(chain[1:], outputs[1:]):
+        block = stage[i][live_prefix][:, :nx, :width]
+        pairs = Alphabet(f"{x}|{p}" for p in range(len(block)) for x in xs.labels)
+        objects.append(Channel(pairs, named_alphabet("z", width), block.reshape(-1, width)))
+        live_prefix = (live_prefix[:, None] & (np.arange(3) < width)).reshape(-1)
+    return objects
+
+
+def stage_pairs(stage, first):
+    xs = first.input.labels
+    return [(x, p) for p in range(len(stage.input) // len(xs)) for x in xs]
+
+
+def certificate_oracle(first, stages):
+    total = maximal_leakage(first).nats
+    for stage in stages:
+        total += conditional_maximal_leakage(stage, stage_pairs(stage, first)).nats
+    return total
+
+
+def conditional_oracle(prior, first, stages):
+    """Sum of conditional leakages, with the reached (x, prefix) pairs as explicit sets."""
+    nx = len(first.input)
+    reached = {(i, j) for i in range(nx) for j in range(len(first.output))
+               if prior.probs[i] > 0.0 and first.rows[i, j] > 0.0}
+    total = maximal_leakage(first, prior.support_labels()).nats
+    for stage in stages:
+        support = {(first.input.labels[i], p) for i, p in reached}
+        total += conditional_maximal_leakage(stage, stage_pairs(stage, first), support).nats
+        width = len(stage.output)
+        reached = {(i, p * width + k) for i, p in reached for k in range(width)
+                   if stage.rows[p * nx + i, k] > 0.0}
+    return total
+
+
+def soundness_oracle(u):
+    nx, ny, prior, rows, event = _soundness_draws(u)
+    margins = []
+    for i in range(len(u)):
+        xs, ys = named_alphabet("x", nx[i]), named_alphabet("y", ny[i])
+        p = DiscreteDistribution(xs, prior[i, : nx[i]])
+        channel = Channel(xs, ys, rows[i, : nx[i], : ny[i]])
+        mask = EventMask(xs, ys, event[i, : nx[i], : ny[i]])
+        exact = exact_event_probability(joint_from(p, channel), mask)
+        leakage = maximal_leakage(channel, p.support()).nats
+        margins.append(exact - adaptive_event_bound(fiber_max_prob(mask, p), leakage).value)
+    return {"event_bound": (np.array(margins)[:, None], None)}
+
+
+def composition_oracle(u):
+    (nx, ny, nz), a, b, chains, prior = _composition_draws(u)
+    margins = {name: [] for name in ("post_processing", "two_step", "three_step", "conditional_chain")}
+    for i in range(len(u)):
+        xs, ys, zs = (named_alphabet(p, n[i]) for p, n in (("x", nx), ("y", ny), ("z", nz)))
+        first_step = Channel(xs, ys, a[i, : nx[i], : ny[i]])
+        second_step = Channel(ys, zs, b[i, : ny[i], : nz[i]])
+        margins["post_processing"].append(
+            maximal_leakage(compose_channels(first_step, second_step)).nats
+            - maximal_leakage(first_step).nats
+        )
+        for name, chain in zip(("two_step", "three_step"), chains):
+            first, *stages = chain_objects(i, *chain)
+            joint = maximal_leakage(adaptive_channel(first, *stages)).nats
+            margins[name].append(joint - certificate_oracle(first, stages))
+        p = DiscreteDistribution(first.input, prior[i, : len(first.input)])
+        margins["conditional_chain"].append(joint - conditional_oracle(p, first, stages))
+    return {name: (np.array(values)[:, None], None) for name, values in margins.items()}
+
+
+def maxinfo_oracle(u):
+    nx, ny, mass, _ = _joint_draws(u)
+    rows = {name: [] for name in ("leakage_budget", "enumeration_match", "beta_monotone",
+                                  "dominates_leakage")}
+    for i in range(len(u)):
+        joint = JointDistribution(named_alphabet("x", nx[i]), named_alphabet("y", ny[i]),
+                                  mass[i, : nx[i], : ny[i]])
+        leakage = maximal_leakage_of_joint(joint).nats
+        rows["dominates_leakage"].append(([leakage - max_information(joint)], [True]))
+        scan = [approx_max_information(joint, beta) for beta in _BETA_GRID]
+        enumerated = [approx_max_information_by_enumeration(joint, beta) for beta in _BETA_GRID]
+        gaps = [0.0 if s == e else (math.inf if math.isinf(s) or math.isinf(e) else abs(s - e))
+                for s, e in zip(scan, enumerated)]
+        rows["enumeration_match"].append((gaps, [True] * len(gaps)))
+        rows["leakage_budget"].append((
+            [s - (leakage + math.log(1.0 / beta)) if math.isfinite(s) else math.nan
+             for s, beta in zip(scan, _BETA_GRID)],
+            [math.isfinite(s) for s in scan],
+        ))
+        rows["beta_monotone"].append((
+            [s - prev if math.isfinite(prev) else math.nan for prev, s in zip(scan, scan[1:])],
+            [math.isfinite(prev) for prev in scan[:-1]],
+        ))
+    return {name: (np.array([m for m, _ in r]), None, np.array([w for _, w in r]))
+            for name, r in rows.items()}
+
+
+ORACLES = {"soundness": soundness_oracle, "composition": composition_oracle,
+           "maxinfo": maxinfo_oracle}
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("seed", [7, 20260814])
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_batched_margins_match_per_object_path(self, suite, seed):
+        count = 300
+        batched = EVALUATE[suite](uniforms(suite, seed, count), 0)
+        oracle = ORACLES[suite](uniforms(suite, seed, count))
+        report = SUITES[suite](count, seed)
+        assert list(batched) == list(oracle) == list(report["checks"])
+        for name in batched:
+            margins, where = recorded(batched[name])
+            want, want_where = recorded(oracle[name])
+            assert np.array_equal(where, want_where), name
+            assert np.allclose(margins[where], want[where], rtol=0.0, atol=1e-15), name
+            tolerance = report["checks"][name]["tolerance"]
+            assert report["checks"][name]["count"] == int(where.sum())
+            assert report["checks"][name]["violations"] == int((want[where] > tolerance).sum())
+            assert report["checks"][name]["worst_margin"] == pytest.approx(
+                float(want[where].max()), rel=0.0, abs=1e-15)
+        assert report["pass"] is True
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_instance_draws_do_not_depend_on_the_sweep_length(self, suite):
+        short, long = 37, 300
+        few = EVALUATE[suite](uniforms(suite, 11, short), 0)
+        many = EVALUATE[suite](uniforms(suite, 11, long), 0)
+        report = SUITES[suite](short, 11)
+        for name in few:
+            margins, where = recorded(few[name])
+            prefix, prefix_where = recorded(many[name])
+            assert np.array_equal(where, prefix_where[:short])
+            assert np.array_equal(margins[where], prefix[:short][prefix_where[:short]])
+            check = report["checks"][name]
+            assert check["count"] == int(where.sum())
+            assert check["worst_margin"] == float(margins[where].max())
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_broken_kernels_are_caught_with_parseable_failures(self, monkeypatch, suite):
+        leakage, scan = verify._section_leakage, verify._approx_max_div_scan
+        if suite == "soundness":
+            monkeypatch.setattr(verify, "_section_leakage", lambda s, w: leakage(s, w) / 2)
+        elif suite == "composition":
+            # halving every leakage keeps the linear chain inequalities;
+            # halving only the conditional (multi-section) ones does not
+            monkeypatch.setattr(verify, "_section_leakage",
+                                lambda s, w: leakage(s, w) / (2 if s.shape[1] > 1 else 1))
+        else:
+            monkeypatch.setattr(verify, "_approx_max_div_scan", lambda *a: scan(*a) + 1e-6)
+        report = SUITES[suite](1000, 7)
+        assert report["pass"] is False
+        assert sum(check["violations"] for check in report["checks"].values()) > 0
+        failures = report["failures"]
+        assert 0 < len(failures) <= 5
+        # per check in instance order, checks in their declared order
+        order = [name for name, check in report["checks"].items()
+                 for _ in range(min(check["violations"], 5))][: len(failures)]
+        for name in set(order):
+            instances = [f["instance"] for f, n in zip(failures, order) if n == name]
+            assert instances == sorted(instances)
+        parsers = {"prior": DiscreteDistribution, "channel": Channel, "event": EventMask,
+                   "a": Channel, "b": Channel, "joint": JointDistribution}
+        for failure in failures:
+            for key, cls in parsers.items():
+                if isinstance(failure.get(key), dict):
+                    assert cls.from_json(failure[key]).to_json() == failure[key]
+
+
 class TestChainCertificates:
     def test_certificate_is_the_worst_block_leakage(self):
         # conditional leakage over every (x, prefix) pair is the maximum of
         # the per-prefix blocks' leakages, to the bit
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            first, *stages = _random_stages(rng, 3)
+        sizes, chain = _chain_draws(_Draws(uniforms("composition", 7, 200)), 3)
+        totals = _certificate_total(chain[0], chain[1:])
+        for i in range(200):
+            first, *stages = chain_objects(i, sizes, chain)
             nx = len(first.input)
             expected = maximal_leakage(first).nats
             for stage in stages:
@@ -160,26 +389,17 @@ class TestChainCertificates:
                     for j in range(0, len(stage.input), nx)
                 ]
                 expected += max(maximal_leakage(block).nats for block in blocks)
-            assert _certificate_total(first, stages) == expected
+            assert totals[i] == expected
 
     def test_conditional_total_matches_support_sets(self):
-        # oracle: the reached (x, prefix) pairs as explicit sets of indices
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            first, *stages = _random_stages(rng, 3)
-            prior = random_distribution(rng, len(first.input), allow_zeros=True)
-            nx = len(first.input)
-            reached = {(i, j) for i in range(nx) for j in range(len(first.output))
-                       if prior.probs[i] > 0.0 and first.rows[i, j] > 0.0}
-            expected = maximal_leakage(first, prior.support()).nats
-            for stage in stages:
-                pairs = [(x, p) for p in range(len(stage.input) // nx) for x in first.input.labels]
-                support = {(first.input.labels[i], p) for i, p in reached}
-                expected += conditional_maximal_leakage(stage, pairs, support).nats
-                width = len(stage.output)
-                reached = {(i, p * width + k) for i, p in reached for k in range(width)
-                           if stage.rows[p * nx + i, k] > 0.0}
-            assert _conditional_chain_total(prior, first, stages) == expected
+        draws = _Draws(uniforms("composition", 11, 200))
+        sizes, chain = _chain_draws(draws, 3)
+        prior = _distribution(draws, _live(sizes[0], 4), allow_zeros=True)
+        totals = _conditional_chain_total(prior, chain[0], chain[1:])
+        for i in range(200):
+            first, *stages = chain_objects(i, sizes, chain)
+            p = DiscreteDistribution(first.input, prior[i, : len(first.input)])
+            assert totals[i] == conditional_oracle(p, first, stages)
 
 
 class TestSweeps:
