@@ -91,6 +91,11 @@ def _in_bits(nats: float) -> float:
     return nats / _NATS_PER_BIT if math.isfinite(nats) else nats
 
 
+def _load_object(path: str) -> dict:
+    """The JSON object that the file at ``path`` holds."""
+    return jsonio._read_object(jsonio.load_path(path), path)
+
+
 def _load_pairs(path: str) -> list[tuple]:
     """The [x, z] pairs that the JSON file at ``path`` lists."""
     entries = jsonio.load_path(path)
@@ -104,7 +109,7 @@ def _cmd_measure(args) -> tuple[dict, int]:
     inputs: dict = {}
     if kind == "ml":
         _require(args.channel is not None, "measure ml needs --channel")
-        channel = Channel.from_json(jsonio.load_path(args.channel))
+        channel = Channel.from_json(_load_object(args.channel))
         support = args.support.split(",") if args.support else None
         value = maximal_leakage(channel, support).nats
         inputs["channel"] = args.channel
@@ -113,7 +118,7 @@ def _cmd_measure(args) -> tuple[dict, int]:
     elif kind == "cml":
         _require(args.channel is not None, "measure cml needs --channel")
         _require(args.pairs is not None, "measure cml needs --pairs")
-        channel = Channel.from_json(jsonio.load_path(args.channel))
+        channel = Channel.from_json(_load_object(args.channel))
         pairs = _load_pairs(args.pairs)
         support = set(_load_pairs(args.support)) if args.support else None
         value = conditional_maximal_leakage(channel, pairs, support).nats
@@ -122,23 +127,23 @@ def _cmd_measure(args) -> tuple[dict, int]:
             inputs["support"] = args.support
     elif kind == "mi":
         _require(args.joint is not None, "measure mi needs --joint")
-        value = mutual_information(JointDistribution.from_json(jsonio.load_path(args.joint)))
+        value = mutual_information(JointDistribution.from_json(_load_object(args.joint)))
         inputs["joint"] = args.joint
     elif kind == "maxinfo":
         _require(args.joint is not None, "measure maxinfo needs --joint")
-        value = max_information(JointDistribution.from_json(jsonio.load_path(args.joint)))
+        value = max_information(JointDistribution.from_json(_load_object(args.joint)))
         inputs["joint"] = args.joint
     elif kind == "approx-maxinfo":
         _require(args.joint is not None, "measure approx-maxinfo needs --joint")
         _require(args.beta is not None, "measure approx-maxinfo needs --beta")
-        joint = JointDistribution.from_json(jsonio.load_path(args.joint))
+        joint = JointDistribution.from_json(_load_object(args.joint))
         value = approx_max_information(joint, args.beta)
         inputs = {"joint": args.joint, "beta": args.beta}
     else:  # dp
         _require(args.channel is not None, "measure dp needs --channel")
         _require(args.product_base is not None, "measure dp needs --product-base")
         _require(args.copies is not None, "measure dp needs --copies")
-        channel = Channel.from_json(jsonio.load_path(args.channel))
+        channel = Channel.from_json(_load_object(args.channel))
         base = Alphabet(args.product_base.split(","))
         product = ProductAlphabet(base, args.copies)
         _require(
@@ -162,7 +167,7 @@ def _parse_dp_flag(text: str) -> tuple[float, int]:
 
 def _cmd_compose(args) -> tuple[dict, int]:
     ledger = (
-        LeakageLedger.from_json(jsonio.load_path(args.ledger))
+        LeakageLedger.from_json(_load_object(args.ledger))
         if args.ledger
         else LeakageLedger()
     )
@@ -181,7 +186,7 @@ def _cmd_compose(args) -> tuple[dict, int]:
     for nats in args.maxinfo or []:
         ledger = ledger.with_entry(LedgerEntry.from_maxinfo(next_label(), nats))
     for path in args.channel or []:
-        channel = Channel.from_json(jsonio.load_path(path))
+        channel = Channel.from_json(_load_object(path))
         ledger = ledger.with_entry(LedgerEntry.from_channel(next_label(), channel))
     for nats in args.declared or []:
         ledger = ledger.with_entry(LedgerEntry.declared(next_label(), nats))
@@ -253,7 +258,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    payload = jsonio.load_path(args.config)
+    payload = _load_object(args.config)
     if args.kind == "generr":
         config = GenErrConfig.from_json(payload)
         if args.seed is not None:

@@ -6,11 +6,10 @@ Input data is accepted when normalized within ``NORMALIZATION_TOL``
 (1e-9); internal identities (marginalization, factorization) are held to
 1e-12 by the test suite.
 
-Product alphabets enumerate length-n tuples in lexicographic order and
-expose their digits and strides, from which empirical differential
-privacy finds Hamming neighbors. Exhaustive enumerations refuse to build
-more than ``enumeration_cap()`` states; the default of 10^6 can be
-overridden with the ``LEAKAGE_LAB_CAP`` environment variable.
+Product alphabets enumerate length-n tuples in lexicographic order, so
+tuple i is the C-order index of its digits. Exhaustive enumerations
+refuse to build more than ``enumeration_cap()`` states; the default of
+10^6 can be overridden with the ``LEAKAGE_LAB_CAP`` environment variable.
 """
 
 from __future__ import annotations
@@ -121,11 +120,11 @@ class ProductAlphabet(Alphabet):
     """All length-``n`` tuples over a base alphabet, lexicographically ordered.
 
     Labels join the component labels with commas. Tuple i has the base
-    indices of row i of ``digit_matrix()``, and raising its position p by
-    one moves the index up by ``strides()[p]``.
+    indices of row i of ``digit_matrix()``: i is their C-order index, so
+    a (len(self), ...) array reshapes to one axis per position.
     """
 
-    __slots__ = ("base", "n", "_strides")
+    __slots__ = ("base", "n")
 
     SEPARATOR = ","
 
@@ -140,20 +139,14 @@ class ProductAlphabet(Alphabet):
         super().__init__(labels)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "_strides", tuple(len(base) ** (n - 1 - pos) for pos in range(n))
-        )
 
     def digit_matrix(self) -> np.ndarray:
         """(len(self), n) matrix of base indices; row i spells tuple i."""
         idx = np.arange(len(self), dtype=np.int64)
         out = np.empty((len(self), self.n), dtype=np.int64)
-        for pos, stride in enumerate(self._strides):
-            out[:, pos] = (idx // stride) % len(self.base)
+        for pos in range(self.n):
+            out[:, pos] = (idx // len(self.base) ** (self.n - 1 - pos)) % len(self.base)
         return out
-
-    def strides(self) -> tuple[int, ...]:
-        return self._strides
 
 
 def _check_entries(values: np.ndarray, what: str) -> float:
@@ -324,7 +317,7 @@ class JointDistribution(_Rectangle):
     def _check(self, matrix: np.ndarray) -> None:
         total = _check_entries(matrix, "JointDistribution")
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(total - 1.0, "joint mass")
+            raise NotNormalized(total - 1.0, "joint")
 
     def marginal_input(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.input, self.mass.sum(axis=1))

@@ -4,8 +4,9 @@ Every real is written with up to 17 significant digits so that parsing
 the text recovers the exact IEEE-754 double; round trips are bit-exact.
 Positive infinity, which some measures legitimately return, must be
 converted to the string ``"inf"`` by the caller before serialization
-(plain ``float('inf')`` is rejected here on purpose). ``_read_int`` and
-``_read_number`` read one typed field of a parsed document.
+(plain ``float('inf')`` is rejected here on purpose). ``_read_int``,
+``_read_number`` and ``_read_object`` read one typed field of a parsed
+document.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from typing import Any, Mapping
 
 from .errors import LeakageLabError
@@ -99,6 +101,13 @@ def _read_number(payload: Mapping, key: str, where: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LeakageLabError(f"{where}{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _read_object(value: Any, name: str) -> dict:
+    """``value`` when it is a JSON object; an error names it as ``name``."""
+    if not isinstance(value, dict):
+        raise LeakageLabError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
+    return value
 
 
 def encode_extended(x: float) -> float | str:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .core import Channel
 from .errors import BetaOutOfRange, LeakageLabError, NegativeEpsilon
-from .jsonio import _read_int, _read_number
+from .jsonio import _read_int, _read_number, _read_object
 from .measures import maximal_leakage
 
 __all__ = [
@@ -140,8 +140,9 @@ class LedgerEntry:
     @classmethod
     def from_json(cls, payload: Mapping) -> "LedgerEntry":
         label = str(payload["label"])
-        return cls(label, _read_number(payload, "bound_nats", f"entry {label!r}: "),
-                   payload["provenance"])
+        where = f"entry {label!r}: "
+        return cls(label, _read_number(payload, "bound_nats", where),
+                   _read_object(payload["provenance"], f"{where}provenance"))
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,8 @@ class LeakageLedger:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "LeakageLedger":
-        return cls(tuple(LedgerEntry.from_json(item) for item in payload["entries"]))
+        return cls(tuple(LedgerEntry.from_json(_read_object(item, f"entries[{i}]"))
+                         for i, item in enumerate(payload["entries"])))
 
 
 def compose(ledger: LeakageLedger | Iterable[LedgerEntry]) -> float:

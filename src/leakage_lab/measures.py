@@ -21,6 +21,7 @@ All values are natural-log based (nats). The measures implemented here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -229,10 +230,7 @@ def _common_vectors(p: DiscreteDistribution, q: DiscreteDistribution):
 def renyi_inf_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """log max over the support of p of p(x)/q(x); +inf if q misses it."""
     pv, qv = _common_vectors(p, q)
-    on = pv > 0.0
-    if np.any(qv[on] == 0.0):
-        return math.inf
-    return float(np.log(pv[on] / qv[on]).max())
+    return float(_max_information(pv[None], qv[None])[0])
 
 
 def _ratio_order(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
@@ -353,10 +351,15 @@ def _joint_product_vectors(mass: np.ndarray):
 
 
 def _max_information(mass: np.ndarray, product: np.ndarray) -> np.ndarray:
-    """Renyi-infinity divergence of each flattened joint from its product of marginals."""
-    # mass(x, y) > 0 forces both marginals positive, so the ratio is finite;
-    # cells without mass read log 1 = 0, the floor of the result anyway
-    ratio = np.divide(mass, product, out=np.ones_like(mass), where=mass > 0.0)
+    """Renyi-infinity divergence of each row of ``mass`` from the same row of ``product``.
+
+    A cell with mass but no product mass divides by zero, which makes the
+    result +inf; cells without mass read log 1 = 0, the floor of the
+    result anyway. Rows of a joint's cells against its product of
+    marginals give its max-information.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(mass, product, out=np.ones_like(mass), where=mass > 0.0)
     return np.maximum(np.log(ratio).max(axis=1), 0.0)
 
 
@@ -392,31 +395,27 @@ def empirical_dp(channel: Channel) -> float:
     Scans every ordered pair of Hamming-neighbor inputs and every output:
     the result is the sup of log(P(y|s)/P(y|s')), +inf when some output
     is possible under s but impossible under its neighbor, and 0 for
-    constant channels. Pairs where both probabilities vanish are skipped.
+    constant channels. Pairs where P(y|s) vanishes are skipped.
+
+    Tuple i is the C-order index of its digits, so the rows reshape to
+    one axis per position, and the neighbors that differ only at position
+    k in values v and w are the slices v and w of axis k.
     """
     alphabet = channel.input
     if not isinstance(alphabet, ProductAlphabet):
         raise InputNotProduct("empirical differential privacy needs a product input alphabet")
-    rows = channel.rows
-    digits = alphabet.digit_matrix()
-    strides = alphabet.strides()
-    base_size = len(alphabet.base)
-    index = np.arange(len(alphabet), dtype=np.int64)
-
+    base = len(alphabet.base)
+    if base == 1:
+        # one tuple has no neighbors; return before numpy's limit of 64 axes
+        return 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.log(channel.rows).reshape((base,) * alphabet.n + channel.rows.shape[1:])
     best = 0.0
-    for pos in range(alphabet.n):
-        stride = strides[pos]
-        for value in range(base_size):
-            moved = digits[:, pos] != value
-            if not np.any(moved):
-                continue
-            neighbor = index[moved] + (value - digits[moved, pos]) * stride
-            p = rows[moved]
-            q = rows[neighbor]
-            hot = p > 0.0
-            if np.any(hot & (q == 0.0)):
-                return math.inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_ratio = np.where(hot, np.log(p) - np.log(q), -np.inf)
-            best = max(best, float(log_ratio.max()))
+    # log p - log q is +inf where only q vanishes, nan where both do
+    with np.errstate(invalid="ignore"):
+        for axis in range(alphabet.n):
+            at = (slice(None),) * axis
+            for v, w in itertools.permutations(range(base), 2):
+                p, q = logs[at + (v,)], logs[at + (w,)]
+                best = max(best, float(np.max(p - q, where=p > -np.inf, initial=-np.inf)))
     return best

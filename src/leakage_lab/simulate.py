@@ -62,7 +62,7 @@ from .core import (
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError
-from .jsonio import _read_int, _read_number
+from .jsonio import _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _section_leakage
 
@@ -271,8 +271,9 @@ class GenErrConfig:
         return cls(
             d=_read_int(payload, "d"),
             n=_read_int(payload, "n"),
-            data_dist=DiscreteDistribution.from_json(payload["dataDistribution"]),
-            learner=LearnerSpec.from_json(payload["learner"]),
+            data_dist=DiscreteDistribution.from_json(
+                _read_object(payload["dataDistribution"], "dataDistribution")),
+            learner=LearnerSpec.from_json(_read_object(payload["learner"], "learner")),
             eta=_read_number(payload, "eta"),
             trials=_read_int(payload, "trials"),
             seed=_read_int(payload, "seed"),
@@ -399,7 +400,7 @@ class HypTestReport:
 
 
 class _LearnerTables:
-    """Precomputed loss tables shared by the type kernel and the trials."""
+    """Precomputed loss tables shared by the type kernel, the dataset layer and the trials."""
 
     def __init__(self, spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
         if len(data_dist.alphabet) != 2 * d:
@@ -416,6 +417,7 @@ class _LearnerTables:
         self.hypothesis_alphabet = Alphabet(
             "".join(str(v) for v in h) for h in spec.hypotheses
         )
+        self.data_alphabet = data_dist.alphabet
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
     def risks(self, counts: np.ndarray) -> np.ndarray:
@@ -434,13 +436,13 @@ class _LearnerTables:
         shifted = empirical - empirical.min(axis=1, keepdims=True)
         return np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
 
-    def type_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every histogram of n draws, with its (K, H) empirical risks and P(h | histogram).
+    def rows(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, H) empirical risks and P(h | dataset) of the datasets with these histograms.
 
         ERM rows are one-hot at the lowest-index minimizer; exponential-
-        mechanism rows are the normalized weights.
+        mechanism rows are the normalized weights. A row depends only on
+        its histogram, whichever other rows come with it.
         """
-        counts = _histograms(len(self.cum_probs), self.n)
         empirical = self.risks(counts)
         if self.spec.kind == ERM:
             rows = np.zeros_like(empirical)
@@ -448,7 +450,18 @@ class _LearnerTables:
         else:
             rows = self._weights(empirical)
             rows /= rows.sum(axis=1, keepdims=True)
-        return counts, empirical, rows
+        return empirical, rows
+
+    def type_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every histogram of n draws, with its (K, H) empirical risks and P(h | histogram)."""
+        counts = _histograms(len(self.cum_probs), self.n)
+        return (counts, *self.rows(counts))
+
+    def dataset_table(self) -> tuple[ProductAlphabet, np.ndarray, np.ndarray]:
+        """The (2d)^n dataset alphabet with each dataset's empirical risks and P(h | dataset)."""
+        product = ProductAlphabet(self.data_alphabet, self.n)
+        counts = _count_symbols(product.digit_matrix(), len(self.data_alphabet))
+        return (product, *self.rows(counts))
 
     def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Picked hypothesis and its empirical risk for each row of uniforms.
@@ -510,43 +523,17 @@ def _histograms(symbols: int, n: int) -> np.ndarray:
     return np.diff(bars, axis=1) - 1
 
 
-def _histogram_index(counts: np.ndarray) -> np.ndarray:
-    """Row index in ``_histograms`` of each histogram row of ``counts``.
-
-    The histograms that precede c and first differ from it at position i
-    put fewer than c_i draws there. With r_i draws left before position i
-    and k = symbols - 1 - i positions after it, they number
-    C(r_i + k, k) - C(r_i - c_i + k, k) (the hockey-stick identity).
-    """
-    symbols = counts.shape[1]
-    n = int(counts[0].sum())
-    after = n - np.cumsum(counts, axis=1)  # r_i - c_i
-    k = np.arange(symbols - 1, -1, -1)
-    table = np.array(
-        [[math.comb(m + j, j) for j in range(symbols)] for m in range(n + 1)], dtype=np.int64
-    )
-    return (table[after + counts, k] - table[after, k]).sum(axis=1)
-
-
-def _dataset_table(spec, d, n, data_dist):
-    """Loss tables, the dataset alphabet, each dataset's type index and the type table."""
-    tables = _LearnerTables(spec, d, n, data_dist)
-    product = ProductAlphabet(data_dist.alphabet, n)
-    index = _histogram_index(_count_symbols(product.digit_matrix(), len(data_dist.alphabet)))
-    _, empirical, rows = tables.type_table()
-    return tables, product, index, empirical, rows
-
-
 def learner_channel(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution) -> Channel:
     """Exact dataset-to-hypothesis channel over all (2d)^n datasets.
 
     ERM rows are one-hot at the lowest-index empirical-risk minimizer;
     exponential-mechanism rows are proportional to
-    exp(-epsilon * n * risk / 2). Each dataset's row is the row of its
-    symbol histogram.
+    exp(-epsilon * n * risk / 2). Each dataset's row comes from its
+    symbol histogram by the same rule as the type table's rows.
     """
-    tables, product, index, _, rows = _dataset_table(spec, d, n, data_dist)
-    return Channel(product, tables.hypothesis_alphabet, rows[index])
+    tables = _LearnerTables(spec, d, n, data_dist)
+    product, _, rows = tables.dataset_table()
+    return Channel(product, tables.hypothesis_alphabet, rows)
 
 
 def generalization_event(
@@ -557,9 +544,10 @@ def generalization_event(
     eta: float,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
-    tables, product, index, empirical, rows = _dataset_table(spec, d, n, data_dist)
-    mask = np.abs(tables.true_risk[None, :] - empirical[index]) > eta
-    channel = Channel(product, tables.hypothesis_alphabet, rows[index])
+    tables = _LearnerTables(spec, d, n, data_dist)
+    product, empirical, rows = tables.dataset_table()
+    mask = np.abs(tables.true_risk[None, :] - empirical) > eta
+    channel = Channel(product, tables.hypothesis_alphabet, rows)
     prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
     return joint_from(prior, channel), EventMask(product, channel.output, mask)
 

@@ -4,7 +4,8 @@ Three suites, each over independently drawn instances:
 
 * ``soundness``: exact event probabilities of random (prior, channel,
   event) triples never exceed exp(L) * max_y P_X(E_y), and the
-  identity-channel diagonal-event family attains equality;
+  identity-channel diagonal-event family attains equality within
+  ``SOUNDNESS_TOL``;
 * ``composition``: post-processing cannot increase leakage; two- and
   three-step adaptive chains (see ``core.adaptive_channel``) respect the
   sums of their per-step certificates, each later step billed by the
@@ -250,7 +251,10 @@ def sweep_soundness(instances: int, seed: int) -> dict:
     """Adaptive event bound vs exact probability on random instances."""
     result = _run_sweep("soundness", instances, seed, _SOUNDNESS_WIDTH,
                         {"event_bound": SOUNDNESS_TOL}, _soundness_checks)
-    result["diagonal_equality_gap"] = diagonal_equality_gap()
+    gap = diagonal_equality_gap()
+    result["diagonal_equality_gap"] = gap
+    # the family attains the bound, so a leakage that under-reports fails here
+    result["pass"] = result["pass"] and gap <= SOUNDNESS_TOL
     return result
 
 

@@ -80,12 +80,16 @@ def tuple_at(product, index: int) -> tuple[str, ...]:
 
 
 def hamming_neighbors(product, index: int) -> list[int]:
-    """Indices reached from tuple ``index`` by changing one position, by its stride."""
+    """Indices reached from tuple ``index`` by changing one position, by its stride.
+
+    Position p of a tuple has the stride base ** (n - 1 - p) in its index.
+    """
+    base, n = len(product.base), product.n
     digits = product.digit_matrix()[index].tolist()
     return [
-        index + (value - digit) * stride
-        for digit, stride in zip(digits, product.strides())
-        for value in range(len(product.base))
+        index + (value - digit) * base ** (n - 1 - pos)
+        for pos, digit in enumerate(digits)
+        for value in range(base)
         if value != digit
     ]
 

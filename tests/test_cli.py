@@ -39,6 +39,19 @@ def write_json(path, payload):
     return str(path)
 
 
+# a valid generr config and ledger entry, for the malformed-object cases
+GENERR = {
+    "d": 1,
+    "n": 2,
+    "dataDistribution": DiscreteDistribution(data_alphabet(1), [0.5, 0.5]).to_json(),
+    "learner": {"kind": ERM, "hypothesisClass": [[0], [1]]},
+    "eta": 0.3,
+    "trials": 10,
+    "seed": 1,
+}
+DECLARED = {"label": "s", "bound_nats": 0.5, "provenance": {"kind": "declared"}}
+
+
 @pytest.fixture
 def bec_path(tmp_path):
     return write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
@@ -661,6 +674,41 @@ class TestParser:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,document,name,got",
+        [
+            ("simulate generr --config", {**GENERR, "learner": 5}, "learner", "5"),
+            ("simulate generr --config", {**GENERR, "learner": []}, "learner", "[]"),
+            ("simulate generr --config", {**GENERR, "dataDistribution": "x"},
+             "dataDistribution", "'x'"),
+            ("simulate generr --config", [7], None, "[7]"),
+            ("simulate hyptest --config", "hyptest", None, "'hyptest'"),
+            ("compose --ledger", {"entries": [{**DECLARED, "provenance": []}]},
+             "entry 's': provenance", "[]"),
+            ("compose --ledger", {"entries": [{**DECLARED, "provenance": "declared"}]},
+             "entry 's': provenance", "'declared'"),
+            ("compose --ledger", {"entries": [DECLARED, 5]}, "entries[1]", "5"),
+            ("compose --ledger", [{"kind": "declared"}], None, "[{'kind': 'declared'}]"),
+            ("compose --channel", [[1.0]], None, "[[1]]"),
+            ("measure ml --channel", [[1.0]], None, "[[1]]"),
+            ("measure dp --product-base 0,1 --copies 1 --channel", 0.5, None, "0.5"),
+            ("measure mi --joint", [[1.0]], None, "[[1]]"),
+            ("measure approx-maxinfo --beta 0.1 --joint", None, None, "None"),
+        ],
+        ids=["learner-int", "learner-list", "distribution-string", "config-list",
+             "config-string", "provenance-list", "provenance-string", "ledger-entry",
+             "ledger-list", "compose-channel-list", "channel-list", "dp-channel-number",
+             "joint-list", "joint-null"],
+    )
+    def test_json_value_where_an_object_belongs_is_one_error_line(self, capsys, tmp_path, argv,
+                                                                  document, name, got):
+        path = write_json(tmp_path / "document.json", document)
+        code, doc, err = run_cli(capsys, *argv.split(), path)
+        assert code == 2
+        assert doc is None
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {name or path} must be a JSON object, got {got}"]
 
 
 def test_import_does_not_load_scipy_stats(tmp_path):

@@ -203,7 +203,7 @@ class TestJoint:
         assert j.channel().rows[1].tolist() == [0.5, 0.5]
 
     def test_mass_validation(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NotNormalized, match=r"^joint mass is off by -0\.1$"):
             JointDistribution(Alphabet(["a"]), Alphabet(["x", "y"]), [[0.5, 0.4]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

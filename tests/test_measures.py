@@ -584,3 +584,77 @@ class TestEmpiricalDP:
     def test_requires_product_alphabet(self):
         with pytest.raises(InputNotProduct):
             empirical_dp(bec_channel(0.5))
+
+    def test_one_symbol_base_has_no_neighbors(self):
+        # 100 positions are more than numpy's 64 array axes
+        product = ProductAlphabet(Alphabet(["a"]), 100)
+        assert empirical_dp(Channel(product, Alphabet(["y0", "y1"]), [[0.25, 0.75]])) == 0.0
+
+    @pytest.mark.parametrize("kind", ["positive", "zeros", "shared-zeros", "constant", "one-hot"])
+    def test_matches_stride_oracle_bit_for_bit(self, rng, kind):
+        values = []
+        for _ in range(50):
+            base = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 6))
+            product = ProductAlphabet(Alphabet(str(v) for v in range(base)), n)
+            outputs = int(rng.integers(1, 5))
+            rows = random_product_rows(rng, kind, len(product), outputs)
+            channel = Channel(product, Alphabet(f"y{j}" for j in range(outputs)), rows)
+            expected = stride_empirical_dp(channel)
+            assert empirical_dp(channel) == expected
+            values.append(expected)
+        if kind == "constant":
+            assert set(values) == {0.0}
+        elif kind == "one-hot":
+            assert math.inf in values
+        elif kind != "zeros":
+            assert all(0.0 < v < math.inf for v in values if v)
+
+
+def random_product_rows(rng: np.random.Generator, kind: str, inputs: int,
+                        outputs: int) -> np.ndarray:
+    """Rows of one of the ``test_matches_stride_oracle_bit_for_bit`` families."""
+    if kind == "constant":
+        return np.tile(random_distribution(rng, outputs, allow_zeros=True).probs, (inputs, 1))
+    if kind == "one-hot":
+        return np.eye(outputs)[rng.integers(outputs, size=inputs)]
+    rows = rng.random((inputs, outputs)) + 1e-3
+    if kind == "zeros":
+        rows = random_channel(rng, inputs, outputs).rows
+    elif kind == "shared-zeros" and outputs > 1:
+        # outputs impossible under every input: the pairs where both vanish
+        rows[:, rng.random(outputs) < 0.4] = 0.0
+        rows[:, 0] += 1e-3
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def stride_empirical_dp(channel: Channel) -> float:
+    """Oracle for ``empirical_dp``: each tuple's neighbors found by index strides.
+
+    Position p of a tuple moves its index by base ** (n - 1 - p) per unit,
+    so the neighbor that sets position p to ``value`` is a fancy-index
+    gather of the rows.
+    """
+    alphabet = channel.input
+    rows = channel.rows
+    digits = alphabet.digit_matrix()
+    base_size = len(alphabet.base)
+    index = np.arange(len(alphabet), dtype=np.int64)
+
+    best = 0.0
+    for pos in range(alphabet.n):
+        stride = base_size ** (alphabet.n - 1 - pos)
+        for value in range(base_size):
+            moved = digits[:, pos] != value
+            if not np.any(moved):
+                continue
+            neighbor = index[moved] + (value - digits[moved, pos]) * stride
+            p = rows[moved]
+            q = rows[neighbor]
+            hot = p > 0.0
+            if np.any(hot & (q == 0.0)):
+                return math.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_ratio = np.where(hot, np.log(p) - np.log(q), -np.inf)
+            best = max(best, float(log_ratio.max()))
+    return best

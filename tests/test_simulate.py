@@ -35,7 +35,7 @@ from leakage_lab.simulate import (
     HypTestConfig,
     LearnerSpec,
     _clopper_pearson_lower,
-    _histogram_index,
+    _count_symbols,
     _histograms,
     _inverse_cdf_rows,
     _LearnerTables,
@@ -402,14 +402,18 @@ class TestTypeKernel:
         )
         assert [tuple(row) for row in counts.tolist()] == expected
         assert len(counts) == math.comb(n + symbols - 1, symbols - 1)
-        assert np.array_equal(_histogram_index(counts), np.arange(len(counts)))
 
-    def test_index_of_every_dataset(self):
+    def test_every_histogram_counts_its_datasets(self):
+        # the dataset layer's histograms are the types, each held by its
+        # multinomial number of datasets
         product = ProductAlphabet(FOUR_SYMBOLS, 5)
         digits = product.digit_matrix()
-        counts = np.stack([(digits == s).sum(axis=1) for s in range(4)], axis=1)
-        index = _histogram_index(counts)
-        assert np.array_equal(_histograms(4, 5)[index], counts)
+        counts = _count_symbols(digits.copy(), 4)
+        assert np.array_equal(counts, np.stack([(digits == s).sum(axis=1) for s in range(4)], 1))
+        types, held = np.unique(counts, axis=0, return_counts=True)
+        assert np.array_equal(types, _histograms(4, 5))
+        multinomial = [math.factorial(5) // math.prod(map(math.factorial, c)) for c in types.tolist()]
+        assert held.tolist() == multinomial
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("dist", [skewed_dist(), ZERO_SYMBOL_DIST], ids=["skewed", "zero"])

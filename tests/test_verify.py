@@ -25,6 +25,7 @@ from leakage_lab import (
     maximal_leakage_of_joint,
 )
 from leakage_lab import verify
+from leakage_lab.cli import main
 from leakage_lab._stream import _Draws, _trial_seeds, _uniform_block
 from leakage_lab.verify import (
     SUITES,
@@ -371,6 +372,18 @@ class TestBatchedKernels:
             for key, cls in parsers.items():
                 if isinstance(failure.get(key), dict):
                     assert cls.from_json(failure[key]).to_json() == failure[key]
+
+    def test_under_reporting_leakage_fails_soundness_on_the_diagonal(self, monkeypatch, capsys):
+        # random events are rarely tight, so 200 instances show no violation;
+        # the diagonal family attains the bound and shows the halving
+        leakage = verify._section_leakage
+        monkeypatch.setattr(verify, "_section_leakage", lambda s, w: leakage(s, w) / 2)
+        report = sweep_soundness(200, 7)
+        assert report["checks"]["event_bound"]["violations"] == 0
+        assert report["diagonal_equality_gap"] > verify.SOUNDNESS_TOL
+        assert report["pass"] is False
+        assert main(["verify", "soundness", "--instances", "200", "--seed", "7"]) == 1
+        assert '"pass": false' in capsys.readouterr().out
 
 
 class TestChainCertificates:
