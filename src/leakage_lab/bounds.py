@@ -226,6 +226,8 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
     n = _check_n(n)
     value = 3.0 * math.sqrt(beta)
     epsilon_ceiling = math.sqrt(math.log(1.0 / beta) / (2.0 * n))
+    if math.isinf(epsilon_ceiling):
+        raise OverflowError(f"epsilon validity ceiling at beta = {beta} overflows")
     crossover = math.log(3.0 / math.sqrt(beta)) / n
     return _probability_report(
         "dp-generalization",
@@ -272,7 +274,11 @@ def sample_complexity(value_nats: float, eta: float, delta: float, mode: str) ->
     if not 0.0 < delta < 1.0:
         raise LeakageLabError(f"failure probability must lie in (0, 1), got {delta}")
     if mode == "leakage":
-        return (value_nats + math.log(1.0 / delta)) / (eta * eta)
-    if mode == "mutual-info":
-        return value_nats / (eta * eta * delta)
-    raise LeakageLabError(f"unknown sample-complexity mode {mode!r}")
+        samples = (value_nats + math.log(1.0 / delta)) / (eta * eta)
+    elif mode == "mutual-info":
+        samples = value_nats / (eta * eta * delta)
+    else:
+        raise LeakageLabError(f"unknown sample-complexity mode {mode!r}")
+    if math.isinf(samples):
+        raise OverflowError(f"sample complexity at eta = {eta} overflows")
+    return samples

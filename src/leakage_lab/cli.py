@@ -160,9 +160,11 @@ def _cmd_measure(args) -> tuple[dict, int]:
 
 
 def _parse_dp_flag(text: str) -> tuple[float, int]:
-    parts = text.split(",")
-    _require(len(parts) == 2, f"--dp expects 'epsilon,n', got {text!r}")
-    return float(parts[0]), int(parts[1])
+    try:
+        epsilon, n = text.split(",")
+        return float(epsilon), int(n)
+    except ValueError:
+        raise LeakageLabError(f"--dp expects 'epsilon,n', got {text!r}") from None
 
 
 def _cmd_compose(args) -> tuple[dict, int]:
@@ -374,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INFEASIBLE as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OverflowError as err:
+    except ArithmeticError as err:
         print(f"error: result too large to represent ({err})", file=sys.stderr)
         return EXIT_INFEASIBLE
     except LeakageLabError as err:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .core import Channel
 from .errors import BetaOutOfRange, LeakageLabError, NegativeEpsilon
-from .jsonio import _read_int, _read_number, _read_object
+from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .measures import maximal_leakage
 
 __all__ = [
@@ -46,7 +46,10 @@ def dp_to_leakage(epsilon: float, n: int) -> float:
         raise NegativeEpsilon(f"epsilon must be nonnegative, got {epsilon}")
     if n < 1:
         raise LeakageLabError(f"dataset size must be >= 1, got {n}")
-    return float(epsilon) * n
+    leakage = float(epsilon) * n
+    if math.isinf(leakage):
+        raise OverflowError(f"epsilon * n = {epsilon} * {n} overflows")
+    return leakage
 
 
 def cardinality_bound(output_size: int) -> float:
@@ -173,7 +176,7 @@ class LeakageLedger:
     @classmethod
     def from_json(cls, payload: Mapping) -> "LeakageLedger":
         return cls(tuple(LedgerEntry.from_json(_read_object(item, f"entries[{i}]"))
-                         for i, item in enumerate(payload["entries"])))
+                         for i, item in enumerate(_read_array(payload["entries"], "entries"))))
 
 
 def compose(ledger: LeakageLedger | Iterable[LedgerEntry]) -> float:

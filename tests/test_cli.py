@@ -30,7 +30,7 @@ from conftest import bec_channel, bernoulli_identity_joint
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    document = jsonio.loads(captured.out) if captured.out.strip() else None
+    document = json.loads(captured.out) if captured.out.strip() else None
     return code, document, captured.err
 
 
@@ -230,9 +230,10 @@ class TestCompose:
         assert err.splitlines() == [f"error: entry 's': {field}{message}"]
 
     def test_malformed_dp(self, capsys):
-        code, _, err = run_cli(capsys, "compose", "--dp", "0.1")
-        assert code == 2
-        assert "epsilon,n" in err
+        for value in ["0.1", "x,10", "0.1,1.5"]:
+            code, _, err = run_cli(capsys, "compose", "--dp", value)
+            assert code == 2
+            assert err.splitlines() == [f"error: --dp expects 'epsilon,n', got {value!r}"]
 
     def test_negative_epsilon_is_infeasible(self, capsys):
         # the = form keeps argparse from reading the value as a flag
@@ -503,7 +504,7 @@ class TestSimulate:
     def test_integer_fields_are_strict(self, capsys, tmp_path, generr_config, hyptest_config,
                                        kind, key, value):
         path = generr_config if kind == "generr" else hyptest_config
-        payload = jsonio.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         payload[key] = value
         # the standard encoder keeps the ".0" of an integral float
         bad = tmp_path / "bad.json"
@@ -526,7 +527,7 @@ class TestSimulate:
     def test_number_fields_are_strict(self, capsys, tmp_path, generr_config, hyptest_config,
                                       kind, key, value):
         path = generr_config if kind == "generr" else hyptest_config
-        payload = jsonio.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         payload[key] = value
         bad = write_json(tmp_path / "bad.json", payload)
         code, doc, err = run_cli(capsys, "simulate", kind, "--config", bad)
@@ -666,6 +667,12 @@ class TestParser:
             ("bound --theorem generr --n 10 --eta 0.1 --leakage nan", 2),
             ("bound --theorem adapt --max-fiber-prob 0.5 --leakage inf", 2),
             ("compose --declared nan", 2),
+            ("bound --theorem generr-c --n 10 --eta 0.1 --sensitivity 1e-200 --leakage 1", 3),
+            ("bound --theorem sample-complexity --value 1 --eta 1e-200 --delta 0.1", 3),
+            ("bound --theorem sample-complexity --value 1 --eta 1e-160 --delta 0.1", 3),
+            ("bound --theorem dwork --beta 5e-324 --epsilon 1e20 --n 1", 3),
+            ("compose --dp 1e308,10", 3),
+            ("compose --declared 1e308 --declared 1e308", 3),
         ],
     )
     def test_non_finite_or_overflow_is_one_error_line(self, capsys, argv, expected):
@@ -690,10 +697,10 @@ class TestParser:
              "entry 's': provenance", "'declared'"),
             ("compose --ledger", {"entries": [DECLARED, 5]}, "entries[1]", "5"),
             ("compose --ledger", [{"kind": "declared"}], None, "[{'kind': 'declared'}]"),
-            ("compose --channel", [[1.0]], None, "[[1]]"),
-            ("measure ml --channel", [[1.0]], None, "[[1]]"),
+            ("compose --channel", [[1.0]], None, "[[1.0]]"),
+            ("measure ml --channel", [[1.0]], None, "[[1.0]]"),
             ("measure dp --product-base 0,1 --copies 1 --channel", 0.5, None, "0.5"),
-            ("measure mi --joint", [[1.0]], None, "[[1]]"),
+            ("measure mi --joint", [[1.0]], None, "[[1.0]]"),
             ("measure approx-maxinfo --beta 0.1 --joint", None, None, "None"),
         ],
         ids=["learner-int", "learner-list", "distribution-string", "config-list",
@@ -709,6 +716,16 @@ class TestParser:
         assert doc is None
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: {name or path} must be a JSON object, got {got}"]
+
+    @pytest.mark.parametrize("entries,got", [(5, "5"), ({"a": 1}, "{'a': 1}")],
+                             ids=["ledger-entries-int", "ledger-entries-object"])
+    def test_json_value_where_an_array_belongs_is_one_error_line(self, capsys, tmp_path,
+                                                                 entries, got):
+        path = write_json(tmp_path / "ledger.json", {"entries": entries})
+        code, doc, err = run_cli(capsys, "compose", "--ledger", path)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: entries must be a JSON array, got {got}"]
 
 
 def test_import_does_not_load_scipy_stats(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -316,7 +317,7 @@ class TestSerialization:
             probs = rng.random(5)
             probs /= probs.sum()
             d = DiscreteDistribution(Alphabet([f"s{i}" for i in range(5)]), probs)
-            back = DiscreteDistribution.from_json(jsonio.loads(jsonio.dumps(d.to_json())))
+            back = DiscreteDistribution.from_json(json.loads(jsonio.dumps(d.to_json())))
             assert np.array_equal(back.probs, d.probs)
             assert back.alphabet == d.alphabet
 
@@ -324,31 +325,35 @@ class TestSerialization:
         rows = rng.random((3, 4))
         rows /= rows.sum(axis=1, keepdims=True)
         ch = Channel(Alphabet(["a", "b", "c"]), Alphabet(list("wxyz")), rows)
-        back = Channel.from_json(jsonio.loads(jsonio.dumps(ch.to_json())))
+        back = Channel.from_json(json.loads(jsonio.dumps(ch.to_json())))
         assert np.array_equal(back.rows, ch.rows)
 
     def test_joint_round_trip(self, rng):
         mass = rng.random((3, 3))
         mass /= mass.sum()
         j = JointDistribution(Alphabet(["a", "b", "c"]), Alphabet(["x", "y", "z"]), mass)
-        back = JointDistribution.from_json(jsonio.loads(jsonio.dumps(j.to_json())))
+        back = JointDistribution.from_json(json.loads(jsonio.dumps(j.to_json())))
         assert np.array_equal(back.mass, j.mass)
 
     def test_event_round_trip(self, rng):
         mask = rng.random((2, 3)) < 0.5
         e = EventMask(Alphabet(["a", "b"]), Alphabet(["x", "y", "z"]), mask)
-        back = EventMask.from_json(jsonio.loads(jsonio.dumps(e.to_json())))
+        back = EventMask.from_json(json.loads(jsonio.dumps(e.to_json())))
         assert np.array_equal(back.mask, e.mask)
 
     def test_float_format_bit_exact(self, rng):
-        values = list(rng.random(200)) + [1e-300, 1e300, 0.1 + 0.2, math.pi]
+        values = list(rng.random(200)) + [1e-300, 1e300, 0.1 + 0.2, math.pi,
+                                          -0.0, 5e-324, 1.0, 2.0**53, -1e308]
         for x in values:
-            assert jsonio.loads(jsonio.dumps(x)) == x
+            back = json.loads(jsonio.dumps(x))
+            assert type(back) is float
+            assert np.float64(back).view(np.uint64) == np.float64(x).view(np.uint64)
 
     def test_extended_inf(self):
         assert jsonio.encode_extended(math.inf) == "inf"
-        assert jsonio.decode_extended("inf") == math.inf
-        assert jsonio.decode_extended(0.25) == 0.25
+        assert jsonio.encode_extended(-math.inf) == "-inf"
+        for x in (math.inf, -math.inf, 0.25):
+            assert float(jsonio.encode_extended(x)) == x
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -356,4 +361,4 @@ class TestSerialization:
 
     def test_nested_document(self):
         doc = {"a": [1, 2.5, True, None, "s"], "b": {"c": [0.1]}}
-        assert jsonio.loads(jsonio.dumps(doc)) == doc
+        assert json.loads(jsonio.dumps(doc)) == doc

@@ -1,5 +1,6 @@
 """Tests for leakage budgets and their composition rules."""
 
+import json
 import math
 
 import pytest
@@ -126,7 +127,7 @@ class TestLedgerEntry:
 
     def test_json_round_trip(self):
         entry = LedgerEntry.from_dp("query", 0.3, 7)
-        again = LedgerEntry.from_json(jsonio.loads(jsonio.dumps(entry.to_json())))
+        again = LedgerEntry.from_json(json.loads(jsonio.dumps(entry.to_json())))
         assert again == entry
 
     def test_from_json_rejects_tampered_bound(self):
@@ -171,7 +172,7 @@ class TestLeakageLedger:
                 LedgerEntry.declared("oracle", 0.123456789012345678),
             )
         )
-        again = LeakageLedger.from_json(jsonio.loads(jsonio.dumps(ledger.to_json())))
+        again = LeakageLedger.from_json(json.loads(jsonio.dumps(ledger.to_json())))
         assert again == ledger
         assert again.total() == ledger.total()
 

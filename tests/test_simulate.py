@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -269,9 +270,9 @@ class TestLearnerSpec:
 
     def test_json_round_trip(self):
         erm = full_erm()
-        assert LearnerSpec.from_json(jsonio.loads(jsonio.dumps(erm.to_json()))) == erm
+        assert LearnerSpec.from_json(json.loads(jsonio.dumps(erm.to_json()))) == erm
         mech = LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 0), (1, 1)), epsilon=0.5)
-        again = LearnerSpec.from_json(jsonio.loads(jsonio.dumps(mech.to_json())))
+        again = LearnerSpec.from_json(json.loads(jsonio.dumps(mech.to_json())))
         assert again == mech
         assert "epsilon" not in erm.to_json()
 
@@ -298,7 +299,7 @@ class TestConfigs:
 
     def test_gen_err_round_trip(self):
         config = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 100, 9)
-        again = GenErrConfig.from_json(jsonio.loads(jsonio.dumps(config.to_json())))
+        again = GenErrConfig.from_json(json.loads(jsonio.dumps(config.to_json())))
         assert again == config
 
     def test_hyptest_validation(self):
@@ -317,7 +318,7 @@ class TestConfigs:
 
     def test_hyptest_round_trip(self):
         config = HypTestConfig(64, 10, 0.005, 0.05, 100, 9)
-        again = HypTestConfig.from_json(jsonio.loads(jsonio.dumps(config.to_json())))
+        again = HypTestConfig.from_json(json.loads(jsonio.dumps(config.to_json())))
         assert again == config
 
 
