@@ -39,26 +39,20 @@ def _check_seed(seed: int) -> int:
 def derive_trial_seed(master_seed: int, index: int) -> int:
     """Counter-mixed per-trial seed (a SplitMix64 step).
 
-    For a fixed master seed the map index -> seed is injective, so no
-    two trials ever share a stream.
+    ``master_seed`` must be a 64-bit unsigned integer, as configs and
+    ``verify`` require. For a fixed master seed the map index -> seed is
+    injective, so no two trials ever share a stream.
     """
     if index < 0:
         raise LeakageLabError(f"trial index must be nonnegative, got {index}")
-    z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
+    return int(_trial_seeds(_check_seed(master_seed), index, index + 1)[0])
 
 
 def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
     """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
 
     The result has shape ``base.shape + (count,)``; uint64 arithmetic
-    wraps modulo 2**64 exactly like the masked Python integers of
-    ``derive_trial_seed``.
+    wraps modulo 2**64.
     """
     counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     z = np.asarray(base, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)

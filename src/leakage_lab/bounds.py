@@ -31,6 +31,7 @@ from .core import EventMask, JointDistribution, _event_mass
 from .errors import (
     AlphabetMismatch,
     DenominatorNonPositive,
+    Infeasible,
     LeakageLabError,
     NegativeEpsilon,
     NonPositiveSensitivity,
@@ -66,6 +67,8 @@ class BoundReport:
     def __post_init__(self):
         if not self.value >= 0.0:
             raise LeakageLabError(f"bound {self.name!r} computed {self.value}, not a nonnegative number")
+        if math.isinf(self.value):
+            raise Infeasible(f"bound {self.name!r} is too large to represent")
         object.__setattr__(self, "inputs", dict(self.inputs))
         if self.flags is not None:
             object.__setattr__(self, "flags", dict(self.flags))
@@ -112,6 +115,15 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _check_sensitivity(c: float, n: int) -> float:
+    """``c`` if it is positive and the denominator c^2 n is not zero."""
+    if c <= 0.0:
+        raise NonPositiveSensitivity(f"sensitivity must be positive, got {c}")
+    if c * c * n == 0.0:
+        raise DenominatorNonPositive(f"c^2 n underflows to zero at c = {c}, n = {n}")
+    return float(c)
+
+
 def adaptive_event_bound(max_fiber_prob: float, leakage_nats: float) -> BoundReport:
     """P(E) <= exp(L) * max_y P_X(E_y) for adaptively chosen events."""
     if not 0.0 <= max_fiber_prob <= 1.0:
@@ -137,8 +149,7 @@ def mcdiarmid_tail(n: int, t: float, c: float) -> float:
     n = _check_n(n)
     if t < 0.0:
         raise LeakageLabError(f"deviation must be nonnegative, got {t}")
-    if c <= 0.0:
-        raise NonPositiveSensitivity(f"sensitivity must be positive, got {c}")
+    c = _check_sensitivity(c, n)
     return math.exp(-2.0 * t * t / (n * c * c))
 
 
@@ -159,14 +170,13 @@ def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: floa
     """Generalization bound 2 exp(L - 2 eta^2 / (c^2 n)) for c-sensitive risks."""
     n = _check_n(n)
     eta = _check_deviation(eta)
-    if c <= 0.0:
-        raise NonPositiveSensitivity(f"sensitivity must be positive, got {c}")
+    c = _check_sensitivity(c, n)
     leakage_nats = _check_leakage(leakage_nats)
     value = 2.0 * math.exp(leakage_nats - 2.0 * eta * eta / (c * c * n))
     return _probability_report(
         "generalization-error-sensitivity",
         value,
-        {"n": float(n), "eta": eta, "c": float(c), "L_nats": leakage_nats},
+        {"n": float(n), "eta": eta, "c": c, "L_nats": leakage_nats},
     )
 
 
@@ -174,8 +184,7 @@ def dp_sensitivity_reference_bound(n: int, eta: float, c: float) -> float:
     """DP-literature tail 3 exp(-eta^2 / (c^2 n)) used for comparisons."""
     n = _check_n(n)
     eta = _check_deviation(eta)
-    if c <= 0.0:
-        raise NonPositiveSensitivity(f"sensitivity must be positive, got {c}")
+    c = _check_sensitivity(c, n)
     return 3.0 * math.exp(-eta * eta / (c * c * n))
 
 
@@ -225,9 +234,7 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
         raise NegativeEpsilon(f"epsilon must be nonnegative, got {epsilon}")
     n = _check_n(n)
     value = 3.0 * math.sqrt(beta)
-    epsilon_ceiling = math.sqrt(math.log(1.0 / beta) / (2.0 * n))
-    if math.isinf(epsilon_ceiling):
-        raise OverflowError(f"epsilon validity ceiling at beta = {beta} overflows")
+    epsilon_ceiling = math.sqrt(-math.log(beta) / (2.0 * n))
     crossover = math.log(3.0 / math.sqrt(beta)) / n
     return _probability_report(
         "dp-generalization",
@@ -274,11 +281,16 @@ def sample_complexity(value_nats: float, eta: float, delta: float, mode: str) ->
     if not 0.0 < delta < 1.0:
         raise LeakageLabError(f"failure probability must lie in (0, 1), got {delta}")
     if mode == "leakage":
-        samples = (value_nats + math.log(1.0 / delta)) / (eta * eta)
+        numerator, denominator = value_nats - math.log(delta), eta * eta
     elif mode == "mutual-info":
-        samples = value_nats / (eta * eta * delta)
+        numerator, denominator = value_nats, eta * eta * delta
     else:
         raise LeakageLabError(f"unknown sample-complexity mode {mode!r}")
+    if denominator == 0.0:
+        raise DenominatorNonPositive(
+            f"sample-complexity denominator underflows to zero at eta = {eta}, delta = {delta}"
+        )
+    samples = numerator / denominator
     if math.isinf(samples):
-        raise OverflowError(f"sample complexity at eta = {eta} overflows")
+        raise Infeasible(f"sample complexity at eta = {eta} overflows")
     return samples

@@ -4,13 +4,13 @@ Subcommands: measure, compose, bound, verify, simulate. Every command
 prints one JSON document to stdout (also written to --output when
 given) and reports problems on stderr.
 
-Exit codes:
+Exit codes (a library error exits with its class's ``exit_code``):
     0  success; for verify/simulate, every check passed
     1  a verify or simulate check failed
     2  validation failure (unreadable file, malformed value, mismatch)
-    3  infeasible parameter (beta out of range, empty feasible set,
-       a result too large to represent, ...)
-    4  enumeration cap exceeded
+    3  infeasible parameter (``errors.Infeasible``: beta out of range,
+       empty feasible set, a result too large to represent, ...)
+    4  enumeration cap exceeded (``errors.CapExceeded``)
 """
 
 from __future__ import annotations
@@ -34,15 +34,7 @@ from .bounds import (
     sample_complexity,
 )
 from .core import Alphabet, Channel, JointDistribution, ProductAlphabet
-from .errors import (
-    BetaOutOfRange,
-    CapExceeded,
-    DenominatorNonPositive,
-    LeakageLabError,
-    NegativeEpsilon,
-    NoFeasibleSet,
-    NonPositiveSensitivity,
-)
+from .errors import Infeasible, LeakageLabError
 from .ledger import LeakageLedger, LedgerEntry
 from .measures import (
     approx_max_information,
@@ -65,17 +57,7 @@ __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_VALIDATION = 2
-EXIT_INFEASIBLE = 3
-EXIT_CAP = 4
-
-_INFEASIBLE = (
-    BetaOutOfRange,
-    NoFeasibleSet,
-    DenominatorNonPositive,
-    NegativeEpsilon,
-    NonPositiveSensitivity,
-)
+EXIT_VALIDATION = LeakageLabError.exit_code
 
 _NATS_PER_BIT = math.log(2.0)
 
@@ -370,18 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         document, code = args.handler(args)
         text = jsonio.dumps(document)
-    except CapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except _INFEASIBLE as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ArithmeticError as err:
-        print(f"error: result too large to represent ({err})", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except LeakageLabError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return err.exit_code
+    except ArithmeticError:
+        print("error: result too large to represent", file=sys.stderr)
+        return Infeasible.exit_code
     except KeyError as err:
         print(f"error: missing key {err}", file=sys.stderr)
         return EXIT_VALIDATION

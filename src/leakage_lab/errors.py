@@ -1,8 +1,9 @@
 """Semantic exception types raised by validation and infeasible parameters.
 
 Everything derives from :class:`LeakageLabError` (itself a ``ValueError``)
-so callers can catch the whole family with one handler while the CLI maps
-individual classes to exit codes.
+so callers can catch the whole family with one handler, and each class
+carries its code as ``exit_code``: 2 for validation, 3 for
+:class:`Infeasible` and its subclasses, 4 for :class:`CapExceeded`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "EmptySupport",
     "CapExceeded",
     "InputNotProduct",
+    "Infeasible",
     "NoFeasibleSet",
     "BetaOutOfRange",
     "NegativeEpsilon",
@@ -25,6 +27,8 @@ __all__ = [
 
 class LeakageLabError(ValueError):
     """Base class for all validation and feasibility errors."""
+
+    exit_code = 2
 
 
 class AlphabetMismatch(LeakageLabError):
@@ -50,26 +54,34 @@ class EmptySupport(LeakageLabError):
 class CapExceeded(LeakageLabError):
     """An exhaustive enumeration would exceed the configured state cap."""
 
+    exit_code = 4
+
 
 class InputNotProduct(LeakageLabError):
     """An operation needs a channel whose input is a product alphabet."""
 
 
-class NoFeasibleSet(LeakageLabError):
+class Infeasible(LeakageLabError):
+    """Valid inputs whose result does not exist or cannot be represented."""
+
+    exit_code = 3
+
+
+class NoFeasibleSet(Infeasible):
     """No outcome set clears the mass budget of an approximate divergence."""
 
 
-class BetaOutOfRange(LeakageLabError):
+class BetaOutOfRange(Infeasible):
     """A mass budget lies outside its feasible interval."""
 
 
-class NegativeEpsilon(LeakageLabError):
+class NegativeEpsilon(Infeasible):
     """A differential-privacy parameter is negative."""
 
 
-class NonPositiveSensitivity(LeakageLabError):
+class NonPositiveSensitivity(Infeasible):
     """A per-sample sensitivity must be strictly positive."""
 
 
-class DenominatorNonPositive(LeakageLabError):
+class DenominatorNonPositive(Infeasible):
     """A bound's denominator is not positive for these parameters."""

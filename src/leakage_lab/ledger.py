@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .core import Channel
-from .errors import BetaOutOfRange, LeakageLabError, NegativeEpsilon
+from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .measures import maximal_leakage
 
@@ -48,7 +48,7 @@ def dp_to_leakage(epsilon: float, n: int) -> float:
         raise LeakageLabError(f"dataset size must be >= 1, got {n}")
     leakage = float(epsilon) * n
     if math.isinf(leakage):
-        raise OverflowError(f"epsilon * n = {epsilon} * {n} overflows")
+        raise Infeasible(f"epsilon * n = {epsilon} * {n} overflows")
     return leakage
 
 
@@ -162,7 +162,10 @@ class LeakageLedger:
 
     def total(self) -> float:
         """Composed leakage budget; the sum is permutation-invariant."""
-        return math.fsum(entry.bound_nats for entry in self.entries)
+        try:
+            return math.fsum(entry.bound_nats for entry in self.entries)
+        except OverflowError:
+            raise Infeasible("ledger total overflows") from None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -12,6 +12,7 @@ from leakage_lab import (
     Channel,
     DenominatorNonPositive,
     EventMask,
+    Infeasible,
     LeakageLabError,
     NegativeEpsilon,
     NonPositiveSensitivity,
@@ -199,6 +200,15 @@ class TestSensitivityBounds:
         with pytest.raises(NonPositiveSensitivity):
             dp_sensitivity_reference_bound(10, 0.5, -0.1)
 
+    @pytest.mark.parametrize("bound", [
+        mcdiarmid_tail,
+        dp_sensitivity_reference_bound,
+        lambda n, eta, c: gen_error_bound_sensitivity(n, eta, c, 1.0),
+    ], ids=["mcdiarmid", "dp-reference", "generr-c"])
+    def test_underflowed_denominator_is_named(self, bound):
+        with pytest.raises(DenominatorNonPositive, match="c = 1e-200, n = 10"):
+            bound(10, 0.1, 1e-200)
+
     def test_comparison_flag_matches_algebra(self):
         # 2 exp(L - 2x) < 3 exp(-x) iff L < x + log(3/2), x = eta^2/(c^2 n)
         for n in (1, 10, 100):
@@ -347,6 +357,18 @@ class TestSampleComplexity:
             sample_complexity(1.0, 0.1, 1.0, mode="leakage")
         with pytest.raises(LeakageLabError, match="mode"):
             sample_complexity(1.0, 0.1, 0.05, mode="bits")
+
+    @pytest.mark.parametrize("eta,delta,mode", [
+        (1e-200, 0.1, "leakage"),
+        (1e-160, 1e-10, "mutual-info"),
+    ])
+    def test_underflowed_denominator_is_named(self, eta, delta, mode):
+        with pytest.raises(DenominatorNonPositive, match="denominator underflows"):
+            sample_complexity(1.0, eta, delta, mode=mode)
+
+    def test_overflow_is_infeasible(self):
+        with pytest.raises(Infeasible, match="overflows"):
+            sample_complexity(1.0, 1e-160, 0.1, mode="leakage")
 
 
 class TestBoundReport:

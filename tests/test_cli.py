@@ -19,7 +19,7 @@ from leakage_lab import (
     empirical_dp,
     jsonio,
 )
-from leakage_lab import cli, simulate
+from leakage_lab import cli, errors, simulate
 from leakage_lab.cli import main
 from leakage_lab.core import ProductAlphabet
 from leakage_lab.simulate import ERM, EXPONENTIAL_MECHANISM as EM, P_VALUE_NOTE
@@ -298,12 +298,66 @@ class TestBound:
         assert doc["value"] == 576.8320995793771
         assert doc["inputs"]["mode"] == "leakage"
 
+    @pytest.mark.parametrize(
+        "argv,path,value",
+        [
+            ("--theorem dwork --beta 5e-324 --epsilon 1e20 --n 1",
+             ("inputs", "epsilon_validity_ceiling"), 19.29300484529796),
+            ("--theorem sample-complexity --value 1 --eta 0.1 --delta 5e-324",
+             ("value",), 74544.0071921381),
+        ],
+        ids=["dwork", "sample-complexity"],
+    )
+    def test_subnormal_budget_is_finite(self, capsys, argv, path, value):
+        # -log(x) stays finite where 1 / x overflows
+        code, doc, err = run_cli(capsys, "bound", *argv.split())
+        assert (code, err) == (0, "")
+        for key in path:
+            doc = doc[key]
+        assert doc == value
+
+
     def test_bad_eta_is_validation(self, capsys):
         code, _, _ = run_cli(
             capsys, "bound", "--theorem", "generr",
             "--n", "10", "--eta", "1.5", "--leakage", "0.0",
         )
         assert code == 2
+
+
+# the documented exit code of every error class the library raises
+EXIT_CODES = {
+    "LeakageLabError": 2,
+    "AlphabetMismatch": 2,
+    "NegativeMass": 2,
+    "NotNormalized": 2,
+    "EmptySupport": 2,
+    "InputNotProduct": 2,
+    "Infeasible": 3,
+    "NoFeasibleSet": 3,
+    "BetaOutOfRange": 3,
+    "NegativeEpsilon": 3,
+    "NonPositiveSensitivity": 3,
+    "DenominatorNonPositive": 3,
+    "CapExceeded": 4,
+}
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_error_class_exits_with_its_documented_code(capsys, monkeypatch, name):
+    assert set(EXIT_CODES) == set(errors.__all__)
+    cls = getattr(errors, name)
+    error = cls(0.5) if cls is errors.NotNormalized else cls("raised on purpose")
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "gen_error_bound", fail)
+    code, doc, err = run_cli(capsys, "bound", "--theorem", "generr",
+                             "--n", "10", "--eta", "0.1", "--leakage", "1")
+    assert code == EXIT_CODES[name] == error.exit_code
+    assert doc is None
+    assert err.splitlines() == [f"error: {error}"]
 
 
 class TestVerify:
@@ -670,7 +724,10 @@ class TestParser:
             ("bound --theorem generr-c --n 10 --eta 0.1 --sensitivity 1e-200 --leakage 1", 3),
             ("bound --theorem sample-complexity --value 1 --eta 1e-200 --delta 0.1", 3),
             ("bound --theorem sample-complexity --value 1 --eta 1e-160 --delta 0.1", 3),
-            ("bound --theorem dwork --beta 5e-324 --epsilon 1e20 --n 1", 3),
+            ("bound --theorem sample-complexity --value 1 --eta 1e-160 --delta 1e-10 "
+             "--mode mutual-info", 3),
+            ("bound --theorem generr --n 1 --eta 0.5 --leakage 1000", 3),
+            ("bound --theorem generr --n 1 --eta 0.01 --leakage 709.5", 3),
             ("compose --dp 1e308,10", 3),
             ("compose --declared 1e308 --declared 1e308", 3),
         ],
@@ -681,6 +738,14 @@ class TestParser:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        for internal in ("math range error", "division by zero", "fsum", "JSON compliant"):
+            assert internal not in lines[0]
+
+    def test_dp_overflow_prints_the_library_message_once(self, capsys):
+        code, doc, err = run_cli(capsys, "compose", "--dp", "1e308,10")
+        assert code == 3
+        assert doc is None
+        assert err.splitlines() == ["error: epsilon * n = 1e+308 * 10 overflows"]
 
     @pytest.mark.parametrize(
         "argv,document,name,got",

@@ -7,6 +7,7 @@ import pytest
 
 from leakage_lab import (
     BetaOutOfRange,
+    Infeasible,
     LeakageLabError,
     LeakageLedger,
     LedgerEntry,
@@ -38,6 +39,8 @@ class TestConversions:
         for epsilon in (math.nan, math.inf, -math.inf):
             with pytest.raises(LeakageLabError, match="epsilon must be finite"):
                 dp_to_leakage(epsilon, 10)
+        with pytest.raises(Infeasible, match="overflows"):
+            dp_to_leakage(1e308, 10)
 
     def test_cardinality_bound_values(self):
         assert cardinality_bound(1) == 0.0
@@ -147,6 +150,13 @@ class TestLeakageLedger:
             (LedgerEntry.declared("a", 0.3), LedgerEntry.declared("b", 0.7))
         )
         assert ledger.total() == 1.0
+
+    def test_overflowing_total_is_infeasible(self):
+        ledger = LeakageLedger(
+            (LedgerEntry.declared("a", 1e308), LedgerEntry.declared("b", 1e308))
+        )
+        with pytest.raises(Infeasible, match="ledger total overflows"):
+            ledger.total()
 
     def test_with_entry_leaves_original_alone(self):
         base = LeakageLedger((LedgerEntry.declared("a", 0.25),))

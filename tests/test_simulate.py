@@ -70,25 +70,25 @@ class TestSeedDerivation:
         assert derive_trial_seed(42, 7) != derive_trial_seed(43, 7)
 
     def test_no_collisions_over_a_million_trials(self):
-        seeds = np.fromiter(
-            (derive_trial_seed(20260814, i) for i in range(1_000_000)),
-            dtype=np.uint64,
-            count=1_000_000,
-        )
+        seeds = _trial_seeds(20260814, 0, 1_000_000)
         assert len(np.unique(seeds)) == len(seeds)
 
     def test_negative_index(self):
         with pytest.raises(LeakageLabError):
             derive_trial_seed(1, -1)
 
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_master_seed_outside_64_bits(self, master):
+        with pytest.raises(LeakageLabError, match="64-bit"):
+            derive_trial_seed(master, 0)
+
     @pytest.mark.parametrize("master", [0, 1, 20260814, 2**63 + 5, 2**64 - 1])
     def test_vectorized_seeds_match_scalar_derivation(self, master):
         count = 100_000
-        expected = np.array(
-            [derive_trial_seed(master, i) for i in range(count)], dtype=np.uint64
-        )
+        expected = np.array([splitmix_draw(master, i) for i in range(count)], dtype=np.uint64)
         assert np.array_equal(_trial_seeds(master, 0, count), expected)
         assert np.array_equal(_trial_seeds(master, 4321, 5000), expected[4321:5000])
+        assert derive_trial_seed(master, 4321) == int(expected[4321])
 
 
 def splitmix_draw(seed, j):
