@@ -21,10 +21,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_CHUNK_TRIALS = 1024
-# Most draws one slice holds: items that draw many values each come in
-# slices shorter than _CHUNK_TRIALS, so that the working set stays bounded
-# whatever the width is. Results depend on neither size.
+# Most values one slice holds in any array: an item counts the values of
+# its widest array (its draws, or more), so that the working set stays
+# bounded whatever the width is. Results do not depend on it.
 _BLOCK_DRAWS = 1 << 16
 
 
@@ -95,9 +94,9 @@ class _Draws:
 def map_chunked(worker: Callable[[int, int], object], total: int, per_trial: int = 1) -> list:
     """Results of ``worker(lo, hi)`` over consecutive slices of ``range(total)``, in order.
 
-    A slice holds at most _CHUNK_TRIALS trials and at most _BLOCK_DRAWS
-    draws of ``per_trial`` each, but never fewer than one trial; the slice
-    boundaries depend only on ``total`` and ``per_trial``.
+    ``per_trial`` is the size of an item's widest array. A slice holds at
+    most _BLOCK_DRAWS such values, but never fewer than one item; the
+    slice boundaries depend only on ``total`` and ``per_trial``.
     """
-    step = max(1, min(_CHUNK_TRIALS, _BLOCK_DRAWS // per_trial))
+    step = max(1, _BLOCK_DRAWS // per_trial)
     return [worker(lo, min(lo + step, total)) for lo in range(0, total, step)]

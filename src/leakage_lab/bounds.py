@@ -124,15 +124,28 @@ def _check_sensitivity(c: float, n: int) -> float:
     return float(c)
 
 
+def _exp_report(name: str, coefficient: float, exponent: float, inputs) -> BoundReport:
+    """Probability bound ``name`` of value coefficient * exp(exponent).
+
+    An exponent that overflows exp gives an infinite value, which
+    :class:`BoundReport` refuses by name.
+    """
+    try:
+        value = coefficient * math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    return _probability_report(name, value, inputs)
+
+
 def adaptive_event_bound(max_fiber_prob: float, leakage_nats: float) -> BoundReport:
     """P(E) <= exp(L) * max_y P_X(E_y) for adaptively chosen events."""
     if not 0.0 <= max_fiber_prob <= 1.0:
         raise LeakageLabError(f"fiber probability must lie in [0, 1], got {max_fiber_prob}")
     leakage_nats = _check_leakage(leakage_nats)
-    value = math.exp(leakage_nats) * max_fiber_prob
-    return _probability_report(
+    return _exp_report(
         "adaptive-event",
-        value,
+        max_fiber_prob,
+        leakage_nats,
         {"max_fiber_prob": float(max_fiber_prob), "L_nats": leakage_nats},
     )
 
@@ -158,10 +171,10 @@ def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
     n = _check_n(n)
     eta = _check_eta(eta)
     leakage_nats = _check_leakage(leakage_nats)
-    value = 2.0 * math.exp(leakage_nats - 2.0 * n * eta * eta)
-    return _probability_report(
+    return _exp_report(
         "generalization-error",
-        value,
+        2.0,
+        leakage_nats - 2.0 * n * eta * eta,
         {"n": float(n), "eta": eta, "L_nats": leakage_nats},
     )
 
@@ -172,10 +185,10 @@ def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: floa
     eta = _check_deviation(eta)
     c = _check_sensitivity(c, n)
     leakage_nats = _check_leakage(leakage_nats)
-    value = 2.0 * math.exp(leakage_nats - 2.0 * eta * eta / (c * c * n))
-    return _probability_report(
+    return _exp_report(
         "generalization-error-sensitivity",
-        value,
+        2.0,
+        leakage_nats - 2.0 * eta * eta / (c * c * n),
         {"n": float(n), "eta": eta, "c": c, "L_nats": leakage_nats},
     )
 
@@ -212,10 +225,10 @@ def fdr_bound(sigma: float, leakage_nats: float) -> BoundReport:
     if not 0.0 <= sigma <= 1.0:
         raise LeakageLabError(f"significance must lie in [0, 1], got {sigma}")
     leakage_nats = _check_leakage(leakage_nats)
-    value = math.exp(leakage_nats) * sigma
-    return _probability_report(
+    return _exp_report(
         "false-discovery",
-        value,
+        sigma,
+        leakage_nats,
         {"sigma": float(sigma), "L_nats": leakage_nats},
     )
 

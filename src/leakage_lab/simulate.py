@@ -20,12 +20,15 @@ Two experiment families check the bounds against live randomness:
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
 seed_t + (j + 1) * GOLDEN, a counter-based stream (see ``_stream``)
-computed for a whole block of trials at once. Both experiments run
-on one harness: ``map_chunked`` cuts the trial range into slices whose
-bounds depend only on the trial count and the draws per trial, each
-experiment maps a slice's seeds to boolean hit columns (and per-trial
-trace columns), and the hits are added as integers in slice order, so a
-report depends only on its config and seed.
+computed for a whole block of trials at once. A generalization trial
+turns each draw into one uniform; a hypothesis-testing trial reads its
+n fair coins packed 64 to a draw, coin i being bit 63 - (i mod 64) of
+draw i // 64. Both experiments run on one harness: ``map_chunked`` cuts
+the trial range into slices whose bounds depend only on the trial count
+and the size of a trial's widest array, each experiment maps a slice's
+seeds to boolean hit columns (and per-trial trace columns), and the hits
+are added as integers in slice order, so a report depends only on its
+config and seed.
 """
 
 from __future__ import annotations
@@ -120,12 +123,12 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
     """Hits of each column ``block`` returns, summed over trials 0..trials-1 of ``seed``.
 
     ``block(seeds)`` maps the uint64 seeds of a slice of consecutive
-    trials, which draw ``per_trial`` values each, to (boolean hit columns,
-    trace columns). With ``trace_path`` every trial's trace columns make
-    one CSV row under ``header``, in trial order. The file is opened
-    before the first trial and each slice's rows are written as the slice
-    completes, so an unwritable path fails at once and no slice's rows
-    outlive it.
+    trials, whose widest arrays hold ``per_trial`` values each, to
+    (boolean hit columns, trace columns). With ``trace_path`` every
+    trial's trace columns make one CSV row under ``header``, in trial
+    order. The file is opened before the first trial and each slice's
+    rows are written as the slice completes, so an unwritable path fails
+    at once and no slice's rows outlive it.
     """
     with contextlib.ExitStack() as stack:
         writer = None
@@ -602,8 +605,10 @@ def run_gen_error_experiment(
         hits = gaps > config.eta
         return (hits,), (picks, empirical, gaps, hits)
 
+    # a trial's widest array is its uniforms, its histogram or its risks
+    per_trial = max(width, symbols, len(config.learner.hypotheses))
     (exceed,) = _count_trials(
-        config.seed, config.trials, width, block,
+        config.seed, config.trials, per_trial, block,
         ("trial", "hypothesis", "empirical_risk", "gap", "exceeds"), trace_path,
     )
     empirical_tail, half_width, passed = _tail_check(exceed, config.trials, bound)
@@ -642,6 +647,27 @@ def binomial_tail_table(m: int) -> np.ndarray:
     return table
 
 
+def _window_masks(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, k) word indices and uint64 masks of the windows over coins packed 64 to a draw.
+
+    Coordinate c sets bit 63 - (c mod 64) of word c // 64. Slot j of row
+    t holds the j-th run of window t's coordinates that share a word; a
+    window of width w wraps at most once, so it has at most
+    ceil(w / 64) + 2 runs. Rows with fewer runs end in word 0 under mask 0.
+    """
+    words = windows // 64
+    bits = np.left_shift(np.uint64(1), (63 - windows % 64).astype(np.uint64))
+    # a coordinate's slot counts the word changes before it in its window
+    slots = np.zeros(windows.shape, dtype=np.intp)
+    np.cumsum(words[:, 1:] != words[:, :-1], axis=1, out=slots[:, 1:])
+    rows = np.arange(len(windows))[:, None]
+    word_index = np.zeros((len(windows), int(slots[:, -1].max()) + 1), dtype=np.intp)
+    word_index[rows, slots] = words
+    masks = np.zeros(word_index.shape, dtype=np.uint64)
+    np.bitwise_or.at(masks, (rows, slots), bits)
+    return word_index, masks
+
+
 def run_hyptest_experiment(
     config: HypTestConfig,
     trace_path: str | None = None,
@@ -649,13 +675,16 @@ def run_hyptest_experiment(
     """Monte Carlo check of the post-selection false-discovery bound."""
     windows = statistic_windows(config.n, config.num_stats)
     table = binomial_tail_table(windows.shape[1])
+    word_index, masks = _window_masks(windows)
+    draws_per_trial = -(-config.n // 64)
     selection_bound = cardinality_bound(config.num_stats)
     adjusted_sigma = adjusted_significance(config.delta, selection_bound)
 
     def block(seeds: np.ndarray):
-        # the top bit of each draw is a fair coin
-        bits = (_counter_mix(seeds, 0, config.n) >> np.uint64(63)).astype(np.intp)
-        p_values = table[bits[:, windows].sum(axis=2)]
+        # every bit of a draw is a fair coin: a window's head count is the
+        # popcount of its masked words
+        draws = _counter_mix(seeds, 0, draws_per_trial)
+        p_values = table[np.bitwise_count(draws[:, word_index] & masks).sum(axis=2)]
         selected = np.argmin(p_values, axis=1)
         p_min = p_values[np.arange(len(seeds)), selected]
         reject_adjusted = p_min <= adjusted_sigma
@@ -663,7 +692,7 @@ def run_hyptest_experiment(
         return (reject_adjusted, reject_raw), (selected, p_min, reject_adjusted, reject_raw)
 
     hits_adjusted, hits_raw = _count_trials(
-        config.seed, config.trials, max(config.n, windows.size), block,
+        config.seed, config.trials, max(draws_per_trial, masks.size), block,
         ("trial", "selected", "p_value", "reject_adjusted", "reject_raw"), trace_path,
     )
 

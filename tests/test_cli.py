@@ -50,6 +50,15 @@ GENERR = {
     "seed": 1,
 }
 DECLARED = {"label": "s", "bound_nats": 0.5, "provenance": {"kind": "declared"}}
+# argvs whose bound overflows, with the name the error line must give
+OVERFLOWING_BOUNDS = {
+    "bound --theorem adapt --max-fiber-prob 0.5 --leakage 1000": "adaptive-event",
+    "bound --theorem generr --n 1 --eta 0.5 --leakage 1000": "generalization-error",
+    "bound --theorem generr --n 1 --eta 0.01 --leakage 709.5": "generalization-error",
+    "bound --theorem generr-c --n 1 --eta 0.5 --sensitivity 1 --leakage 1000":
+        "generalization-error-sensitivity",
+    "bound --theorem hyptest --sigma 0.5 --leakage 1000": "false-discovery",
+}
 
 
 @pytest.fixture
@@ -728,6 +737,8 @@ class TestParser:
              "--mode mutual-info", 3),
             ("bound --theorem generr --n 1 --eta 0.5 --leakage 1000", 3),
             ("bound --theorem generr --n 1 --eta 0.01 --leakage 709.5", 3),
+            ("bound --theorem generr-c --n 1 --eta 0.5 --sensitivity 1 --leakage 1000", 3),
+            ("bound --theorem hyptest --sigma 0.5 --leakage 1000", 3),
             ("compose --dp 1e308,10", 3),
             ("compose --declared 1e308 --declared 1e308", 3),
         ],
@@ -740,6 +751,8 @@ class TestParser:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         for internal in ("math range error", "division by zero", "fsum", "JSON compliant"):
             assert internal not in lines[0]
+        if argv in OVERFLOWING_BOUNDS:
+            assert lines == [f"error: bound '{OVERFLOWING_BOUNDS[argv]}' is too large to represent"]
 
     def test_dp_overflow_prints_the_library_message_once(self, capsys):
         code, doc, err = run_cli(capsys, "compose", "--dp", "1e308,10")

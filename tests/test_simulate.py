@@ -43,6 +43,7 @@ from leakage_lab.simulate import (
     _tail_check,
     _trial_seeds,
     _uniform_block,
+    _window_masks,
     binomial_tail_table,
     derive_trial_seed,
     map_chunked,
@@ -164,18 +165,18 @@ class TestVectorizedLearner:
 
 class TestMapChunked:
     def test_fixed_boundaries(self):
-        ranges = map_chunked(lambda lo, hi: (lo, hi), 2500)
-        assert ranges == [(0, 1024), (1024, 2048), (2048, 2500)]
+        ranges = map_chunked(lambda lo, hi: (lo, hi), 150_000)
+        assert ranges == [(0, 65536), (65536, 131072), (131072, 150_000)]
 
     def test_short_input_is_one_chunk(self):
         assert map_chunked(lambda lo, hi: (lo, hi), 10) == [(0, 10)]
 
     @pytest.mark.parametrize(
         "per_trial,step",
-        [(1, 1024), (64, 1024), (65, 1008), (5001, 13), (2**16, 1), (2**16 + 1, 1), (10**6, 1)],
+        [(1, 65536), (64, 1024), (65, 1008), (5001, 13), (2**16, 1), (2**16 + 1, 1), (10**6, 1)],
     )
     def test_slices_hold_at_most_block_draws(self, per_trial, step):
-        # at most 1024 trials and 2^16 draws per slice, but at least one trial
+        # at most 2^16 draws per slice, but at least one trial
         total = 3000
         ranges = map_chunked(lambda lo, hi: (lo, hi), total, per_trial)
         expected = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -548,6 +549,21 @@ class TestGenErrorExperiment:
             assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
             assert sliced.read_bytes() == default.read_bytes()
 
+    def test_slices_count_symbols_and_hypotheses(self, monkeypatch):
+        # a trial at n = 1 draws one uniform but holds 6 symbol counts and
+        # 8 risks, and the slices are sized by the 8
+        spec = LearnerSpec(ERM, tuple(itertools.product((0, 1), repeat=3)))
+        dist = DiscreteDistribution(data_alphabet(3), [1 / 6] * 6)
+        seen = []
+
+        def recording(worker, total, per_trial=1):
+            seen.append(per_trial)
+            return map_chunked(worker, total, per_trial)
+
+        monkeypatch.setattr("leakage_lab.simulate.map_chunked", recording)
+        run_gen_error_experiment(GenErrConfig(3, 1, dist, spec, 0.3, 10, 1))
+        assert seen == [8]
+
     def test_require_exact_honors_cap(self, monkeypatch):
         # the cap counts the C(11, 3) = 165 histograms of 8 draws over 4 symbols
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
@@ -602,6 +618,36 @@ class TestHypTestExperiment:
             rows = list(csv.reader(handle))
         assert rows[0] == ["trial", "selected", "p_value", "reject_adjusted", "reject_raw"]
         assert len(rows) == config.trials + 1
+
+    @pytest.mark.parametrize(
+        "n,t",
+        [(1, 1), (7, 3), (63, 4), (64, 10), (65, 5), (100, 10), (130, 20), (200, 40), (5000, 10)],
+    )
+    def test_trace_matches_scalar_coins(self, tmp_path, n, t):
+        # coin i of trial k is bit 63 - i % 64 of the trial's draw i // 64;
+        # a window's p-value is the tail of its gathered and summed coins
+        config = HypTestConfig(n, t, 0.01, 0.05, 100, 2**63 + 9)
+        trace = tmp_path / "trace.csv"
+        run_hyptest_experiment(config, trace_path=str(trace))
+        with open(trace, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        windows = statistic_windows(n, t)
+        table = binomial_tail_table(windows.shape[1])
+        for k, row in enumerate(rows):
+            seed = splitmix_draw(config.seed, k)
+            coins = np.array([splitmix_draw(seed, i // 64) >> (63 - i % 64) & 1 for i in range(n)])
+            p_values = table[coins[windows].sum(axis=1)]
+            selected = int(np.argmin(p_values))
+            assert (int(row[0]), int(row[1]), float(row[2])) == (k, selected, p_values[selected])
+        assert len(rows) == config.trials
+
+    def test_window_tables_grow_with_the_window_width(self):
+        # at n = 10^5 and T = 10^4 a window holds 10 coins, so it touches at
+        # most ceil(10 / 64) + 2 words whatever n and T are
+        word_index, masks = _window_masks(statistic_windows(10**5, 10**4))
+        assert word_index.shape == masks.shape
+        assert masks.shape[0] == 10**4 and masks.shape[1] <= 3
+        assert (np.bitwise_count(masks).sum(axis=1) == 10).all()
 
     def test_block_size_does_not_change_results(self, tmp_path, monkeypatch):
         config = HypTestConfig(40, 6, 0.01, 0.05, 2500, 5)
