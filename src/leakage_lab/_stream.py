@@ -6,6 +6,14 @@ draws of a whole block of items come out of one numpy uint64 computation
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
 so an item's draws depend only on (s, t, j), never on the slice that
 computed them. ``map_chunked`` cuts an item range into such slices.
+
+A block comes in one of two layouts with the same values. Item-major
+(items, width) rows suit ``verify``, whose instances read their draws a
+few columns at a time. Draw-major (width, items) rows suit the
+``simulate generr`` trials: draw j of every trial in the slice is one
+contiguous row, so each step of a trial reduces over the short axis
+(draws, symbols or hypotheses) by adding or comparing whole rows
+instead of running one tiny numpy reduction per trial.
 """
 
 from __future__ import annotations
@@ -47,14 +55,19 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return int(_trial_seeds(_check_seed(master_seed), index, index + 1)[0])
 
 
-def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
+def _counter_mix(base: np.ndarray, first: int, count: int,
+                 draw_major: bool = False) -> np.ndarray:
     """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
 
-    The result has shape ``base.shape + (count,)``; uint64 arithmetic
-    wraps modulo 2**64.
+    The result has shape ``base.shape + (count,)``, or ``(count,) +
+    base.shape`` when ``draw_major``; uint64 arithmetic wraps modulo 2**64.
     """
-    counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    z = np.asarray(base, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
+    steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    base = np.asarray(base, dtype=np.uint64)
+    if draw_major:
+        z = steps.reshape((count,) + (1,) * base.ndim) + base
+    else:
+        z = base[..., None] + steps
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -68,9 +81,12 @@ def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return _counter_mix(np.uint64(master_seed), lo, hi - lo)
 
 
-def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) doubles in [0, 1): the top 53 bits of draws 0..width-1 per seed."""
-    return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
+def _uniform_block(seeds: np.ndarray, width: int, draw_major: bool = False) -> np.ndarray:
+    """Doubles in [0, 1): the top 53 bits of draws 0..width-1 of each seed.
+
+    Item-major (rows, width), or draw-major (width, rows) with the same values.
+    """
+    return (_counter_mix(seeds, 0, width, draw_major) >> np.uint64(11)) * 2.0 ** -53
 
 
 class _Draws:

@@ -21,7 +21,10 @@ Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
 seed_t + (j + 1) * GOLDEN, a counter-based stream (see ``_stream``)
 computed for a whole block of trials at once. A generalization trial
-turns each draw into one uniform; a hypothesis-testing trial reads its
+turns each draw into one uniform, and a slice of trials gets them
+draw-major, (width, trials), so that the learner reduces over the short
+axes of a trial (its draws, cut points and hypotheses) in passes over
+whole rows of trials; a hypothesis-testing trial reads its
 n fair coins packed 64 to a draw, coin i being bit 63 - (i mod 64) of
 draw i // 64. Both experiments run on one harness: ``map_chunked`` cuts
 the trial range into slices whose bounds depend only on the trial count
@@ -65,7 +68,7 @@ from .core import (
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError
-from .jsonio import _read_int, _read_number, _read_object
+from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _section_leakage
 
@@ -217,9 +220,13 @@ class LearnerSpec:
         tie_break = payload.get("tieBreak", TIE_BREAK)
         if tie_break != TIE_BREAK:
             raise LeakageLabError(f"unsupported tie break {tie_break!r}")
+        name = "learner.hypothesisClass"
+        hypotheses = _read_array(payload["hypothesisClass"], name)
         return cls(
             kind=str(payload["kind"]),
-            hypotheses=tuple(tuple(h) for h in payload["hypothesisClass"]),
+            hypotheses=tuple(
+                tuple(_read_array(h, f"{name}[{i}]")) for i, h in enumerate(hypotheses)
+            ),
             epsilon=payload.get("epsilon"),
         )
 
@@ -402,8 +409,30 @@ class HypTestReport:
         }
 
 
+# An (H, rows) risk array is stored row by row, each hypothesis's risks
+# contiguous, when its rows number at least _WHOLE_ROWS times H: a
+# reduction over the hypotheses is then a few passes over whole rows.
+# With fewer rows each column of H risks is contiguous instead, and numpy
+# reduces it in one call per column, which costs less than a Python-level
+# pass per hypothesis once H is large. On a 2-CPU x86-64 host the two
+# meet between 64 and 256 rows per hypothesis. Results do not depend on
+# the layout.
+_WHOLE_ROWS = 128
+
+
+def _whole_rows(hypotheses: int, rows: int) -> bool:
+    """Whether an (H, rows) array is stored and reduced row by row (see ``_WHOLE_ROWS``)."""
+    return rows >= _WHOLE_ROWS * hypotheses
+
+
 class _LearnerTables:
-    """Precomputed loss tables shared by the type kernel, the dataset layer and the trials."""
+    """Precomputed loss tables shared by the type kernel, the dataset layer and the trials.
+
+    One set of learner rules serves all three: ``risks`` maps symbol
+    histograms to risks, ``_weights`` risks to exponential-mechanism
+    weights and ``_lowest_minimizer`` risks to the ERM pick. Each works on
+    (H, rows) arrays and reduces over the leading hypothesis axis.
+    """
 
     def __init__(self, spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
         if len(data_dist.alphabet) != 2 * d:
@@ -417,6 +446,10 @@ class _LearnerTables:
         # loss01[s, h] = 1 when hypothesis h mislabels the pair behind symbol s
         self.loss01 = (hypotheses[:, domain].T != labels[:, None]).astype(np.float64)
         self.true_risk = self.loss01.T @ np.asarray(data_dist.probs)
+        # mistake counts are integers of at most n, which float32 holds
+        # exactly up to 2^24; its matrix product costs a fraction of float64's
+        self._count_dtype = np.float32 if n <= 1 << 24 else np.float64
+        self._loss = self.loss01.astype(self._count_dtype)
         self.hypothesis_alphabet = Alphabet(
             "".join(str(v) for v in h) for h in spec.hypotheses
         )
@@ -424,20 +457,41 @@ class _LearnerTables:
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
     def risks(self, counts: np.ndarray) -> np.ndarray:
-        """(rows, H) empirical risks of the datasets with these symbol histograms.
+        """(H, rows) empirical risks of the datasets whose (symbols, rows) histograms are given.
 
         Integer misclassification counts over n, so a dataset's risks do
-        not depend on the order of its draws.
+        not depend on the order of its draws, nor on the memory layout
+        chosen here from the shape (see ``_WHOLE_ROWS``).
         """
-        return counts @ self.loss01 / self.n
+        counts = counts.astype(self._count_dtype, copy=False)
+        if _whole_rows(self._loss.shape[1], counts.shape[1]):
+            mistakes = self._loss.T @ counts
+        else:
+            mistakes = (counts.T @ self._loss).T
+        return np.divide(mistakes, self.n, dtype=np.float64)
 
     def _weights(self, empirical: np.ndarray) -> np.ndarray:
-        """Exponential-mechanism weights exp(-epsilon * n * risk / 2), up to a row factor.
+        """Exponential-mechanism weights exp(-epsilon * n * risk / 2), up to a column factor.
 
-        Shifted by the row minimum so that the largest weight of every row is 1.
+        Shifted by the column minimum so that the largest weight of every column is 1.
         """
-        shifted = empirical - empirical.min(axis=1, keepdims=True)
-        return np.exp(-0.5 * self.spec.epsilon * self.n * shifted)
+        weights = empirical - empirical.min(axis=0)
+        weights *= -0.5 * self.spec.epsilon * self.n
+        return np.exp(weights, out=weights)
+
+    def _lowest_minimizer(self, empirical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, the lowest hypothesis index of least risk, and that risk."""
+        if not _whole_rows(*empirical.shape):
+            picks = empirical.argmin(axis=0)
+            return picks, empirical[picks, np.arange(len(picks))]
+        # whole rows: count the hypotheses before each column's first minimum
+        least = empirical.min(axis=0)
+        above = empirical[0] > least
+        picks = above.astype(np.intp)
+        for row in empirical[1:]:
+            above &= row > least
+            picks += above
+        return picks, least
 
     def rows(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, H) empirical risks and P(h | dataset) of the datasets with these histograms.
@@ -446,14 +500,14 @@ class _LearnerTables:
         mechanism rows are the normalized weights. A row depends only on
         its histogram, whichever other rows come with it.
         """
-        empirical = self.risks(counts)
+        empirical = self.risks(counts.T)
         if self.spec.kind == ERM:
-            rows = np.zeros_like(empirical)
-            rows[np.arange(len(empirical)), np.argmin(empirical, axis=1)] = 1.0
+            rows = np.zeros(empirical.shape[::-1])
+            rows[np.arange(len(rows)), self._lowest_minimizer(empirical)[0]] = 1.0
         else:
-            rows = self._weights(empirical)
+            rows = np.ascontiguousarray(self._weights(empirical).T)
             rows /= rows.sum(axis=1, keepdims=True)
-        return empirical, rows
+        return np.ascontiguousarray(empirical.T), rows
 
     def type_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every histogram of n draws, with its (K, H) empirical risks and P(h | histogram)."""
@@ -467,30 +521,53 @@ class _LearnerTables:
         return (product, *self.rows(counts))
 
     def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Picked hypothesis and its empirical risk for each row of uniforms.
+        """Picked hypothesis and its empirical risk for each column of draw-major uniforms.
 
-        Columns ``:n`` of ``u`` draw the dataset's symbols; column ``n``
-        drives the exponential mechanism's pick.
+        Row j of ``u`` holds draw j of every trial: rows ``:n`` draw the
+        datasets' symbols and row ``n`` drives the exponential
+        mechanism's pick. The symbol counts take one pass per cut point
+        over whole rows of trials, and the pick reduces over the
+        hypotheses in the layout that ``risks`` chose; trial-major rows
+        would instead run one tiny numpy reduction per trial.
         """
-        rows = len(u)
-        symbols = len(self.cum_probs)
-        drawn = np.searchsorted(self.cum_probs, u[:, : self.n], side="right")
-        np.minimum(drawn, symbols - 1, out=drawn)
-        empirical = self.risks(_count_symbols(drawn, symbols))
+        n = self.n
+        # a draw's symbol is the number of cut points cum_probs[:-1] at or
+        # below it: searchsorted(cum_probs, u, side="right") clipped to the
+        # last symbol, ties included. reached[s] counts the draws at or
+        # above cut s - 1: all n for s = 0, none past the last symbol.
+        cuts = self.cum_probs[:-1]
+        reached = np.empty((len(cuts) + 2, u.shape[1]), dtype=self._count_dtype)
+        reached[0] = n
+        reached[-1] = 0.0
+        for s, cut in enumerate(cuts, start=1):
+            (u[:n] >= cut).sum(axis=0, out=reached[s])
+        empirical = self.risks(reached[:-1] - reached[1:])
         if self.spec.kind == ERM:
-            picks = np.argmin(empirical, axis=1)
-        else:
-            picks = _inverse_cdf_rows(np.cumsum(self._weights(empirical), axis=1), u[:, self.n])
-        return picks, empirical[np.arange(rows), picks]
+            return self._lowest_minimizer(empirical)
+        picks = _inverse_cdf(_running_sums(self._weights(empirical)), u[n])
+        return picks, empirical[picks, np.arange(len(picks))]
 
 
-def _inverse_cdf_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row i, ``searchsorted(cumulative[i], u[i] * cumulative[i, -1], side="right")``.
+def _running_sums(weights: np.ndarray) -> np.ndarray:
+    """``np.cumsum(weights, axis=0)``, added in the same order; may overwrite ``weights``.
 
-    Clipped to the last column, which a total rounded below u can overrun.
+    With whole contiguous rows, one row add per hypothesis beats numpy's
+    accumulate, which loops over the columns.
     """
-    picks = (cumulative <= u[:, None] * cumulative[:, -1:]).sum(axis=1)
-    return np.minimum(picks, cumulative.shape[1] - 1)
+    if not _whole_rows(*weights.shape):
+        return np.cumsum(weights, axis=0)
+    for h in range(1, len(weights)):
+        weights[h] += weights[h - 1]
+    return weights
+
+
+def _inverse_cdf(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column i, ``searchsorted(cumulative[:, i], u[i] * cumulative[-1, i], side="right")``.
+
+    Clipped to the last row, which a total rounded below u can overrun.
+    """
+    picks = (cumulative <= u * cumulative[-1]).sum(axis=0)
+    return np.minimum(picks, len(cumulative) - 1)
 
 
 def _count_symbols(drawn: np.ndarray, symbols: int) -> np.ndarray:
@@ -600,7 +677,7 @@ def run_gen_error_experiment(
     width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
 
     def block(seeds: np.ndarray):
-        picks, empirical = tables.learn(_uniform_block(seeds, width))
+        picks, empirical = tables.learn(_uniform_block(seeds, width, draw_major=True))
         gaps = np.abs(tables.true_risk[picks] - empirical)
         hits = gaps > config.eta
         return (hits,), (picks, empirical, gaps, hits)

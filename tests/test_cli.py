@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface (in process)."""
 
+import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -58,6 +60,52 @@ OVERFLOWING_BOUNDS = {
     "bound --theorem generr-c --n 1 --eta 0.5 --sensitivity 1 --leakage 1000":
         "generalization-error-sensitivity",
     "bound --theorem hyptest --sigma 0.5 --leakage 1000": "false-discovery",
+}
+
+README_GENERR = {
+    "d": 2,
+    "n": 6,
+    "dataDistribution": {"labels": ["x0:0", "x0:1", "x1:0", "x1:1"],
+                         "probs": [0.4, 0.1, 0.3, 0.2]},
+    "learner": {"kind": ERM, "hypothesisClass": [[0, 0], [0, 1], [1, 0], [1, 1]],
+                "tieBreak": "lowest-index"},
+    "eta": 0.45,
+    "trials": 10_000,
+    "seed": 20260814,
+}
+# config, stdout line and sha256 of the --trace CSV of simulate generr runs
+GOLDEN_GENERR = {
+    "readme-erm": (
+        README_GENERR,
+        '{"empiricalTail": 0.0109, "mcHalfWidth": 0.0022714316964554445, '
+        '"theoreticalBound": 0.7042946606589803, "exactLeakage_nats": 1.3862943611198906, '
+        '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
+        "2e1634e4d996af1ca8d3a46f009fa1837336f8a13c6bfcc08f3e3b83fe6d57a0",
+    ),
+    "readme-em": (
+        {**README_GENERR, "learner": {**README_GENERR["learner"], "kind": EM, "epsilon": 0.5}},
+        '{"empiricalTail": 0.009, "mcHalfWidth": 0.0020521632487821868, '
+        '"theoreticalBound": 0.3248796507717736, "exactLeakage_nats": 0.6125523488900907, '
+        '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
+        "5650c7144d626dc2d1636ce3c750fd736915bad76799af889efd558218d0db74",
+    ),
+    "d3-em-8-hypotheses": (
+        {
+            "d": 3,
+            "n": 4,
+            "dataDistribution": {"labels": [f"x{i}:{b}" for i in range(3) for b in (0, 1)],
+                                 "probs": [0.3, 0.05, 0.1, 0.25, 0.2, 0.1]},
+            "learner": {"kind": EM, "epsilon": 0.5,
+                        "hypothesisClass": [list(h) for h in itertools.product((0, 1), repeat=3)]},
+            "eta": 0.3,
+            "trials": 10_000,
+            "seed": 7,
+        },
+        '{"empiricalTail": 0.207, "mcHalfWidth": 0.009357908578203733, '
+        '"theoreticalBound": 1.532090125589739, "exactLeakage_nats": 0.45348571774204216, '
+        '"ledgerBound_nats": 2.0, "pass": true}',
+        "5e75981f7cb3dd1760796c661c9fe1f4a1b5615d487844e35d652fbdb2c1cfb6",
+    ),
 }
 
 
@@ -657,6 +705,19 @@ class TestSimulate:
         assert code == 0
         assert doc["exactLeakage_nats"] == math.log(2)
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GENERR))
+    def test_golden_report_and_trace(self, capsys, tmp_path, name):
+        # every byte of the report and of the trace is pinned: a change to
+        # the stream, the slicing or the learner kernel must not move one
+        config, stdout, trace_sha256 = GOLDEN_GENERR[name]
+        path = write_json(tmp_path / "generr.json", config)
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "generr", "--config", path, "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == stdout + "\n"
+        assert captured.err == ""
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+
 
 class TestParser:
     def test_unknown_command(self, capsys):
@@ -804,6 +865,20 @@ class TestParser:
         assert code == 2
         assert doc is None
         assert err.splitlines() == [f"error: entries must be a JSON array, got {got}"]
+
+    @pytest.mark.parametrize("hypotheses,name,got", [
+        (5, "learner.hypothesisClass", "5"),
+        ([5], "learner.hypothesisClass[0]", "5"),
+        ([[0], "1"], "learner.hypothesisClass[1]", "'1'"),
+    ], ids=["class-int", "hypothesis-int", "hypothesis-string"])
+    def test_hypothesis_class_that_is_not_nested_arrays_is_one_error_line(
+            self, capsys, tmp_path, hypotheses, name, got):
+        learner = {**GENERR["learner"], "hypothesisClass": hypotheses}
+        path = write_json(tmp_path / "generr.json", {**GENERR, "learner": learner})
+        code, doc, err = run_cli(capsys, "simulate", "generr", "--config", path)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {name} must be a JSON array, got {got}"]
 
 
 def test_import_does_not_load_scipy_stats(tmp_path):

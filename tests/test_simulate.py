@@ -38,7 +38,7 @@ from leakage_lab.simulate import (
     _clopper_pearson_lower,
     _count_symbols,
     _histograms,
-    _inverse_cdf_rows,
+    _inverse_cdf,
     _LearnerTables,
     _tail_check,
     _trial_seeds,
@@ -125,21 +125,39 @@ def old_pick(tables, empirical, u):
     return int(min(np.searchsorted(cumulative, x, side="right"), len(weights) - 1))
 
 
+def per_trial_oracle(tables, u):
+    """Picks and risks one trial (column of draw-major ``u``) at a time, by searchsorted."""
+    n = tables.n
+    picks, risks_of_picks = [], []
+    for i in range(u.shape[1]):
+        symbols = np.minimum(
+            np.searchsorted(tables.cum_probs, u[:n, i], side="right"), len(tables.cum_probs) - 1
+        )
+        risks = tables.loss01[symbols].mean(axis=0)
+        if tables.spec.kind == ERM:
+            h = int(np.argmin(risks))
+        else:
+            h = old_pick(tables, risks, u[n, i])
+        picks.append(h)
+        risks_of_picks.append(risks[h])
+    return picks, risks_of_picks
+
+
 class TestVectorizedLearner:
     def test_inverse_cdf_matches_searchsorted_with_ties(self):
         rng = np.random.default_rng(3)
         # small integer weights with zeros give repeated cumulative values;
         # u = 0 and u = cumulative[2] / total probe those ties
-        weights = rng.integers(0, 3, size=(400, 6)).astype(np.float64)
-        weights[:, 0] += weights.sum(axis=1) == 0
-        cumulative = np.cumsum(weights, axis=1)
+        weights = rng.integers(0, 3, size=(6, 400)).astype(np.float64)
+        weights[0] += weights.sum(axis=0) == 0
+        cumulative = np.cumsum(weights, axis=0)
         u = rng.random(400)
-        u[::2] = cumulative[::2, 2] / cumulative[::2, -1]
+        u[::2] = cumulative[2, ::2] / cumulative[-1, ::2]
         u[1::4] = 0.0
-        picks = _inverse_cdf_rows(cumulative, u)
+        picks = _inverse_cdf(cumulative, u)
         for i in range(len(u)):
-            x = u[i] * cumulative[i, -1]
-            expected = min(np.searchsorted(cumulative[i], x, side="right"), 5)
+            x = u[i] * cumulative[-1, i]
+            expected = min(np.searchsorted(cumulative[:, i], x, side="right"), 5)
             assert picks[i] == expected
 
     @pytest.mark.parametrize("epsilon", [None, 0.5, 40.0, 3000.0])
@@ -151,16 +169,54 @@ class TestVectorizedLearner:
         spec = LearnerSpec(kind, hypotheses, epsilon)
         n = 5
         tables = _LearnerTables(spec, 2, n, skewed_dist())
-        u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1)
+        u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1, draw_major=True)
         picks, empirical = tables.learn(u)
-        for i in range(len(u)):
+        for i in range(u.shape[1]):
             symbols = np.minimum(
-                np.searchsorted(tables.cum_probs, u[i, :n], side="right"), 3
+                np.searchsorted(tables.cum_probs, u[:n, i], side="right"), 3
             )
             risks = tables.loss01[symbols].mean(axis=0)
-            h = int(np.argmin(risks)) if epsilon is None else old_pick(tables, risks, u[i, n])
+            h = int(np.argmin(risks)) if epsilon is None else old_pick(tables, risks, u[n, i])
             assert picks[i] == h
             assert empirical[i] == risks[h]
+        # a slice too short for whole-row risks, stored column by column
+        few_picks, few_empirical = tables.learn(u[:, :100])
+        assert np.array_equal(few_picks, picks[:100])
+        assert np.array_equal(few_empirical, empirical[:100])
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    @pytest.mark.parametrize("trials", [2000, 7])
+    def test_zero_probability_symbol_and_draws_on_cut_points(self, epsilon, trials):
+        # symbol 1 has probability 0, so cut points 0 and 1 coincide, and the
+        # total falls short of 1; draws sit on, just below and just above
+        # each cut, at 0 and at the largest uniform below 1
+        dist = DiscreteDistribution(FOUR_SYMBOLS, [0.5, 0.0, 0.3, 0.2 - 5e-10])
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, ((0, 0), (0, 1), (1, 0), (1, 1)), epsilon)
+        n = 5
+        tables = _LearnerTables(spec, 2, n, dist)
+        assert tables.cum_probs[0] == tables.cum_probs[1] and tables.cum_probs[-1] < 1.0
+        cuts = tables.cum_probs.tolist()
+        pool = [0.0, 1.0 - 2.0**-53]
+        pool += [np.nextafter(c, side) for c in cuts for side in (0.0, 1.0)] + cuts
+        rng = np.random.default_rng(8)
+        u = rng.choice(np.array(pool), size=(n + 1, trials))
+        u[n] = rng.random(trials)
+        picks, empirical = tables.learn(u)
+        expected_picks, expected_risks = per_trial_oracle(tables, u)
+        assert picks.tolist() == expected_picks
+        assert empirical.tolist() == expected_risks
+
+    @pytest.mark.parametrize("n", [2**24, 2**24 + 1])
+    def test_risks_are_exact_mistake_counts_over_n(self, n):
+        # float32 holds every integer up to 2^24 but not 2^24 + 1, so a
+        # float32 product at n = 2^24 + 1 would round the largest mistake count
+        tables = _LearnerTables(full_erm(), 2, n, skewed_dist())
+        counts = np.array([[n - 3, 1, 1, 1], [n, 0, 0, 0], [0, 0, 1, n - 1]]).T
+        expected = (counts.T @ tables.loss01 / n).T
+        for rows in (counts, np.tile(counts, 600)):
+            risks = tables.risks(rows)
+            assert np.array_equal(risks, np.tile(expected, rows.shape[1] // 3))
 
 
 class TestMapChunked:
@@ -537,17 +593,24 @@ class TestGenErrorExperiment:
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     def test_block_size_does_not_change_results(self, tmp_path, monkeypatch, epsilon):
+        # one slice of 2500 trials stores its risks row by row; at d = 3 a
+        # trial holds 8 risks, so slices of at most 100 // 8 = 12 trials
+        # hold fewer trials than hypotheses and store them column by column
         kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
-        spec = LearnerSpec(kind, ((0, 0), (0, 1), (1, 0), (1, 1)), epsilon)
-        config = GenErrConfig(2, 5, skewed_dist(), spec, 0.3, 2500, 11)
-        default = tmp_path / "default.csv"
-        report = run_gen_error_experiment(config, trace_path=str(default))
-        for block in (1, 7, 100):
-            monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
-            sliced = tmp_path / f"{block}.csv"
-            again = run_gen_error_experiment(config, trace_path=str(sliced))
-            assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
-            assert sliced.read_bytes() == default.read_bytes()
+        d3 = DiscreteDistribution(data_alphabet(3), [0.3, 0.05, 0.1, 0.25, 0.2, 0.1])
+        full = _stream._BLOCK_DRAWS
+        for d, n, dist in ((2, 5, skewed_dist()), (3, 4, d3)):
+            spec = LearnerSpec(kind, tuple(itertools.product((0, 1), repeat=d)), epsilon)
+            config = GenErrConfig(d, n, dist, spec, 0.3, 2500, 11)
+            default = tmp_path / "default.csv"
+            monkeypatch.setattr(_stream, "_BLOCK_DRAWS", full)
+            report = run_gen_error_experiment(config, trace_path=str(default))
+            for block in (1, 7, 100):
+                monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
+                sliced = tmp_path / f"{block}.csv"
+                again = run_gen_error_experiment(config, trace_path=str(sliced))
+                assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
+                assert sliced.read_bytes() == default.read_bytes()
 
     def test_slices_count_symbols_and_hypotheses(self, monkeypatch):
         # a trial at n = 1 draws one uniform but holds 6 symbol counts and
