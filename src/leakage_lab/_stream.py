@@ -9,7 +9,9 @@ computed them. ``map_chunked`` cuts an item range into such slices.
 
 A block comes in one of two layouts with the same values. Item-major
 (items, width) rows suit ``verify``, whose instances read their draws a
-few columns at a time. Draw-major (width, items) rows suit the
+few columns at a time, and ``simulate hyptest``, whose trials gather
+their packed coins by word index and reduce over their T windows with
+one max over packed keys. Draw-major (width, items) rows suit the
 ``simulate generr`` trials: draw j of every trial in the slice is one
 contiguous row, so each step of a trial reduces over the short axis
 (draws, symbols or hypotheses) by adding or comparing whole rows

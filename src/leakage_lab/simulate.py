@@ -14,8 +14,9 @@ Two experiment families check the bounds against live randomness:
 
 * post-selection hypothesis testing: under a fair-coin null, the
   minimum-p-value rule picks one of T coordinate-window binomial tests
-  with exact tail p-values; the false-discovery frequency is compared
-  against exp(log T) * sigma at both the adjusted and raw significance.
+  with exact tail p-values (the first window with the most heads); the
+  false-discovery frequency is compared against exp(log T) * sigma at
+  both the adjusted and raw significance.
 
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
@@ -704,24 +705,34 @@ def statistic_windows(n: int, t: int) -> np.ndarray:
 
     Windows are evenly spaced, wrap around, and are at least 8 wide (when
     the sample allows) so that small significance levels stay reachable
-    by the discrete binomial p-values.
+    by the discrete binomial p-values. A (T, w) table larger than the
+    enumeration cap is refused before anything is allocated.
     """
     width = min(n, max(8, n // t))
-    starts = [(j * n) // t for j in range(t)]
-    return np.array(
-        [[(start + i) % n for i in range(width)] for start in starts], dtype=np.intp
-    )
+    cap = enumeration_cap()
+    if t * width > cap:
+        raise CapExceeded(
+            f"numStats = {t} windows of width {width} over n = {n} coins make "
+            f"{t * width} window entries, which exceed the cap {cap}"
+        )
+    starts = np.arange(t, dtype=np.intp) * n // t
+    return (starts[:, None] + np.arange(width, dtype=np.intp)) % n
 
 
 def binomial_tail_table(m: int) -> np.ndarray:
-    """Exact one-sided p-values: table[k] = P(Bin(m, 1/2) >= k)."""
-    weights = [math.comb(m, i) for i in range(m + 1)]
-    suffix = 0
-    table = np.empty(m + 1)
-    for k in range(m, -1, -1):
-        suffix += weights[k]
-        table[k] = suffix / (1 << m)
-    return table
+    """Exact one-sided p-values: table[k] = P(Bin(m, 1/2) >= k).
+
+    Each entry is the correctly rounded double of the integer tail sum
+    over 2^m, so the table is nonincreasing; where neighbouring tails round
+    (or underflow) to one double, neighbouring entries are equal.
+    """
+    # C(m, i + 1) = C(m, i) * (m - i) / (i + 1), exact in integers
+    weights = [1]
+    for i in range(m):
+        weights.append(weights[-1] * (m - i) // (i + 1))
+    total = 1 << m
+    tails = list(itertools.accumulate(reversed(weights)))[::-1]
+    return np.array([tail / total for tail in tails])
 
 
 def _window_masks(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -745,14 +756,61 @@ def _window_masks(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return word_index, masks
 
 
+def _key_dtype(width: int, t: int) -> np.dtype:
+    """Narrowest unsigned dtype of the keys count << s | (t - 1 - index), count <= width."""
+    return np.min_scalar_type(((width + 1) << (t - 1).bit_length()) - 1)
+
+
+def _first_equal(table: np.ndarray) -> np.ndarray | None:
+    """first[k]: the smallest count whose p-value is table[k], or None when no two are equal."""
+    first = np.searchsorted(-table, -table)
+    return None if (first == np.arange(len(table))).all() else first
+
+
+def _smallest_p(counts: np.ndarray, table: np.ndarray,
+                first_equal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise first argmin of ``table[counts]`` and its value, without the gather.
+
+    ``counts`` is an (N, T) array of head counts in ``_key_dtype``. The
+    table is nonincreasing, so a row's smallest p-value sits at its largest
+    count, and the largest key count << s | (T - 1 - t), s = bit_length(T - 1),
+    holds that count and the lowest index t among the windows that reach it:
+    one max over the T axis, and one table read per row. Where tails round
+    or underflow to one double (``first_equal``, see ``_first_equal``), a
+    smaller count can share the smallest p-value, and a row whose largest
+    count c has first_equal[c] < c takes the first window whose count
+    reaches first_equal[c] instead.
+    """
+    t = counts.shape[1]
+    shift = (t - 1).bit_length()
+    # a multiply by 2^s is the shift; numpy multiplies narrow integers faster
+    keys = counts * counts.dtype.type(1 << shift)
+    keys |= np.arange(t - 1, -1, -1, dtype=counts.dtype)
+    best = keys.max(axis=1)
+    top = (best >> shift).astype(np.intp)
+    selected = (t - 1) - (best & ((1 << shift) - 1))
+    if first_equal is not None:
+        low = first_equal[top]
+        (rows,) = np.nonzero(low < top)
+        selected[rows] = np.argmax(counts[rows] >= low[rows, None], axis=1)
+    return selected, table[top]
+
+
 def run_hyptest_experiment(
     config: HypTestConfig,
     trace_path: str | None = None,
 ) -> HypTestReport:
-    """Monte Carlo check of the post-selection false-discovery bound."""
+    """Monte Carlo check of the post-selection false-discovery bound.
+
+    A trial selects the first window with the smallest p-value by one max
+    over packed (count, index) keys (``_smallest_p``), which is exact
+    because the tail table is nonincreasing in the count.
+    """
     windows = statistic_windows(config.n, config.num_stats)
     table = binomial_tail_table(windows.shape[1])
     word_index, masks = _window_masks(windows)
+    key_dtype = _key_dtype(windows.shape[1], config.num_stats)
+    first_equal = _first_equal(table)
     draws_per_trial = -(-config.n // 64)
     selection_bound = cardinality_bound(config.num_stats)
     adjusted_sigma = adjusted_significance(config.delta, selection_bound)
@@ -760,10 +818,12 @@ def run_hyptest_experiment(
     def block(seeds: np.ndarray):
         # every bit of a draw is a fair coin: a window's head count is the
         # popcount of its masked words
-        draws = _counter_mix(seeds, 0, draws_per_trial)
-        p_values = table[np.bitwise_count(draws[:, word_index] & masks).sum(axis=2)]
-        selected = np.argmin(p_values, axis=1)
-        p_min = p_values[np.arange(len(seeds)), selected]
+        words = _counter_mix(seeds, 0, draws_per_trial)[:, word_index]
+        # masked in place: a second slice-sized temporary made glibc hand
+        # pages back between slices, and each slice then paid page faults
+        words &= masks
+        counts = np.bitwise_count(words).sum(axis=2, dtype=key_dtype)
+        selected, p_min = _smallest_p(counts, table, first_equal)
         reject_adjusted = p_min <= adjusted_sigma
         reject_raw = p_min <= config.sigma
         return (reject_adjusted, reject_raw), (selected, p_min, reject_adjusted, reject_raw)

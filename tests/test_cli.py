@@ -109,6 +109,55 @@ GOLDEN_GENERR = {
 }
 
 
+README_HYPTEST = {"n": 64, "numStats": 10, "sigma": 0.005, "delta": 0.05,
+                  "trials": 10_000, "seed": 20260814}
+# stdout (up to its constant note) and --trace sha256 of simulate hyptest runs:
+# (8, 9) makes every window the whole sample, so every trial ties; T = 16
+# and 17 sit at and just past a power of two
+GOLDEN_HYPTEST = {
+    "readme": (
+        README_HYPTEST,
+        '{"adjustedSigma": 0.004999999999999999, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 2.302585092994046, "adjusted": {"significance": '
+        '0.004999999999999999, "empiricalTail": 0.0352, "mcHalfWidth": 0.0041525977146525846, '
+        '"theoreticalBound": 0.05, "pass": true}, "raw": {"significance": 0.005, '
+        '"empiricalTail": 0.0352, "mcHalfWidth": 0.0041525977146525846, '
+        '"theoreticalBound": 0.05000000000000001, "pass": true}, "pass": true',
+        "814b0420acf7c3439298b07c1036eb1d570331eb210bb8d03768b53609902425",
+    ),
+    "n64-t16": (
+        {**README_HYPTEST, "numStats": 16},
+        '{"adjustedSigma": 0.003125, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 2.772588722239781, "adjusted": {"significance": 0.003125, '
+        '"empiricalTail": 0.0, "mcHalfWidth": 0.0, "theoreticalBound": 0.049999999999999996, '
+        '"pass": true}, "raw": {"significance": 0.005, "empiricalTail": 0.0578, '
+        '"mcHalfWidth": 0.005303162070784392, "theoreticalBound": 0.07999999999999999, '
+        '"pass": true}, "pass": true',
+        "a1daa9e5fc9356ff8cdff3cb1daab23f56466dc9cbfe0f71b0e690ad2df388c4",
+    ),
+    "n8-t9": (
+        {**README_HYPTEST, "n": 8, "numStats": 9},
+        '{"adjustedSigma": 0.005555555555555555, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 2.1972245773362196, "adjusted": {"significance": '
+        '0.005555555555555555, "empiricalTail": 0.0045, "mcHalfWidth": 0.0014102668234651458, '
+        '"theoreticalBound": 0.05, "pass": true}, "raw": {"significance": 0.005, '
+        '"empiricalTail": 0.0045, "mcHalfWidth": 0.0014102668234651458, '
+        '"theoreticalBound": 0.04500000000000001, "pass": true}, "pass": true',
+        "b59f51628afedabd3f96f5dac7804a3c5ae57c5f5b96294a7b7b38e521fd44f8",
+    ),
+    "n5000-t10": (
+        {**README_HYPTEST, "n": 5000},
+        '{"adjustedSigma": 0.004999999999999999, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 2.302585092994046, "adjusted": {"significance": '
+        '0.004999999999999999, "empiricalTail": 0.0373, "mcHalfWidth": 0.004274640227764713, '
+        '"theoreticalBound": 0.05, "pass": true}, "raw": {"significance": 0.005, '
+        '"empiricalTail": 0.0373, "mcHalfWidth": 0.004274640227764713, '
+        '"theoreticalBound": 0.05000000000000001, "pass": true}, "pass": true',
+        "064bd4e3763c6577369410ca82cbf05ec023d44f7cd9181ea9f37b701dcfcbdc",
+    ),
+}
+
+
 @pytest.fixture
 def bec_path(tmp_path):
     return write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
@@ -718,6 +767,31 @@ class TestSimulate:
         assert captured.err == ""
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
 
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_HYPTEST))
+    def test_golden_hyptest_report_and_trace(self, capsys, tmp_path, name):
+        config, stdout, trace_sha256 = GOLDEN_HYPTEST[name]
+        path = write_json(tmp_path / "hyptest.json", config)
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", "hyptest", "--config", path, "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f'{stdout}, "note": {json.dumps(P_VALUE_NOTE)}}}\n'
+        assert captured.err == ""
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+
+    def test_hyptest_window_table_past_the_cap_exits_4(self, capsys, monkeypatch,
+                                                        hyptest_config):
+        # 10 windows of 8 coins make an 80-entry window table
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "79")
+        code, doc, err = run_cli(capsys, "simulate", "hyptest", "--config", hyptest_config)
+        assert code == 4
+        assert doc is None
+        assert err.splitlines() == [
+            "error: numStats = 10 windows of width 8 over n = 64 coins make 80 "
+            "window entries, which exceed the cap 79"
+        ]
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "80")
+        assert run_cli(capsys, "simulate", "hyptest", "--config", hyptest_config)[0] == 0
 
 class TestParser:
     def test_unknown_command(self, capsys):

@@ -38,8 +38,11 @@ from leakage_lab.simulate import (
     _clopper_pearson_lower,
     _count_symbols,
     _histograms,
+    _first_equal,
     _inverse_cdf,
+    _key_dtype,
     _LearnerTables,
+    _smallest_p,
     _tail_check,
     _trial_seeds,
     _uniform_block,
@@ -288,6 +291,25 @@ class TestStatisticWindows:
         windows = statistic_windows(100, 4)
         assert windows[:, 0].tolist() == [0, 25, 50, 75]
 
+    def test_matches_per_coordinate_oracle(self):
+        # window j starts at floor(j n / T) and holds the next w coordinates mod n
+        for n, t in ((1, 1), (6, 3), (7, 3), (8, 9), (64, 17), (100, 4), (5000, 10), (997, 333)):
+            width = min(n, max(8, n // t))
+            expected = [[((j * n) // t + i) % n for i in range(width)] for j in range(t)]
+            windows = statistic_windows(n, t)
+            assert windows.dtype == np.intp
+            assert windows.tolist() == expected
+
+    def test_table_past_the_cap_is_refused(self, monkeypatch):
+        # 10 windows of 8 coins make 80 entries; the check runs before any allocation
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "79")
+        with pytest.raises(CapExceeded, match=r"numStats = 10 .* n = 64 .* the cap 79"):
+            statistic_windows(64, 10)
+        with pytest.raises(CapExceeded):
+            run_hyptest_experiment(HypTestConfig(64, 10, 0.01, 0.05, 10, 1))
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "80")
+        assert statistic_windows(64, 10).shape == (10, 8)
+
 
 class TestBinomialTailTable:
     def test_matches_scipy_survival_function(self):
@@ -301,6 +323,22 @@ class TestBinomialTailTable:
         assert table[0] == 1.0
         assert table[10] == 2.0 ** -10
         assert np.all(np.diff(table) < 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 63, 64, 500, 4000])
+    def test_recurrence_matches_binomial_coefficients(self, m):
+        # every entry is the rounded double of the exact tail sum over 2^m
+        weights = [math.comb(m, i) for i in range(m + 1)]
+        expected = np.array([sum(weights[k:]) / 2**m for k in range(m + 1)])
+        assert binomial_tail_table(m).tobytes() == expected.tobytes()
+
+    def test_rounded_tails_tie(self):
+        # past 53 coins the tails near 1 round together, and past 1,074 the
+        # far tails underflow to 0: the table is only nonincreasing
+        assert binomial_tail_table(53)[1] < 1.0
+        assert binomial_tail_table(64)[2] == 1.0
+        table = binomial_tail_table(2000)
+        assert np.all(np.diff(table) <= 0)
+        assert table[-2] == table[-1] == 0.0
 
 
 class TestLearnerSpec:
@@ -684,7 +722,8 @@ class TestHypTestExperiment:
 
     @pytest.mark.parametrize(
         "n,t",
-        [(1, 1), (7, 3), (63, 4), (64, 10), (65, 5), (100, 10), (130, 20), (200, 40), (5000, 10)],
+        [(1, 1), (7, 3), (8, 9), (63, 4), (64, 10), (64, 16), (64, 17), (65, 5), (100, 10),
+         (130, 20), (200, 40), (5000, 10)],
     )
     def test_trace_matches_scalar_coins(self, tmp_path, n, t):
         # coin i of trial k is bit 63 - i % 64 of the trial's draw i // 64;
@@ -703,6 +742,28 @@ class TestHypTestExperiment:
             selected = int(np.argmin(p_values))
             assert (int(row[0]), int(row[1]), float(row[2])) == (k, selected, p_values[selected])
         assert len(rows) == config.trials
+
+    @pytest.mark.parametrize(
+        "width,t,dtype",
+        # (8, 17) and (500, 10) reach 2^8 and 2^13; (2000, 40) passes 2^16
+        [(8, 1, np.uint8), (8, 9, np.uint8), (8, 17, np.uint16), (64, 16, np.uint16),
+         (500, 10, np.uint16), (2000, 40, np.uint32), (4000, 17, np.uint32)],
+    )
+    def test_packed_selection_matches_first_argmin(self, width, t, dtype):
+        # the first argmin of the p-values and its p-value, on random counts,
+        # on counts of a few values (ties among windows), and on counts at
+        # both ends, where tails of large widths round or underflow together
+        assert _key_dtype(width, t) == dtype
+        rng = np.random.default_rng(width * 100 + t)
+        table = binomial_tail_table(width)
+        few = rng.choice([0, width // 2, width], size=(300, t))
+        ends = rng.choice([0, 1, 2, 3, width - 3, width - 2, width - 1, width], size=(300, t))
+        for counts in (rng.integers(0, width + 1, size=(500, t)), few, np.clip(ends, 0, width)):
+            p_values = table[counts]
+            expected = np.argmin(p_values, axis=1)
+            selected, p_min = _smallest_p(counts.astype(dtype), table, _first_equal(table))
+            assert selected.tolist() == expected.tolist()
+            assert p_min.tobytes() == p_values[np.arange(len(counts)), expected].tobytes()
 
     def test_window_tables_grow_with_the_window_width(self):
         # at n = 10^5 and T = 10^4 a window holds 10 coins, so it touches at
