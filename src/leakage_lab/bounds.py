@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .core import EventMask, JointDistribution, _event_mass
 from .errors import (
     AlphabetMismatch,
     DenominatorNonPositive,
@@ -37,8 +36,12 @@ from .errors import (
     NonPositiveSensitivity,
 )
 
+if TYPE_CHECKING:
+    from .core import EventMask, JointDistribution
+
 __all__ = [
     "BoundReport",
+    "P_VALUE_NOTE",
     "adaptive_event_bound",
     "exact_event_probability",
     "mcdiarmid_tail",
@@ -154,6 +157,8 @@ def exact_event_probability(joint: JointDistribution, event: EventMask) -> float
     """Brute-force P(E): total joint mass inside the mask."""
     if joint.input != event.input or joint.output != event.output:
         raise AlphabetMismatch("event mask is indexed by different alphabets")
+    from .core import _event_mass
+
     return float(_event_mass(joint.mass[None], event.mask[None])[0])
 
 
@@ -210,6 +215,15 @@ def compare_sensitivity_bounds(n: int, eta: float, c: float, leakage_nats: float
         "dp_reference_bound": reference,
         "leakage_bound_smaller": bool(ours.value < reference),
     }
+
+
+# A single thresholded p-value at accuracy eta obeys
+# P(E) <= exp(L - 2 eta^2); that is informative only when L < 2 eta^2,
+# so it is surfaced as a note instead of a tested bound.
+P_VALUE_NOTE = (
+    "thresholding one p-value at accuracy eta obeys P(E) <= exp(L_nats - 2*eta^2); "
+    "informative only when L_nats < 2*eta^2"
+)
 
 
 def adjusted_significance(delta: float, leakage_nats: float) -> float:

@@ -4,6 +4,10 @@ Subcommands: measure, compose, bound, verify, simulate. Every command
 prints one JSON document to stdout (also written to --output when
 given) and reports problems on stderr.
 
+``bound`` and ``compose`` without ``--channel`` are closed forms and run
+on the standard library: a handler imports the numpy-bearing modules
+(``core``, ``measures``, ``verify``, ``simulate``) only when it runs.
+
 Exit codes (a library error exits with its class's ``exit_code``):
     0  success; for verify/simulate, every check passed
     1  a verify or simulate check failed
@@ -23,6 +27,7 @@ import sys
 
 from . import jsonio
 from .bounds import (
+    P_VALUE_NOTE,
     adaptive_event_bound,
     adjusted_significance,
     compare_sensitivity_bounds,
@@ -33,25 +38,8 @@ from .bounds import (
     mi_gen_bound,
     sample_complexity,
 )
-from .core import Alphabet, Channel, JointDistribution, ProductAlphabet
 from .errors import Infeasible, LeakageLabError
 from .ledger import LeakageLedger, LedgerEntry
-from .measures import (
-    approx_max_information,
-    conditional_maximal_leakage,
-    empirical_dp,
-    max_information,
-    maximal_leakage,
-    mutual_information,
-)
-from .simulate import (
-    GenErrConfig,
-    HypTestConfig,
-    P_VALUE_NOTE,
-    run_gen_error_experiment,
-    run_hyptest_experiment,
-)
-from .verify import SUITES, run_suites
 
 __all__ = ["main"]
 
@@ -60,6 +48,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = LeakageLabError.exit_code
 
 _NATS_PER_BIT = math.log(2.0)
+
+# the keys of verify.SUITES, named here so that building the parser loads no numpy
+_SUITE_NAMES = ("soundness", "composition", "maxinfo")
 
 _WORKERS_HELP = "accepted for compatibility; has no effect, every run is serial"
 
@@ -87,25 +78,35 @@ def _load_pairs(path: str) -> list[tuple]:
 
 
 def _cmd_measure(args) -> tuple[dict, int]:
+    from .core import Alphabet, Channel, JointDistribution, ProductAlphabet
+    from .measures import (
+        approx_max_information,
+        conditional_maximal_leakage,
+        empirical_dp,
+        max_information,
+        maximal_leakage,
+        mutual_information,
+    )
+
     kind = args.kind
     inputs: dict = {}
     if kind == "ml":
         _require(args.channel is not None, "measure ml needs --channel")
         channel = Channel.from_json(_load_object(args.channel))
-        support = args.support.split(",") if args.support else None
+        support = args.support.split(",") if args.support is not None else None
         value = maximal_leakage(channel, support).nats
         inputs["channel"] = args.channel
-        if support:
+        if support is not None:
             inputs["support"] = support
     elif kind == "cml":
         _require(args.channel is not None, "measure cml needs --channel")
         _require(args.pairs is not None, "measure cml needs --pairs")
         channel = Channel.from_json(_load_object(args.channel))
         pairs = _load_pairs(args.pairs)
-        support = set(_load_pairs(args.support)) if args.support else None
+        support = set(_load_pairs(args.support)) if args.support is not None else None
         value = conditional_maximal_leakage(channel, pairs, support).nats
         inputs = {"channel": args.channel, "pairs": args.pairs}
-        if args.support:
+        if args.support is not None:
             inputs["support"] = args.support
     elif kind == "mi":
         _require(args.joint is not None, "measure mi needs --joint")
@@ -170,6 +171,8 @@ def _cmd_compose(args) -> tuple[dict, int]:
     for nats in args.maxinfo or []:
         ledger = ledger.with_entry(LedgerEntry.from_maxinfo(next_label(), nats))
     for path in args.channel or []:
+        from .core import Channel
+
         channel = Channel.from_json(_load_object(path))
         ledger = ledger.with_entry(LedgerEntry.from_channel(next_label(), channel))
     for nats in args.declared or []:
@@ -236,12 +239,21 @@ def _cmd_bound(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     _require(args.seed is not None, "verify needs an explicit --seed")
     _require(args.instances >= 1, "--instances must be >= 1")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]
     document = run_suites(names, args.instances, args.seed)
     return document, EXIT_OK if document["pass"] else EXIT_CHECK_FAILED
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    from .simulate import (
+        GenErrConfig,
+        HypTestConfig,
+        run_gen_error_experiment,
+        run_hyptest_experiment,
+    )
+
     payload = _load_object(args.config)
     if args.kind == "generr":
         config = GenErrConfig.from_json(payload)
@@ -311,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(handler=_cmd_bound)
 
     verify = sub.add_parser("verify", parents=[common], help="run randomized property sweeps")
-    verify.add_argument("suite", choices=[*SUITES, "all"])
+    verify.add_argument("suite", choices=[*_SUITE_NAMES, "all"])
     verify.add_argument("--instances", type=int, default=1000)
     verify.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     verify.set_defaults(handler=_cmd_verify)

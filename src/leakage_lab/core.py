@@ -29,6 +29,7 @@ from .errors import (
     NegativeMass,
     NotNormalized,
 )
+from .jsonio import _read_array
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -225,7 +226,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "DiscreteDistribution":
-        return cls(Alphabet(payload["labels"]), payload["probs"])
+        return cls(Alphabet(_read_array(payload["labels"], "labels")), payload["probs"])
 
 
 class _Rectangle:
@@ -279,8 +280,8 @@ class _Rectangle:
     @classmethod
     def from_json(cls, payload: Mapping):
         return cls(
-            Alphabet(payload["input_labels"]),
-            Alphabet(payload["output_labels"]),
+            Alphabet(_read_array(payload["input_labels"], "input_labels")),
+            Alphabet(_read_array(payload["output_labels"], "output_labels")),
             payload[cls._field],
         )
 

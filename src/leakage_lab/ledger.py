@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .core import Channel
 from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon
 from .jsonio import _read_array, _read_int, _read_number, _read_object
-from .measures import maximal_leakage
+
+if TYPE_CHECKING:
+    from .core import Channel
 
 __all__ = [
     "LedgerEntry",
@@ -126,6 +127,8 @@ class LedgerEntry:
 
     @classmethod
     def from_channel(cls, label: str, channel: Channel, support=None) -> "LedgerEntry":
+        from .measures import maximal_leakage
+
         value = maximal_leakage(channel, support)
         return cls(label, value.nats, {"kind": "computed-channel"})
 

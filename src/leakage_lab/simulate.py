@@ -55,7 +55,7 @@ from ._stream import (
     derive_trial_seed,
     map_chunked,
 )
-from .bounds import adjusted_significance, fdr_bound, gen_error_bound
+from .bounds import P_VALUE_NOTE, adjusted_significance, fdr_bound, gen_error_bound
 from .core import (
     Alphabet,
     Channel,
@@ -377,15 +377,6 @@ class SignificanceCheck:
             "theoreticalBound": self.theoretical_bound,
             "pass": self.passed,
         }
-
-
-# A single thresholded p-value at accuracy eta obeys
-# P(E) <= exp(L - 2 eta^2); that is informative only when L < 2 eta^2,
-# so it is surfaced as a note instead of a tested bound.
-P_VALUE_NOTE = (
-    "thresholding one p-value at accuracy eta obeys P(E) <= exp(L_nats - 2*eta^2); "
-    "informative only when L_nats < 2*eta^2"
-)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (in process)."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -109,6 +110,9 @@ GOLDEN_GENERR = {
 }
 
 
+# sha256 of the stdout of verify all --instances 1000 --seed 7
+GOLDEN_VERIFY = "6607013bf7402fb192bdc141afe801c1d02e95cd6c41628676d85a5a8303aabe"
+
 README_HYPTEST = {"n": 64, "numStats": 10, "sigma": 0.005, "delta": 0.05,
                   "trials": 10_000, "seed": 20260814}
 # stdout (up to its constant note) and --trace sha256 of simulate hyptest runs:
@@ -188,6 +192,31 @@ class TestMeasure:
         assert code == 0
         assert doc["nats"] == 0.0
         assert doc["inputs"]["support"] == ["0"]
+
+    def test_empty_ml_support_is_an_unknown_symbol(self, capsys, bec_path):
+        # an empty --support names no input; it is not "all inputs"
+        code, doc, err = run_cli(capsys, "measure", "ml", "--channel", bec_path, "--support", "")
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: unknown symbol ''"]
+
+    def test_empty_cml_support_is_no_file(self, capsys, tmp_path, bec_path):
+        pairs = write_json(tmp_path / "pairs.json", [["0", "a"], ["1", "a"]])
+        code, doc, err = run_cli(capsys, "measure", "cml", "--channel", bec_path,
+                                 "--pairs", pairs, "--support", "")
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
+
+    @pytest.mark.parametrize("field", ["input_labels", "output_labels"])
+    def test_label_field_given_as_a_string_is_one_error_line(self, capsys, tmp_path, field):
+        payload = {"input_labels": ["0", "1"], "output_labels": ["0", "1"],
+                   "rows": [[1.0, 0.0], [0.5, 0.5]], field: "01"}
+        path = write_json(tmp_path / "ch.json", payload)
+        code, doc, err = run_cli(capsys, "measure", "ml", "--channel", path)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {field} must be a JSON array, got '01'"]
 
     def test_cml(self, capsys, tmp_path):
         pairs = [["x0", "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]
@@ -486,6 +515,13 @@ class TestVerify:
         assert code == 2
         assert doc is None
         assert err.splitlines() == ["error: seed must be a 64-bit unsigned integer"]
+
+    def test_golden_all_suites_report(self, capsys):
+        # every byte of the README sweep report is pinned
+        assert main(["verify", "all", "--instances", "1000", "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_VERIFY
+        assert captured.err == ""
 
     def test_all_suites_deterministic_across_workers(self, capsys):
         argv = ["verify", "all", "--instances", "30", "--seed", "5"]
@@ -975,6 +1011,61 @@ def test_import_does_not_load_scipy_stats(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_form_commands_load_no_numpy():
+    # the package, the CLI, every bound, the closed-form compose flags,
+    # --help and the error exits stay on the standard library
+    src = str(Path(leakage_lab.__file__).resolve().parents[1])
+    commands = [
+        (["bound", "--theorem", "adapt", "--max-fiber-prob", "0.1", "--leakage", "1"], 0),
+        (["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"], 0),
+        (["bound", "--theorem", "generr-c", "--n", "100", "--eta", "0.1",
+          "--sensitivity", "0.01", "--leakage", "1"], 0),
+        (["bound", "--theorem", "hyptest", "--sigma", "0.005", "--delta", "0.05",
+          "--leakage", "2.3"], 0),
+        (["bound", "--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.01", "--n", "100"], 0),
+        (["bound", "--theorem", "mi", "--mutual-info", "0.5", "--n", "100", "--eta", "0.2"], 0),
+        (["bound", "--theorem", "sample-complexity", "--value", "2.77", "--eta", "0.1",
+          "--delta", "0.05"], 0),
+        (["compose", "--dp", "0.1,10", "--cardinality", "4", "--maxinfo", "0.3",
+          "--declared", "0.25", "--bits"], 0),
+        (["--help"], 0),
+        (["bound", "--theorem", "generr", "--n", "10"], 2),
+        (["compose", "--dp", "0.1"], 2),
+        (["verify", "all", "--instances", "10"], 2),
+        (["bound", "--theorem", "generr", "--n", "1", "--eta", "0.5", "--leakage", "1000"], 3),
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import leakage_lab\n"
+        "assert 'numpy' not in sys.modules, 'import leakage_lab'\n"
+        "import leakage_lab.cli\n"
+        "assert 'numpy' not in sys.modules, 'import leakage_lab.cli'\n"
+        f"for argv, code in {commands!r}:\n"
+        "    assert leakage_lab.cli.main(argv) == code, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_each_export_once_and_resolves_it_from_its_module():
+    from leakage_lab import verify
+
+    listed = [name for names in leakage_lab._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed)) == len(leakage_lab.__all__)
+    for name in leakage_lab.__all__:
+        home = importlib.import_module(f"leakage_lab.{leakage_lab._HOME[name]}")
+        assert getattr(leakage_lab, name) is getattr(home, name), name
+        assert name in vars(leakage_lab), f"{name} is not cached"
+    namespace: dict = {}
+    exec("from leakage_lab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(leakage_lab.__all__)
+    assert set(leakage_lab.__all__) <= set(dir(leakage_lab))
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(leakage_lab, "no_such_export")
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
 
 
 def test_bench_tracer_counts_every_trial(tmp_path):

@@ -321,6 +321,11 @@ class TestSerialization:
             assert np.array_equal(back.probs, d.probs)
             assert back.alphabet == d.alphabet
 
+    def test_labels_given_as_a_string_are_refused(self):
+        # a JSON string is not split into one label per character
+        with pytest.raises(LeakageLabError, match="labels must be a JSON array, got 'ab'"):
+            DiscreteDistribution.from_json({"labels": "ab", "probs": [0.5, 0.5]})
+
     def test_channel_round_trip(self, rng):
         rows = rng.random((3, 4))
         rows /= rows.sum(axis=1, keepdims=True)
