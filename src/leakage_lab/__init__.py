@@ -36,10 +36,10 @@ _EXPORTS = {
         "leakage_to_approx_maxinfo", "maxinfo_to_leakage",
     ),
     "measures": (
-        "LeakageValue", "approx_max_divergence", "approx_max_divergence_by_enumeration",
-        "approx_max_information", "approx_max_information_by_enumeration",
-        "conditional_maximal_leakage", "empirical_dp", "max_information", "maximal_leakage",
-        "maximal_leakage_of_joint", "mutual_information", "renyi_inf_divergence",
+        "LeakageValue", "approx_max_divergence", "approx_max_information",
+        "approx_max_information_by_enumeration", "conditional_maximal_leakage", "empirical_dp",
+        "max_information", "maximal_leakage", "maximal_leakage_of_joint", "mutual_information",
+        "renyi_inf_divergence",
     ),
     "simulate": (
         "GenErrConfig", "HypTestConfig", "LearnerSpec", "data_alphabet", "derive_trial_seed",

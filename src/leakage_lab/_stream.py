@@ -7,15 +7,14 @@ draws of a whole block of items come out of one numpy uint64 computation
 so an item's draws depend only on (s, t, j), never on the slice that
 computed them. ``map_chunked`` cuts an item range into such slices.
 
-A block comes in one of two layouts with the same values. Item-major
-(items, width) rows suit ``verify``, whose instances read their draws a
-few columns at a time, and ``simulate hyptest``, whose trials gather
-their packed coins by word index and reduce over their T windows with
-one max over packed keys. Draw-major (width, items) rows suit the
-``simulate generr`` trials: draw j of every trial in the slice is one
-contiguous row, so each step of a trial reduces over the short axis
-(draws, symbols or hypotheses) by adding or comparing whole rows
-instead of running one tiny numpy reduction per trial.
+A block is draw-major, (width, items): draw j of every item in the
+slice is one contiguous row. The ``simulate generr`` trials reduce over
+the short axes of a trial (its draws, symbols or hypotheses) by adding
+or comparing whole rows instead of running one tiny numpy reduction per
+trial; ``simulate hyptest`` gathers its packed coins by word index into
+(T, slots, trials) rows and reduces over its T windows row by row; and
+``verify`` reads its instance-first arrays through ``_Draws`` as
+transposed views of consecutive rows.
 """
 
 from __future__ import annotations
@@ -57,19 +56,15 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return int(_trial_seeds(_check_seed(master_seed), index, index + 1)[0])
 
 
-def _counter_mix(base: np.ndarray, first: int, count: int,
-                 draw_major: bool = False) -> np.ndarray:
+def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
     """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
 
-    The result has shape ``base.shape + (count,)``, or ``(count,) +
-    base.shape`` when ``draw_major``; uint64 arithmetic wraps modulo 2**64.
+    The result has shape ``(count,) + base.shape``; uint64 arithmetic
+    wraps modulo 2**64.
     """
     steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     base = np.asarray(base, dtype=np.uint64)
-    if draw_major:
-        z = steps.reshape((count,) + (1,) * base.ndim) + base
-    else:
-        z = base[..., None] + steps
+    z = steps.reshape((count,) + (1,) * base.ndim) + base
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -83,26 +78,26 @@ def _trial_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return _counter_mix(np.uint64(master_seed), lo, hi - lo)
 
 
-def _uniform_block(seeds: np.ndarray, width: int, draw_major: bool = False) -> np.ndarray:
-    """Doubles in [0, 1): the top 53 bits of draws 0..width-1 of each seed.
-
-    Item-major (rows, width), or draw-major (width, rows) with the same values.
-    """
-    return (_counter_mix(seeds, 0, width, draw_major) >> np.uint64(11)) * 2.0 ** -53
+def _uniform_block(seeds: np.ndarray, width: int) -> np.ndarray:
+    """Doubles in [0, 1): the top 53 bits of draws 0..width-1 of each seed, as (width, seeds)."""
+    return (_counter_mix(seeds, 0, width) >> np.uint64(11)) * 2.0 ** -53
 
 
 class _Draws:
-    """Consecutive column blocks of a slice's (items, width) uniform rows."""
+    """Consecutive row blocks of a slice's (width, items) uniforms, handed out instance-first."""
 
-    def __init__(self, u: np.ndarray):
-        self.u = u
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        self.items = block.shape[1]
         self.used = 0
 
     def uniform(self, *shape: int) -> np.ndarray:
+        """The next prod(shape) draws of each item as an (items, *shape) view."""
         count = math.prod(shape)
-        block = self.u[:, self.used : self.used + count]
+        rows = self.block[self.used : self.used + count]
         self.used += count
-        return block.reshape(len(self.u), *shape)
+        # splitting the last axis of the transpose never copies
+        return rows.T.reshape(self.items, *shape)
 
     def integers(self, high) -> np.ndarray:
         """One integer in [0, high) per item; ``high`` may differ by item."""

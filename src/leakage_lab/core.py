@@ -72,6 +72,14 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _to_array(values, dtype, field: str) -> np.ndarray:
+    """``values`` as a new ``dtype`` array; ragged or unparsable input names ``field``."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise LeakageLabError(f"{field} must be a rectangular array of numbers") from None
+
+
 class Alphabet:
     """Ordered collection of distinct symbol labels."""
 
@@ -189,7 +197,7 @@ class DiscreteDistribution:
     __slots__ = ("alphabet", "probs")
 
     def __init__(self, alphabet: Alphabet, probs: Iterable[float]):
-        vec = np.array(probs, dtype=np.float64)
+        vec = _to_array(probs, np.float64, "probs")
         if vec.shape != (len(alphabet),):
             raise AlphabetMismatch(
                 f"expected {len(alphabet)} probabilities, got shape {vec.shape}"
@@ -242,7 +250,7 @@ class _Rectangle:
     _dtype: type = np.float64
 
     def __init__(self, input: Alphabet, output: Alphabet, matrix):
-        matrix = np.array(matrix, dtype=self._dtype)
+        matrix = _to_array(matrix, self._dtype, self._field)
         if matrix.shape != (len(input), len(output)):
             raise AlphabetMismatch(
                 f"expected a {len(input)}x{len(output)} matrix, got shape {matrix.shape}"

@@ -46,7 +46,6 @@ __all__ = [
     "mutual_information",
     "renyi_inf_divergence",
     "approx_max_divergence",
-    "approx_max_divergence_by_enumeration",
     "max_information",
     "approx_max_information",
     "approx_max_information_by_enumeration",
@@ -287,23 +286,23 @@ def _approx_max_div_scan(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
     return _best_ratio_logs(mass, denom, deltas)
 
 
-def _approx_max_div_vectors(pv: np.ndarray, qv: np.ndarray, delta: float) -> float:
-    """The prefix scan of one pair of vectors at one budget."""
-    return float(_approx_max_div_scan(pv[None], qv[None], (delta,))[0, 0])
-
-
 _ENUM_LIMIT = 16
 _ENUM_BLOCK = 1 << 18
-_subset_cache: dict[int, np.ndarray] = {}
 
 
-def _subset_matrix(m: int) -> np.ndarray:
-    if m not in _subset_cache:
-        count = (1 << m) - 1
-        rows = np.arange(1, count + 1, dtype=np.uint32)
-        bits = np.arange(m, dtype=np.uint32)
-        _subset_cache[m] = ((rows[:, None] >> bits[None, :]) & 1).astype(np.float64)
-    return _subset_cache[m]
+def _subset_sums(v: np.ndarray) -> np.ndarray:
+    """Sums of the last axis over its nonempty subsets: (..., m) -> (..., 2^m - 1).
+
+    Column s - 1 holds subset s, whose bit j selects entry j. A subset's
+    sum is its sum without its highest entry plus that entry, so every
+    sum adds its entries in index order whatever the batch is (a matrix
+    product with a 0/1 subset matrix rounds differently with the row count).
+    """
+    sums = np.empty(v.shape[:-1] + ((1 << v.shape[-1]) - 1,))
+    for k in range(v.shape[-1]):
+        sums[..., (1 << k) - 1] = v[..., k]
+        np.add(sums[..., : (1 << k) - 1], v[..., k, None], out=sums[..., 1 << k : (2 << k) - 1])
+    return sums
 
 
 def _approx_max_div_enumerated(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
@@ -315,11 +314,10 @@ def _approx_max_div_enumerated(pv: np.ndarray, qv: np.ndarray, deltas) -> np.nda
     m = pv.shape[1]
     if m > _ENUM_LIMIT:
         raise LeakageLabError(f"enumeration oracle is limited to {_ENUM_LIMIT} outcomes")
-    subsets = _subset_matrix(m).T
-    # rows a few at a time, so that the (rows, 2^m - 1) sums stay near _ENUM_BLOCK values
-    step = max(1, _ENUM_BLOCK // subsets.shape[1])
+    # rows a few at a time, so that the (2, rows, 2^m - 1) sums stay near _ENUM_BLOCK values
+    step = max(1, _ENUM_BLOCK >> (m + 1))
     return np.concatenate([
-        _best_ratio_logs(pv[lo : lo + step] @ subsets, qv[lo : lo + step] @ subsets, deltas)
+        _best_ratio_logs(*_subset_sums(np.stack((pv[lo : lo + step], qv[lo : lo + step]))), deltas)
         for lo in range(0, len(pv), step)
     ])
 
@@ -332,14 +330,7 @@ def approx_max_divergence(
     At ``delta = 0`` this reduces to :func:`renyi_inf_divergence`.
     """
     pv, qv = _common_vectors(p, q)
-    return _approx_max_div_vectors(pv, qv, delta)
-
-
-def approx_max_divergence_by_enumeration(
-    p: DiscreteDistribution, q: DiscreteDistribution, delta: float
-) -> float:
-    pv, qv = _common_vectors(p, q)
-    return float(_approx_max_div_enumerated(pv[None], qv[None], (delta,))[0, 0])
+    return float(_approx_max_div_scan(pv[None], qv[None], (delta,))[0, 0])
 
 
 def _joint_product_vectors(mass: np.ndarray):

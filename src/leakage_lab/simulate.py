@@ -21,18 +21,19 @@ Two experiment families check the bounds against live randomness:
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
 seed_t + (j + 1) * GOLDEN, a counter-based stream (see ``_stream``)
-computed for a whole block of trials at once. A generalization trial
-turns each draw into one uniform, and a slice of trials gets them
-draw-major, (width, trials), so that the learner reduces over the short
-axes of a trial (its draws, cut points and hypotheses) in passes over
-whole rows of trials; a hypothesis-testing trial reads its
-n fair coins packed 64 to a draw, coin i being bit 63 - (i mod 64) of
-draw i // 64. Both experiments run on one harness: ``map_chunked`` cuts
-the trial range into slices whose bounds depend only on the trial count
-and the size of a trial's widest array, each experiment maps a slice's
-seeds to boolean hit columns (and per-trial trace columns), and the hits
-are added as integers in slice order, so a report depends only on its
-config and seed.
+computed for a whole block of trials at once, draw-major: draw j of
+every trial in a slice is one row. A generalization trial turns each
+draw into one uniform, and the learner reduces over the short axes of a
+trial (its draws, cut points and hypotheses) in passes over whole rows
+of trials. A hypothesis-testing trial reads its n fair coins packed 64
+to a draw, coin i being bit 63 - (i mod 64) of draw i // 64, and its T
+window counts are rows of trials, reduced by one max over the rows.
+Both experiments run on one harness: ``map_chunked`` cuts the trial
+range into slices whose bounds depend only on the trial count and the
+size of a trial's widest array, each experiment maps a slice's seeds to
+boolean hit columns (and per-trial trace columns), and the hits are
+added as integers in slice order, so a report depends only on its config
+and seed.
 """
 
 from __future__ import annotations
@@ -669,7 +670,7 @@ def run_gen_error_experiment(
     width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
 
     def block(seeds: np.ndarray):
-        picks, empirical = tables.learn(_uniform_block(seeds, width, draw_major=True))
+        picks, empirical = tables.learn(_uniform_block(seeds, width))
         gaps = np.abs(tables.true_risk[picks] - empirical)
         hits = gaps > config.eta
         return (hits,), (picks, empirical, gaps, hits)
@@ -760,30 +761,31 @@ def _first_equal(table: np.ndarray) -> np.ndarray | None:
 
 def _smallest_p(counts: np.ndarray, table: np.ndarray,
                 first_equal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise first argmin of ``table[counts]`` and its value, without the gather.
+    """Column-wise first argmin of ``table[counts]`` and its value, without the gather.
 
-    ``counts`` is an (N, T) array of head counts in ``_key_dtype``. The
-    table is nonincreasing, so a row's smallest p-value sits at its largest
-    count, and the largest key count << s | (T - 1 - t), s = bit_length(T - 1),
-    holds that count and the lowest index t among the windows that reach it:
-    one max over the T axis, and one table read per row. Where tails round
-    or underflow to one double (``first_equal``, see ``_first_equal``), a
-    smaller count can share the smallest p-value, and a row whose largest
-    count c has first_equal[c] < c takes the first window whose count
-    reaches first_equal[c] instead.
+    ``counts`` is a (T, N) array of head counts in ``_key_dtype``, one row
+    per window. The table is nonincreasing, so a trial's smallest p-value
+    sits at its largest count, and the largest key count << s | (T - 1 - t),
+    s = bit_length(T - 1), holds that count and the lowest index t among
+    the windows that reach it: one max over the T rows, and one table read
+    per trial. Where tails round or underflow to one double
+    (``first_equal``, see ``_first_equal``), a smaller count can share the
+    smallest p-value, and a trial whose largest count c has
+    first_equal[c] < c takes the first window whose count reaches
+    first_equal[c] instead.
     """
-    t = counts.shape[1]
+    t = counts.shape[0]
     shift = (t - 1).bit_length()
     # a multiply by 2^s is the shift; numpy multiplies narrow integers faster
     keys = counts * counts.dtype.type(1 << shift)
-    keys |= np.arange(t - 1, -1, -1, dtype=counts.dtype)
-    best = keys.max(axis=1)
+    keys |= np.arange(t - 1, -1, -1, dtype=counts.dtype)[:, None]
+    best = keys.max(axis=0)
     top = (best >> shift).astype(np.intp)
     selected = (t - 1) - (best & ((1 << shift) - 1))
     if first_equal is not None:
         low = first_equal[top]
-        (rows,) = np.nonzero(low < top)
-        selected[rows] = np.argmax(counts[rows] >= low[rows, None], axis=1)
+        (trials,) = np.nonzero(low < top)
+        selected[trials] = np.argmax(counts[:, trials] >= low[trials], axis=0)
     return selected, table[top]
 
 
@@ -809,11 +811,11 @@ def run_hyptest_experiment(
     def block(seeds: np.ndarray):
         # every bit of a draw is a fair coin: a window's head count is the
         # popcount of its masked words
-        words = _counter_mix(seeds, 0, draws_per_trial)[:, word_index]
+        words = _counter_mix(seeds, 0, draws_per_trial)[word_index]
         # masked in place: a second slice-sized temporary made glibc hand
         # pages back between slices, and each slice then paid page faults
-        words &= masks
-        counts = np.bitwise_count(words).sum(axis=2, dtype=key_dtype)
+        words &= masks[..., None]
+        counts = np.bitwise_count(words).sum(axis=1, dtype=key_dtype)
         selected, p_min = _smallest_p(counts, table, first_equal)
         reject_adjusted = p_min <= adjusted_sigma
         reject_raw = p_min <= config.sigma

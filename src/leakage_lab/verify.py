@@ -15,12 +15,13 @@ Three suites, each over independently drawn instances:
   log(1/beta), is nonincreasing in the budget, dominates leakage at zero
   budget, and the threshold scan agrees with exhaustive enumeration.
 
-Instance i of a sweep with seed s draws row i of the counter stream
+Instance i of a sweep with seed s draws column i of the counter stream
 ``_uniform_block(_trial_seeds(s, 0, instances), width)`` (see
-``_stream``), so its draws depend only on (s, i). Instances are drawn a
-slice at once, padded with zero rows and columns to the suite's largest
-shape, and checked on the stacked arrays through the kernels that the
-single-object measures call with a batch of one. Failure payloads are
+``_stream``), read only through ``_Draws``, so its draws depend only on
+(s, i). Instances are drawn a slice at once, padded with zero rows and
+columns to the suite's largest shape, and checked on the stacked arrays
+through the kernels that the single-object measures call with a batch of
+one; no check depends on which other instances share its slice. Failure payloads are
 Channel, JointDistribution and EventMask JSON, built only when kept.
 """
 
@@ -196,7 +197,7 @@ def _run_sweep(suite: str, instances: int, seed: int, width: int,
                tolerances: dict[str, float], evaluate: Callable) -> dict:
     """Run instances 0 .. instances-1 into one check per named tolerance.
 
-    ``evaluate(u, lo)`` maps the (instances, width) uniform rows of a
+    ``evaluate(u, lo)`` maps the (width, instances) uniform block of a
     slice that starts at instance ``lo`` to ``{check: (margins, payload
     [, where])}``, the arguments of :meth:`_Check.record`.
     """
@@ -363,10 +364,10 @@ def _joint_draws(u: np.ndarray):
     mass = np.where(live, draws.uniform(4, 6) + 1e-3, 0.0)
     kill = draws.uniform(4, 6) < 0.3
     keep = draws.integers(nx * ny)
-    kill[np.arange(len(u)), keep // ny, keep % ny] = False
+    kill[np.arange(draws.items), keep // ny, keep % ny] = False
     mass[kill] = 0.0
     mass /= mass.sum(axis=(1, 2), keepdims=True)
-    _check_channel_rows(mass.reshape(len(u), -1))
+    _check_channel_rows(mass.reshape(draws.items, -1))
     return nx, ny, mass, live
 
 
@@ -381,7 +382,7 @@ def _maxinfo_checks(u: np.ndarray, lo: int) -> dict:
     cells = nx * ny
     for m in np.unique(cells).tolist():
         group = np.flatnonzero(cells == m)
-        on = live.reshape(len(u), -1)[group]
+        on = live.reshape(len(live), -1)[group]
         enumerated[group] = _approx_max_div_enumerated(
             pv[group][on].reshape(-1, m), qv[group][on].reshape(-1, m), _BETA_GRID
         )

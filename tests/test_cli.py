@@ -218,6 +218,24 @@ class TestMeasure:
         assert doc is None
         assert err.splitlines() == [f"error: {field} must be a JSON array, got '01'"]
 
+    @pytest.mark.parametrize(
+        "command,field,matrix",
+        [
+            ("ml", "rows", [[1, 0], [0, 1, 2]]),
+            ("ml", "rows", [[1, 0], ["abc", 1]]),
+            ("mi", "mass", [[0.5], [0.25, 0.25]]),
+        ],
+        ids=["ragged-rows", "string-entry", "ragged-mass"],
+    )
+    def test_malformed_matrix_names_its_field(self, capsys, tmp_path, command, field, matrix):
+        payload = {"input_labels": ["0", "1"], "output_labels": ["0", "1"], field: matrix}
+        path = write_json(tmp_path / "m.json", payload)
+        flag = "--channel" if field == "rows" else "--joint"
+        code, doc, err = run_cli(capsys, "measure", command, flag, path)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == [f"error: {field} must be a rectangular array of numbers"]
+
     def test_cml(self, capsys, tmp_path):
         pairs = [["x0", "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]
         alphabet = Alphabet(("a", "b", "c", "d"))
@@ -730,6 +748,15 @@ class TestSimulate:
         assert code == 2
         assert doc is None
         assert err.splitlines() == [f"error: {key} must be a number, got {value!r}"]
+
+    def test_ragged_probs_name_the_field(self, capsys, tmp_path, generr_config):
+        payload = json.loads(Path(generr_config).read_text(encoding="utf-8"))
+        payload["dataDistribution"]["probs"] = [0.4, [0.1], 0.3, 0.2]
+        bad = write_json(tmp_path / "bad.json", payload)
+        code, doc, err = run_cli(capsys, "simulate", "generr", "--config", bad)
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: probs must be a rectangular array of numbers"]
 
     def test_hyptest_passes_with_trace(self, capsys, hyptest_config, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -18,7 +18,6 @@ from leakage_lab import (
     NoFeasibleSet,
     ProductAlphabet,
     approx_max_divergence,
-    approx_max_divergence_by_enumeration,
     approx_max_information,
     approx_max_information_by_enumeration,
     compose_channels,
@@ -31,7 +30,13 @@ from leakage_lab import (
     mutual_information,
     renyi_inf_divergence,
 )
-from leakage_lab.measures import _approx_max_div_vectors, _ratio_order, _support_mask
+from leakage_lab.measures import (
+    _approx_max_div_enumerated,
+    _approx_max_div_scan,
+    _ratio_order,
+    _subset_sums,
+    _support_mask,
+)
 
 from conftest import (
     bec_channel,
@@ -43,6 +48,16 @@ from conftest import (
 )
 
 LOG2 = math.log(2.0)
+
+
+def scanned(pv, qv, delta):
+    """The prefix scan of one pair of vectors at one budget."""
+    return float(_approx_max_div_scan(pv[None], qv[None], (delta,))[0, 0])
+
+
+def enumerated(pv, qv, delta):
+    """The exhaustive subset enumeration of one pair of vectors at one budget."""
+    return float(_approx_max_div_enumerated(pv[None], qv[None], (delta,))[0, 0])
 
 
 def brute_force_leakage(rows: np.ndarray, support) -> float:
@@ -380,9 +395,7 @@ class TestApproxMaxDivergence:
         q = DiscreteDistribution(p.alphabet, marg)
         got = approx_max_divergence(p, q, 0.1)
         assert got == pytest.approx(math.log(2.5), abs=1e-12)
-        assert got == pytest.approx(
-            approx_max_divergence_by_enumeration(p, q, 0.1), abs=1e-15
-        )
+        assert got == pytest.approx(enumerated(p.probs, q.probs, 0.1), abs=1e-15)
 
     def test_matches_enumeration(self, rng):
         for _ in range(200):
@@ -391,7 +404,7 @@ class TestApproxMaxDivergence:
             q = random_distribution(rng, size, allow_zeros=True)
             delta = float(rng.choice([0.0, 0.01, 0.1, 0.3, 0.6]))
             got = approx_max_divergence(p, q, delta)
-            want = approx_max_divergence_by_enumeration(p, q, delta)
+            want = enumerated(p.probs, q.probs, delta)
             if math.isinf(want):
                 assert got == want
             else:
@@ -420,9 +433,33 @@ class TestApproxMaxDivergence:
             want = loop(pv, qv, delta)
             if want is None:
                 with pytest.raises(NoFeasibleSet):
-                    _approx_max_div_vectors(pv, qv, delta)
+                    scanned(pv, qv, delta)
             else:
-                assert _approx_max_div_vectors(pv, qv, delta) == want
+                assert scanned(pv, qv, delta) == want
+
+    def test_enumeration_does_not_depend_on_the_batch(self, rng):
+        # each subset sum adds its entries in index order, as a plain loop
+        # does, so a row's values are the same alone and in any batch
+        deltas = (0.0, 0.05, 0.3)
+        for size in (1, 4, 8, 12):
+            pv = np.array([random_distribution(rng, size, allow_zeros=True).probs
+                           for _ in range(40)])
+            qv = np.array([random_distribution(rng, size, allow_zeros=True).probs
+                           for _ in range(40)])
+            batch = _approx_max_div_enumerated(pv, qv, deltas)
+            for i in range(len(pv)):
+                alone = _approx_max_div_enumerated(pv[i : i + 1], qv[i : i + 1], deltas)
+                assert alone.tobytes() == batch[i : i + 1].tobytes()
+            few = _approx_max_div_enumerated(pv[:7], qv[:7], deltas)
+            assert few.tobytes() == batch[:7].tobytes()
+            sums = _subset_sums(pv[:3])
+            for subset in range(1, 1 << size, max(1, (1 << size) // 50)):
+                for i in range(3):
+                    total = 0.0
+                    for j in range(size):
+                        if subset >> j & 1:
+                            total += float(pv[i, j])
+                    assert sums[i, subset - 1] == total
 
     def test_infinite_when_budget_cannot_cover(self):
         a = Alphabet(["a", "b"])
@@ -434,7 +471,7 @@ class TestApproxMaxDivergence:
 
     def test_no_feasible_set(self):
         with pytest.raises(NoFeasibleSet):
-            _approx_max_div_vectors(np.array([0.3, 0.1]), np.array([0.5, 0.5]), 0.5)
+            scanned(np.array([0.3, 0.1]), np.array([0.5, 0.5]), 0.5)
 
     def test_delta_range(self):
         p = DiscreteDistribution(Alphabet(["a", "b"]), [0.5, 0.5])

@@ -109,10 +109,10 @@ class TestUniformBlock:
         seeds = [0, 1, 2**32 + 7, 2**63, 2**64 - 1, derive_trial_seed(99, 12)]
         width = 37
         block = _uniform_block(np.array(seeds, dtype=np.uint64), width)
-        assert block.shape == (len(seeds), width)
+        assert block.shape == (width, len(seeds))
         for i, seed in enumerate(seeds):
             for j in range(width):
-                assert block[i, j] == (splitmix_draw(seed, j) >> 11) / 2.0**53
+                assert block[j, i] == (splitmix_draw(seed, j) >> 11) / 2.0**53
 
     def test_range(self):
         block = _uniform_block(_trial_seeds(5, 0, 2000), 50)
@@ -172,7 +172,7 @@ class TestVectorizedLearner:
         spec = LearnerSpec(kind, hypotheses, epsilon)
         n = 5
         tables = _LearnerTables(spec, 2, n, skewed_dist())
-        u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1, draw_major=True)
+        u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1)
         picks, empirical = tables.learn(u)
         for i in range(u.shape[1]):
             symbols = np.minimum(
@@ -756,14 +756,14 @@ class TestHypTestExperiment:
         assert _key_dtype(width, t) == dtype
         rng = np.random.default_rng(width * 100 + t)
         table = binomial_tail_table(width)
-        few = rng.choice([0, width // 2, width], size=(300, t))
-        ends = rng.choice([0, 1, 2, 3, width - 3, width - 2, width - 1, width], size=(300, t))
-        for counts in (rng.integers(0, width + 1, size=(500, t)), few, np.clip(ends, 0, width)):
+        few = rng.choice([0, width // 2, width], size=(t, 300))
+        ends = rng.choice([0, 1, 2, 3, width - 3, width - 2, width - 1, width], size=(t, 300))
+        for counts in (rng.integers(0, width + 1, size=(t, 500)), few, np.clip(ends, 0, width)):
             p_values = table[counts]
-            expected = np.argmin(p_values, axis=1)
+            expected = np.argmin(p_values, axis=0)
             selected, p_min = _smallest_p(counts.astype(dtype), table, _first_equal(table))
             assert selected.tolist() == expected.tolist()
-            assert p_min.tobytes() == p_values[np.arange(len(counts)), expected].tobytes()
+            assert p_min.tobytes() == p_values[expected, np.arange(counts.shape[1])].tobytes()
 
     def test_window_tables_grow_with_the_window_width(self):
         # at n = 10^5 and T = 10^4 a window holds 10 coins, so it touches at

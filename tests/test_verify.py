@@ -24,7 +24,7 @@ from leakage_lab import (
     maximal_leakage,
     maximal_leakage_of_joint,
 )
-from leakage_lab import verify
+from leakage_lab import _stream, jsonio, verify
 from leakage_lab.cli import main
 from leakage_lab._stream import _Draws, _trial_seeds, _uniform_block
 from leakage_lab.verify import (
@@ -73,12 +73,22 @@ def recorded(entry):
 
 
 class TestGenerators:
+    def test_draws_are_instance_first_views_of_the_block(self):
+        block = uniforms("soundness", 3, 50)
+        draws = _Draws(block)
+        first, grid = draws.uniform(), draws.uniform(8, 8)
+        assert draws.items == 50 and draws.used == 65
+        assert np.shares_memory(grid, block) and np.shares_memory(first, block)
+        assert np.array_equal(first, block[0])
+        for i in range(50):
+            assert np.array_equal(grid[i], block[1:65, i].reshape(8, 8))
+
     def test_random_distribution_is_valid(self):
         u = uniforms("soundness", 5, 400)
         sizes = 2 + _Draws(u).integers(7)
         for allow_zeros in (False, True):
             live = _live(sizes, 8)
-            probs = _distribution(_Draws(u[:, 1:]), live, allow_zeros)
+            probs = _distribution(_Draws(u[1:]), live, allow_zeros)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert probs.min() >= 0.0
             assert not probs[~live].any()
@@ -245,7 +255,7 @@ def conditional_oracle(prior, first, stages):
 def soundness_oracle(u):
     nx, ny, prior, rows, event = _soundness_draws(u)
     margins = []
-    for i in range(len(u)):
+    for i in range(u.shape[1]):
         xs, ys = named_alphabet("x", nx[i]), named_alphabet("y", ny[i])
         p = DiscreteDistribution(xs, prior[i, : nx[i]])
         channel = Channel(xs, ys, rows[i, : nx[i], : ny[i]])
@@ -259,7 +269,7 @@ def soundness_oracle(u):
 def composition_oracle(u):
     (nx, ny, nz), a, b, chains, prior = _composition_draws(u)
     margins = {name: [] for name in ("post_processing", "two_step", "three_step", "conditional_chain")}
-    for i in range(len(u)):
+    for i in range(u.shape[1]):
         xs, ys, zs = (named_alphabet(p, n[i]) for p, n in (("x", nx), ("y", ny), ("z", nz)))
         first_step = Channel(xs, ys, a[i, : nx[i], : ny[i]])
         second_step = Channel(ys, zs, b[i, : ny[i], : nz[i]])
@@ -280,7 +290,7 @@ def maxinfo_oracle(u):
     nx, ny, mass, _ = _joint_draws(u)
     rows = {name: [] for name in ("leakage_budget", "enumeration_match", "beta_monotone",
                                   "dominates_leakage")}
-    for i in range(len(u)):
+    for i in range(u.shape[1]):
         joint = JointDistribution(named_alphabet("x", nx[i]), named_alphabet("y", ny[i]),
                                   mass[i, : nx[i], : ny[i]])
         leakage = maximal_leakage_of_joint(joint).nats
@@ -342,6 +352,15 @@ class TestBatchedKernels:
             check = report["checks"][name]
             assert check["count"] == int(where.sum())
             assert check["worst_margin"] == float(margins[where].max())
+
+    def test_slice_size_does_not_change_reports(self, monkeypatch):
+        # 1 and 7 cut every suite into one-instance slices; 100 and 1000
+        # give some suites slices of several instances, padded to one shape
+        names = ["soundness", "composition", "maxinfo"]
+        default = jsonio.dumps(run_suites(names, 60, 20260814))
+        for block in (1, 7, 100, 1000):
+            monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
+            assert jsonio.dumps(run_suites(names, 60, 20260814)) == default
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_broken_kernels_are_caught_with_parseable_failures(self, monkeypatch, suite):
