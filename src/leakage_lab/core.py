@@ -14,10 +14,9 @@ refuse to build more than ``enumeration_cap()`` states; the default of
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,11 +72,19 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 
 def _to_array(values, dtype, field: str) -> np.ndarray:
-    """``values`` as a new ``dtype`` array; ragged or unparsable input names ``field``."""
+    """``values`` as a new ``dtype`` array; ragged or unparsable input names ``field``.
+
+    A boolean array is built only from booleans: numbers, strings and
+    objects are refused rather than read by their truthiness.
+    """
     try:
-        return np.array(values, dtype=dtype)
+        array = np.array(values, dtype=None if dtype is bool else dtype)
+        if array.dtype != dtype:
+            raise TypeError
     except (TypeError, ValueError):
-        raise LeakageLabError(f"{field} must be a rectangular array of numbers") from None
+        what = "booleans" if dtype is bool else "numbers"
+        raise LeakageLabError(f"{field} must be a rectangular array of {what}") from None
+    return array
 
 
 class Alphabet:
@@ -125,12 +132,35 @@ class Alphabet:
         return f"Alphabet(<{len(self.labels)} symbols>)"
 
 
+def _glue(heads: Sequence[str], tails: Sequence[str], separator: str) -> list[str]:
+    """Each head joined to each tail by ``separator``, heads outermost."""
+    tails = [separator + tail for tail in tails]
+    return [head + tail for head in heads for tail in tails]
+
+
+def _joined_tuples(labels: Sequence[str], n: int, separator: str) -> Sequence[str]:
+    """Every length-``n`` tuple of ``labels`` joined by ``separator``, lexicographically.
+
+    Gluing every head to every tail, heads outermost, keeps the
+    lexicographic order, so the tuples are their first n // 2 positions
+    glued to the rest. The strings built on the way hold about n / 2
+    labels and number about the square root of the result's count, so
+    they leave little freed memory behind, and a one-label base costs
+    O(n) characters.
+    """
+    if n == 1:
+        return labels
+    half = _joined_tuples(labels, n // 2, separator)
+    return _glue(half, _glue(half, labels, separator) if n % 2 else half, separator)
+
+
 class ProductAlphabet(Alphabet):
     """All length-``n`` tuples over a base alphabet, lexicographically ordered.
 
-    Labels join the component labels with commas. Tuple i has the base
-    indices of row i of ``digit_matrix()``: i is their C-order index, so
-    a (len(self), ...) array reshapes to one axis per position.
+    Labels join the component labels with commas (see ``_joined_tuples``).
+    Tuple i has the base indices of row i of ``digit_matrix()``: i is
+    their C-order index, so a (len(self), ...) array reshapes to one axis
+    per position.
     """
 
     __slots__ = ("base", "n")
@@ -144,8 +174,7 @@ class ProductAlphabet(Alphabet):
         size = len(base) ** n
         if size > cap:
             raise CapExceeded(f"{len(base)}^{n} = {size} states exceed the enumeration cap {cap}")
-        labels = (self.SEPARATOR.join(t) for t in itertools.product(base.labels, repeat=n))
-        super().__init__(labels)
+        super().__init__(_joined_tuples(base.labels, n, self.SEPARATOR))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "n", int(n))
 

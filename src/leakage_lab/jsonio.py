@@ -11,6 +11,7 @@ serialization. ``_read_int``, ``_read_number``, ``_read_object`` and
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -27,8 +28,22 @@ def dumps(obj: Any) -> str:
 
 
 def load_path(path: str) -> Any:
+    """The parsed JSON document in the file at ``path``.
+
+    The cyclic collector is paused while the text is parsed: a document
+    is a tree, so the collector has nothing to free there, yet each of its
+    passes would walk the lists the parser has built so far. It is
+    re-enabled afterwards only if it was enabled before.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        text = handle.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_int(payload: Mapping, key: str, where: str = "") -> int:

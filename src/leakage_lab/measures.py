@@ -21,7 +21,6 @@ All values are natural-log based (nats). The measures implemented here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -383,14 +382,17 @@ def approx_max_information_by_enumeration(joint: JointDistribution, beta: float)
 def empirical_dp(channel: Channel) -> float:
     """Exact differential-privacy level of a channel over dataset tuples.
 
-    Scans every ordered pair of Hamming-neighbor inputs and every output:
-    the result is the sup of log(P(y|s)/P(y|s')), +inf when some output
-    is possible under s but impossible under its neighbor, and 0 for
-    constant channels. Pairs where P(y|s) vanishes are skipped.
+    The sup over ordered pairs of Hamming-neighbor inputs s, s' and every
+    output y of log(P(y|s)/P(y|s')): +inf when some output is possible
+    under s but impossible under its neighbor, and 0 for constant
+    channels. Pairs where P(y|s) vanishes are skipped.
 
-    Tuple i is the C-order index of its digits, so the rows reshape to
-    one axis per position, and the neighbors that differ only at position
-    k in values v and w are the slices v and w of axis k.
+    Tuple i is the C-order index of its digits, so the log rows reshape
+    to one axis per position, and the neighbors that differ only at
+    position k are the entries along axis k. Subtraction rounds
+    monotonically, so the largest pairwise difference along an axis is
+    exactly its max minus its min, and slices where every entry vanishes
+    are skipped.
     """
     alphabet = channel.input
     if not isinstance(alphabet, ProductAlphabet):
@@ -402,11 +404,9 @@ def empirical_dp(channel: Channel) -> float:
     with np.errstate(divide="ignore"):
         logs = np.log(channel.rows).reshape((base,) * alphabet.n + channel.rows.shape[1:])
     best = 0.0
-    # log p - log q is +inf where only q vanishes, nan where both do
+    # hi - lo is +inf where only some entries vanish, nan where all do
     with np.errstate(invalid="ignore"):
         for axis in range(alphabet.n):
-            at = (slice(None),) * axis
-            for v, w in itertools.permutations(range(base), 2):
-                p, q = logs[at + (v,)], logs[at + (w,)]
-                best = max(best, float(np.max(p - q, where=p > -np.inf, initial=-np.inf)))
+            hi, lo = logs.max(axis), logs.min(axis)
+            best = max(best, float(np.max(hi - lo, where=hi > -np.inf, initial=-np.inf)))
     return best

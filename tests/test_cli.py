@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leakage_lab
@@ -16,6 +17,7 @@ from leakage_lab import (
     Alphabet,
     Channel,
     DiscreteDistribution,
+    JointDistribution,
     LeakageLedger,
     LedgerEntry,
     data_alphabet,
@@ -162,6 +164,45 @@ GOLDEN_HYPTEST = {
 }
 
 
+MEASURE_BASE = "ab,c,de,f"
+# argv after "measure" and the sha256 of its stdout, run in a directory
+# that holds write_measure_inputs(): a seeded 4^6-row channel, its joint,
+# and a 4^3-row channel with zero entries whose DP level is inf
+GOLDEN_MEASURE = {
+    "dp": (("dp", "--channel", "channel.json", "--product-base", MEASURE_BASE,
+            "--copies", "6", "--bits"),
+           "5ea38e8c25ff3c3d96fd265784b94415b1ab2bd670aeb096cb2370595355241b"),
+    "dp-zeros": (("dp", "--channel", "zeros.json", "--product-base", MEASURE_BASE,
+                  "--copies", "3", "--bits"),
+                 "e8f58ad6f4a49a908b445fa79a3e2e612c3919dfc47b7f769e3955663f6d5512"),
+    "ml": (("ml", "--channel", "channel.json"),
+           "64a048ab9b1b1fdb68eb43c5a9818da65cb125df8359feccb75c69c1e868a460"),
+    "approx-maxinfo": (("approx-maxinfo", "--joint", "joint.json", "--beta", "0.1"),
+                       "dd2bcf6477a6341d992bb90746cae5c98ae1a0c91b9b38d85c6690c31e984b83"),
+}
+
+
+def write_measure_inputs(directory: Path) -> None:
+    """The GOLDEN_MEASURE inputs, every float written as its repr."""
+    rng = np.random.default_rng(20261019)
+    base = Alphabet(MEASURE_BASE.split(","))
+    outputs = Alphabet(f"y{j}" for j in range(5))
+    product = ProductAlphabet(base, 6)
+    rows = rng.random((len(product), len(outputs))) + 1e-3
+    rows /= rows.sum(axis=1, keepdims=True)
+    prior = rng.random(len(product))
+    prior /= prior.sum()
+    write_json(directory / "channel.json", Channel(product, outputs, rows).to_json())
+    write_json(directory / "joint.json",
+               JointDistribution(product, outputs, prior[:, None] * rows).to_json())
+    product = ProductAlphabet(base, 3)
+    rows = rng.random((len(product), len(outputs)))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, 0] += 1e-3
+    rows /= rows.sum(axis=1, keepdims=True)
+    write_json(directory / "zeros.json", Channel(product, outputs, rows).to_json())
+
+
 @pytest.fixture
 def bec_path(tmp_path):
     return write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
@@ -301,6 +342,20 @@ class TestMeasure:
         assert code == 0
         assert doc["nats"] == empirical_dp(channel)
         assert doc["nats"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MEASURE))
+    def test_golden_report(self, capsys, tmp_path, monkeypatch, name):
+        # every byte of the report is pinned: loading, labels and the
+        # measure kernels must leave it unchanged
+        argv, stdout_sha256 = GOLDEN_MEASURE[name]
+        write_measure_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["measure", *argv]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+        assert captured.err == ""
+        if name == "dp-zeros":
+            assert json.loads(captured.out)["nats"] == "inf"
 
     def test_dp_label_mismatch(self, capsys, tmp_path):
         alphabet = Alphabet(("a", "b"))

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import math
 
@@ -95,6 +97,22 @@ class TestProductAlphabet:
             for j in hamming_neighbors(p, i):
                 a, b = tuple_at(p, i), tuple_at(p, j)
                 assert sum(u != v for u, v in zip(a, b)) == 1
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_labels_match_joined_tuples(self, size, n):
+        base = Alphabet(["ab", "c", "de f", "0,1x"][:size])
+        expected = tuple(",".join(t) for t in itertools.product(base.labels, repeat=n))
+        assert ProductAlphabet(base, n).labels == expected
+
+    def test_one_symbol_base_at_a_large_power(self):
+        # --copies is not bounded by the cap when the base has one symbol
+        assert ProductAlphabet(Alphabet(["ab"]), 10**6).labels == (",".join(["ab"] * 10**6),)
+
+    def test_colliding_labels_rejected(self):
+        # ("a", "a,a") and ("a,a", "a") both spell "a,a,a"
+        with pytest.raises(LeakageLabError, match="distinct"):
+            ProductAlphabet(Alphabet(["a", "a,a"]), 2)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("LEAKAGE_LAB_CAP", str(10**6))
@@ -224,6 +242,32 @@ class TestEventMask:
         a = Alphabet(["a", "b"])
         assert EventMask.diagonal(a).mask.tolist() == [[True, False], [False, True]]
         assert EventMask.full(a, a).mask.all()
+
+    def test_json_booleans_accepted(self):
+        e = EventMask.from_json({"input_labels": ["a"], "output_labels": ["x", "y"],
+                                 "mask": [[True, False]]})
+        assert e.mask.dtype == bool
+        assert e.mask.tolist() == [[True, False]]
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            [["abc", {}], ["0", 0.5]],
+            [["true", "false"], ["", "x"]],
+            [[{}, {"a": 1}], [[], None]],
+            [[1, 0], [0, 1]],
+            np.eye(2, dtype=np.int64),
+            [[1.0, 0.0], [0.5, 1.0]],
+            [[True, False], [True, 1]],
+            [[True, False], [True]],
+        ],
+        ids=["mixed", "strings", "objects", "ints", "int-array", "floats", "bool-and-int",
+             "ragged"],
+    )
+    def test_non_boolean_mask_rejected(self, mask):
+        a = Alphabet(["a", "b"])
+        with pytest.raises(LeakageLabError, match="^mask must be a rectangular array of booleans$"):
+            EventMask(a, a, mask)
 
 
 class TestOps:
@@ -363,6 +407,26 @@ class TestSerialization:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             jsonio.dumps(math.nan)
+
+    def test_load_restores_collector_state(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"a": [[0.5, 1]]}', encoding="utf-8")
+        bad.write_text('{"a": [[0.5, ', encoding="utf-8")
+        assert gc.isenabled()
+        assert jsonio.load_path(str(good)) == {"a": [[0.5, 1]]}
+        assert gc.isenabled()
+        with pytest.raises(json.JSONDecodeError):
+            jsonio.load_path(str(bad))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert jsonio.load_path(str(good)) == {"a": [[0.5, 1]]}
+            assert not gc.isenabled()
+            with pytest.raises(json.JSONDecodeError):
+                jsonio.load_path(str(bad))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_nested_document(self):
         doc = {"a": [1, 2.5, True, None, "s"], "b": {"c": [0.1]}}

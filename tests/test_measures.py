@@ -627,7 +627,8 @@ class TestEmpiricalDP:
         product = ProductAlphabet(Alphabet(["a"]), 100)
         assert empirical_dp(Channel(product, Alphabet(["y0", "y1"]), [[0.25, 0.75]])) == 0.0
 
-    @pytest.mark.parametrize("kind", ["positive", "zeros", "shared-zeros", "constant", "one-hot"])
+    @pytest.mark.parametrize("kind", ["positive", "zeros", "shared-zeros", "zero-column",
+                                      "constant", "one-hot"])
     def test_matches_stride_oracle_bit_for_bit(self, rng, kind):
         values = []
         for _ in range(50):
@@ -662,6 +663,9 @@ def random_product_rows(rng: np.random.Generator, kind: str, inputs: int,
         # outputs impossible under every input: the pairs where both vanish
         rows[:, rng.random(outputs) < 0.4] = 0.0
         rows[:, 0] += 1e-3
+    elif kind == "zero-column" and outputs > 1:
+        # one output impossible under every input, the others all positive
+        rows[:, rng.integers(outputs)] = 0.0
     return rows / rows.sum(axis=1, keepdims=True)
 
 
