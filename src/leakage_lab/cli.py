@@ -78,7 +78,7 @@ def _load_pairs(path: str) -> list[tuple]:
 
 
 def _cmd_measure(args) -> tuple[dict, int]:
-    from .core import Alphabet, Channel, JointDistribution, ProductAlphabet
+    from .core import Alphabet, Channel, JointDistribution, ProductAlphabet, _to_array
     from .measures import (
         approx_max_information,
         conditional_maximal_leakage,
@@ -126,14 +126,18 @@ def _cmd_measure(args) -> tuple[dict, int]:
         _require(args.channel is not None, "measure dp needs --channel")
         _require(args.product_base is not None, "measure dp needs --product-base")
         _require(args.copies is not None, "measure dp needs --copies")
-        channel = Channel.from_json(_load_object(args.channel))
-        base = Alphabet(args.product_base.split(","))
-        product = ProductAlphabet(base, args.copies)
+        payload = _load_object(args.channel)
+        labels = jsonio._read_array(payload["input_labels"], "input_labels")
+        output = Alphabet(jsonio._read_array(payload["output_labels"], "output_labels"))
+        # converted first, so the parsed JSON rows are freed before the product is built
+        rows = _to_array(payload.pop("rows"), float, "rows")
+        product = ProductAlphabet(Alphabet(args.product_base.split(",")), args.copies)
+        # compared as strings, the way Alphabet reads them; only the product is indexed
         _require(
-            product.labels == channel.input.labels,
+            tuple(map(str, labels)) == product.labels,
             "channel input labels do not match the stated product alphabet",
         )
-        value = empirical_dp(Channel(product, channel.output, channel.rows))
+        value = empirical_dp(Channel(product, output, rows))
         inputs = {"channel": args.channel, "product_base": args.product_base, "copies": args.copies}
 
     document = {"measure": kind, "nats": jsonio.encode_extended(value), "inputs": inputs}
@@ -254,18 +258,13 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         run_hyptest_experiment,
     )
 
-    payload = _load_object(args.config)
-    if args.kind == "generr":
-        config = GenErrConfig.from_json(payload)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        report = run_gen_error_experiment(
-            config, trace_path=args.trace, require_exact=args.exact
-        )
+    generr = args.kind == "generr"
+    config = (GenErrConfig if generr else HypTestConfig).from_json(_load_object(args.config))
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    if generr:
+        report = run_gen_error_experiment(config, trace_path=args.trace, require_exact=args.exact)
     else:
-        config = HypTestConfig.from_json(payload)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         report = run_hyptest_experiment(config, trace_path=args.trace)
     return report.to_json(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -364,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         document, code = args.handler(args)
         text = jsonio.dumps(document)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
     except LeakageLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
@@ -378,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
     return code
 
 

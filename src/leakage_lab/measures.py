@@ -148,11 +148,9 @@ def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None
 
 
 def maximal_leakage_of_joint(joint: JointDistribution) -> LeakageValue:
-    """Maximal leakage of the conditional channel of ``joint`` on its support."""
-    support = joint.marginal_input().support()
-    if support.size == 0:
-        raise EmptySupport("joint has an empty input marginal")
-    return LeakageValue(float(_joint_leakage(joint.mass[None])[0]), int(support.size))
+    """Maximal leakage of the conditional channel of ``joint`` on its (never empty) support."""
+    support = int(np.count_nonzero(joint.mass.sum(axis=1) > 0.0))
+    return LeakageValue(float(_joint_leakage(joint.mass[None])[0]), support)
 
 
 def conditional_maximal_leakage(

@@ -14,7 +14,7 @@ Two experiment families check the bounds against live randomness:
 
 * post-selection hypothesis testing: under a fair-coin null, the
   minimum-p-value rule picks one of T coordinate-window binomial tests
-  with exact tail p-values (the first window with the most heads); the
+  with exact tail p-values (the first window with the smallest p-value); the
   false-discovery frequency is compared against exp(log T) * sigma at
   both the adjusted and raw significance.
 
@@ -486,32 +486,28 @@ class _LearnerTables:
             picks += above
         return picks, least
 
-    def rows(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, H) empirical risks and P(h | dataset) of the datasets with these histograms.
+    def rows(self, counts: np.ndarray) -> np.ndarray:
+        """(rows, H) P(h | dataset) of the datasets whose (rows, symbols) histograms are given.
 
         ERM rows are one-hot at the lowest-index minimizer; exponential-
         mechanism rows are the normalized weights. A row depends only on
-        its histogram, whichever other rows come with it.
+        its histogram, whichever other rows come with it. No name keeps
+        the risks, so at most two arrays of the rows' size are alive at once.
         """
-        empirical = self.risks(counts.T)
         if self.spec.kind == ERM:
-            rows = np.zeros(empirical.shape[::-1])
-            rows[np.arange(len(rows)), self._lowest_minimizer(empirical)[0]] = 1.0
-        else:
-            rows = np.ascontiguousarray(self._weights(empirical).T)
-            rows /= rows.sum(axis=1, keepdims=True)
-        return np.ascontiguousarray(empirical.T), rows
-
-    def type_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every histogram of n draws, with its (K, H) empirical risks and P(h | histogram)."""
-        counts = _histograms(len(self.cum_probs), self.n)
-        return (counts, *self.rows(counts))
+            picks = self._lowest_minimizer(self.risks(counts.T))[0]
+            rows = np.zeros((len(counts), len(self.true_risk)))
+            rows[np.arange(len(rows)), picks] = 1.0
+            return rows
+        rows = np.ascontiguousarray(self._weights(self.risks(counts.T)).T)
+        rows /= rows.sum(axis=1, keepdims=True)
+        return rows
 
     def dataset_table(self) -> tuple[ProductAlphabet, np.ndarray, np.ndarray]:
-        """The (2d)^n dataset alphabet with each dataset's empirical risks and P(h | dataset)."""
+        """The (2d)^n dataset alphabet with each dataset's histogram and P(h | dataset)."""
         product = ProductAlphabet(self.data_alphabet, self.n)
         counts = _count_symbols(product.digit_matrix(), len(self.data_alphabet))
-        return (product, *self.rows(counts))
+        return product, counts, self.rows(counts)
 
     def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Picked hypothesis and its empirical risk for each column of draw-major uniforms.
@@ -602,7 +598,7 @@ def learner_channel(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistri
     ERM rows are one-hot at the lowest-index empirical-risk minimizer;
     exponential-mechanism rows are proportional to
     exp(-epsilon * n * risk / 2). Each dataset's row comes from its
-    symbol histogram by the same rule as the type table's rows.
+    symbol histogram by the same rule as the type kernel's rows.
     """
     tables = _LearnerTables(spec, d, n, data_dist)
     product, _, rows = tables.dataset_table()
@@ -618,8 +614,9 @@ def generalization_event(
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
     tables = _LearnerTables(spec, d, n, data_dist)
-    product, empirical, rows = tables.dataset_table()
-    mask = np.abs(tables.true_risk[None, :] - empirical) > eta
+    product, counts, rows = tables.dataset_table()
+    gaps = np.abs(tables.true_risk[:, None] - tables.risks(counts.T))
+    mask = np.ascontiguousarray(gaps.T > eta)
     channel = Channel(product, tables.hypothesis_alphabet, rows)
     prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
     return joint_from(prior, channel), EventMask(product, channel.output, mask)
@@ -639,7 +636,8 @@ def _exact_leakage(tables: _LearnerTables, data_dist: DiscreteDistribution) -> f
     over the supported datasets are those over the supported histograms:
     the ones that use only symbols of positive probability.
     """
-    counts, _, rows = tables.type_table()
+    counts = _histograms(len(tables.cum_probs), tables.n)
+    rows = tables.rows(counts)
     # validated like any channel's rows, without labelling the K types
     _check_channel_rows(rows)
     unsupported = np.asarray(data_dist.probs) == 0.0

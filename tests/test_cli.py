@@ -357,6 +357,27 @@ class TestMeasure:
         if name == "dp-zeros":
             assert json.loads(captured.out)["nats"] == "inf"
 
+    def test_dp_builds_one_product_alphabet_and_one_channel(self, capsys, tmp_path, monkeypatch):
+        write_measure_inputs(tmp_path)
+        sizes, channels = [], []
+        alphabet_init, channel_init = Alphabet.__init__, Channel.__init__
+
+        def counting_alphabet(self, labels):
+            alphabet_init(self, labels)
+            sizes.append(len(self))
+
+        def counting_channel(self, *args):
+            channel_init(self, *args)
+            channels.append(len(self.input))
+
+        monkeypatch.setattr(Alphabet, "__init__", counting_alphabet)
+        monkeypatch.setattr(Channel, "__init__", counting_channel)
+        code, doc, _ = run_cli(capsys, "measure", "dp", "--channel", str(tmp_path / "channel.json"),
+                               "--product-base", MEASURE_BASE, "--copies", "6")
+        assert code == 0
+        assert sizes.count(4**6) == 1
+        assert channels == [4**6]
+
     def test_dp_label_mismatch(self, capsys, tmp_path):
         alphabet = Alphabet(("a", "b"))
         channel = Channel.identity(alphabet)
@@ -368,6 +389,21 @@ class TestMeasure:
         assert code == 2
         assert doc is None
         assert "product alphabet" in err
+
+    @pytest.mark.parametrize("labels,code", [([0, 1], 0), (["0", "0"], 2), ([], 2)],
+                             ids=["numbers", "duplicates", "empty"])
+    def test_dp_reads_input_labels_as_strings(self, capsys, tmp_path, labels, code):
+        payload = {"input_labels": labels, "output_labels": ["a", "b"],
+                   "rows": [[1.0, 0.0], [0.0, 1.0]]}
+        path = write_json(tmp_path / "ch.json", payload)
+        got, doc, err = run_cli(capsys, "measure", "dp", "--channel", path,
+                                "--product-base", "0,1", "--copies", "1")
+        assert got == code
+        if code:
+            assert err.splitlines() == [
+                "error: channel input labels do not match the stated product alphabet"]
+        else:
+            assert doc["nats"] == "inf"
 
     def test_missing_required_flag(self, capsys):
         code, doc, err = run_cli(capsys, "measure", "ml")
@@ -850,6 +886,20 @@ class TestSimulate:
         # the same run with a writable path goes through the counted harness
         run_cli(capsys, "simulate", kind, "--config", config, "--trace", str(tmp_path / "t.csv"))
         assert trials == [1500]
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, hyptest_config, command):
+        argv = (["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"]
+                if command == "bound" else ["simulate", "hyptest", "--config", hyptest_config])
+        output = tmp_path / "missing" / "out.json"
+        code, doc, err = run_cli(capsys, *argv, "--output", str(output))
+        assert code == 2
+        assert doc is None
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        output = tmp_path / "out.json"
+        code, doc, _ = run_cli(capsys, *argv, "--output", str(output))
+        assert code == 0
+        assert json.loads(output.read_text(encoding="utf-8")) == doc
 
     def test_exponential_mechanism_weights_do_not_underflow(self, capsys, tmp_path):
         # epsilon * n * risk / 2 reaches 1500 for the worse hypothesis, so

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,6 +547,25 @@ class TestTypeKernel:
         report = run_gen_error_experiment(config, require_exact=True)
         assert math.isfinite(report.exact_leakage_nats)
         assert report.exact_leakage_nats <= report.ledger_bound_nats
+
+    @pytest.mark.parametrize("kind", [ERM, EXPONENTIAL_MECHANISM])
+    def test_exact_leakage_holds_two_type_arrays(self, kind):
+        # d = 10, all 1,024 hypotheses, n = 3: K = C(22, 19) = 1,540 types.
+        # The rows and one temporary of K x H float64 may be alive at once;
+        # a kept copy of the risks would make it three.
+        d, n = 10, 3
+        hypotheses = tuple(itertools.product((0, 1), repeat=d))
+        dist = DiscreteDistribution(data_alphabet(d), [1.0 / (2 * d)] * (2 * d))
+        spec = LearnerSpec(kind, hypotheses, None if kind == ERM else 0.5)
+        config = GenErrConfig(d, n, dist, spec, 0.3, 10, 1)
+        table_bytes = math.comb(n + 2 * d - 1, 2 * d - 1) * len(hypotheses) * 8
+        tracemalloc.start()
+        try:
+            run_gen_error_experiment(config, require_exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table_bytes
 
     def test_cap_counts_histograms(self, monkeypatch):
         # d = 2, n = 8: 4^8 = 65536 datasets but C(11, 3) = 165 histograms
