@@ -97,9 +97,12 @@ def _section_leakage(sections: np.ndarray, support: np.ndarray) -> np.ndarray:
     support, such as padding, count as zero rows, and a section without
     support sums to 0, so it never wins. One section is plain maximal
     leakage; the sections of a conditional leakage are its z values.
+    The maxima skip the rows outside the support, starting from 0, so no
+    masked copy of ``sections`` is built; the entries are nonnegative, so
+    this equals the maxima over the rows with the others zeroed.
     """
-    masked = np.where(support[..., None], sections, 0.0)
-    return _log_clamped(masked.max(axis=2).sum(axis=2).max(axis=1))
+    maxima = sections.max(axis=2, where=support[..., None], initial=0.0)
+    return _log_clamped(maxima.sum(axis=2).max(axis=1))
 
 
 def _joint_leakage(mass: np.ndarray) -> np.ndarray:

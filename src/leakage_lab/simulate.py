@@ -146,7 +146,7 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
             hits, columns = block(_trial_seeds(seed, lo, hi))
             if writer is not None:
                 writer.writerows(zip(range(lo, hi), *(c.tolist() for c in columns)))
-            return [int(h.sum()) for h in hits]
+            return [int(np.count_nonzero(h)) for h in hits]
 
         # called through the module global, so that a wrapper installed there sees it
         results = map_chunked(run, trials, per_trial)
@@ -421,10 +421,14 @@ def _whole_rows(hypotheses: int, rows: int) -> bool:
 class _LearnerTables:
     """Precomputed loss tables shared by the type kernel, the dataset layer and the trials.
 
-    One set of learner rules serves all three: ``risks`` maps symbol
-    histograms to risks, ``_weights`` risks to exponential-mechanism
-    weights and ``_lowest_minimizer`` risks to the ERM pick. Each works on
-    (H, rows) arrays and reduces over the leading hypothesis axis.
+    One set of learner rules serves all three: ``mistakes`` maps symbol
+    histograms to integer mistake counts, ``_lowest_minimizer`` counts to
+    the ERM pick, and ``risks`` counts to risks over n, which
+    ``_weights`` maps to exponential-mechanism weights. For counts
+    m1 < m2 <= n < 2^53 the doubles m1 / n and m2 / n are distinct and in
+    the same order, so ERM compares counts and divides only the picked
+    one. Each rule works on (H, rows) arrays and reduces over the leading
+    hypothesis axis.
     """
 
     def __init__(self, spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
@@ -449,19 +453,21 @@ class _LearnerTables:
         self.data_alphabet = data_dist.alphabet
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
-    def risks(self, counts: np.ndarray) -> np.ndarray:
-        """(H, rows) empirical risks of the datasets whose (symbols, rows) histograms are given.
+    def mistakes(self, counts: np.ndarray) -> np.ndarray:
+        """(H, rows) mistake counts of the datasets whose (symbols, rows) histograms are given.
 
-        Integer misclassification counts over n, so a dataset's risks do
-        not depend on the order of its draws, nor on the memory layout
-        chosen here from the shape (see ``_WHOLE_ROWS``).
+        Exact integers in ``_count_dtype``, so a dataset's counts do not
+        depend on the order of its draws, nor on the memory layout chosen
+        here from the shape (see ``_WHOLE_ROWS``).
         """
         counts = counts.astype(self._count_dtype, copy=False)
         if _whole_rows(self._loss.shape[1], counts.shape[1]):
-            mistakes = self._loss.T @ counts
-        else:
-            mistakes = (counts.T @ self._loss).T
-        return np.divide(mistakes, self.n, dtype=np.float64)
+            return self._loss.T @ counts
+        return (counts.T @ self._loss).T
+
+    def risks(self, counts: np.ndarray) -> np.ndarray:
+        """(H, rows) empirical risks, the mistake counts over n in float64."""
+        return np.divide(self.mistakes(counts), self.n, dtype=np.float64)
 
     def _weights(self, empirical: np.ndarray) -> np.ndarray:
         """Exponential-mechanism weights exp(-epsilon * n * risk / 2), up to a column factor.
@@ -472,16 +478,16 @@ class _LearnerTables:
         weights *= -0.5 * self.spec.epsilon * self.n
         return np.exp(weights, out=weights)
 
-    def _lowest_minimizer(self, empirical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per column, the lowest hypothesis index of least risk, and that risk."""
-        if not _whole_rows(*empirical.shape):
-            picks = empirical.argmin(axis=0)
-            return picks, empirical[picks, np.arange(len(picks))]
+    def _lowest_minimizer(self, mistakes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, the lowest hypothesis index of fewest mistakes, and that count."""
+        if not _whole_rows(*mistakes.shape):
+            picks = mistakes.argmin(axis=0)
+            return picks, mistakes[picks, np.arange(len(picks))]
         # whole rows: count the hypotheses before each column's first minimum
-        least = empirical.min(axis=0)
-        above = empirical[0] > least
+        least = mistakes.min(axis=0)
+        above = mistakes[0] > least
         picks = above.astype(np.intp)
-        for row in empirical[1:]:
+        for row in mistakes[1:]:
             above &= row > least
             picks += above
         return picks, least
@@ -492,10 +498,12 @@ class _LearnerTables:
         ERM rows are one-hot at the lowest-index minimizer; exponential-
         mechanism rows are the normalized weights. A row depends only on
         its histogram, whichever other rows come with it. No name keeps
-        the risks, so at most two arrays of the rows' size are alive at once.
+        the risks or the mistake counts, so at most two arrays of the rows'
+        size are alive at once, and ERM's mistake counts are gone before
+        its rows are built.
         """
         if self.spec.kind == ERM:
-            picks = self._lowest_minimizer(self.risks(counts.T))[0]
+            picks = self._lowest_minimizer(self.mistakes(counts.T))[0]
             rows = np.zeros((len(counts), len(self.true_risk)))
             rows[np.arange(len(rows)), picks] = 1.0
             return rows
@@ -515,24 +523,30 @@ class _LearnerTables:
         Row j of ``u`` holds draw j of every trial: rows ``:n`` draw the
         datasets' symbols and row ``n`` drives the exponential
         mechanism's pick. The symbol counts take one pass per cut point
-        over whole rows of trials, and the pick reduces over the
-        hypotheses in the layout that ``risks`` chose; trial-major rows
-        would instead run one tiny numpy reduction per trial.
+        over whole rows of trials, adding the boolean rows as uint8 into
+        the narrowest unsigned type that holds n, and the pick reduces
+        over the hypotheses in the layout that ``mistakes`` chose; trial-
+        major rows would instead run one tiny numpy reduction per trial.
+        ERM compares mistake counts and divides only the picked one by n.
         """
         n = self.n
         # a draw's symbol is the number of cut points cum_probs[:-1] at or
         # below it: searchsorted(cum_probs, u, side="right") clipped to the
         # last symbol, ties included. reached[s] counts the draws at or
-        # above cut s - 1: all n for s = 0, none past the last symbol.
+        # above cut s - 1: all n for s = 0, none past the last symbol. It
+        # never increases with s, so the unsigned differences cannot wrap.
         cuts = self.cum_probs[:-1]
-        reached = np.empty((len(cuts) + 2, u.shape[1]), dtype=self._count_dtype)
+        tally = np.min_scalar_type(n)
+        reached = np.empty((len(cuts) + 2, u.shape[1]), dtype=tally)
         reached[0] = n
-        reached[-1] = 0.0
+        reached[-1] = 0
         for s, cut in enumerate(cuts, start=1):
-            (u[:n] >= cut).sum(axis=0, out=reached[s])
-        empirical = self.risks(reached[:-1] - reached[1:])
+            np.add.reduce((u[:n] >= cut).view(np.uint8), axis=0, dtype=tally, out=reached[s])
+        counts = reached[:-1] - reached[1:]
         if self.spec.kind == ERM:
-            return self._lowest_minimizer(empirical)
+            picks, least = self._lowest_minimizer(self.mistakes(counts))
+            return picks, np.divide(least, n, dtype=np.float64)
+        empirical = self.risks(counts)
         picks = _inverse_cdf(_running_sums(self._weights(empirical)), u[n])
         return picks, empirical[picks, np.arange(len(picks))]
 
@@ -553,10 +567,14 @@ def _running_sums(weights: np.ndarray) -> np.ndarray:
 def _inverse_cdf(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per column i, ``searchsorted(cumulative[:, i], u[i] * cumulative[-1, i], side="right")``.
 
-    Clipped to the last row, which a total rounded below u can overrun.
+    The boolean rows are added as uint8 into the narrowest unsigned type
+    that holds the row count, then widened to ``intp``; clipped to the
+    last row, which a total rounded below u can overrun.
     """
-    picks = (cumulative <= u * cumulative[-1]).sum(axis=0)
-    return np.minimum(picks, len(cumulative) - 1)
+    rows = len(cumulative)
+    below = (cumulative <= u * cumulative[-1]).view(np.uint8)
+    picks = np.add.reduce(below, axis=0, dtype=np.min_scalar_type(rows)).astype(np.intp)
+    return np.minimum(picks, rows - 1, out=picks)
 
 
 def _count_symbols(drawn: np.ndarray, symbols: int) -> np.ndarray:

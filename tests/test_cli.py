@@ -76,6 +76,19 @@ README_GENERR = {
     "trials": 10_000,
     "seed": 20260814,
 }
+# d = 10 with all 1,024 hypotheses and n = 1: risks stored column by column
+# and a 1,024-row inverse CDF; d = 2 with n = 300: symbol tallies past 255
+MANY_HYPOTHESES = {
+    "d": 10,
+    "n": 1,
+    "dataDistribution": {"labels": [f"x{i}:{b}" for i in range(10) for b in (0, 1)],
+                         "probs": [(i + 1) / 210 for i in range(20)]},
+    "learner": {"kind": ERM, "hypothesisClass": [list(h) for h in itertools.product((0, 1), repeat=10)]},
+    "eta": 0.5,
+    "trials": 3_000,
+    "seed": 11,
+}
+LARGE_N = {**README_GENERR, "n": 300, "eta": 0.05, "trials": 3_000, "seed": 12}
 # config, stdout line and sha256 of the --trace CSV of simulate generr runs
 GOLDEN_GENERR = {
     "readme-erm": (
@@ -108,6 +121,34 @@ GOLDEN_GENERR = {
         '"theoreticalBound": 1.532090125589739, "exactLeakage_nats": 0.45348571774204216, '
         '"ledgerBound_nats": 2.0, "pass": true}',
         "5e75981f7cb3dd1760796c661c9fe1f4a1b5615d487844e35d652fbdb2c1cfb6",
+    ),
+    "d10-erm-1024-hypotheses": (
+        MANY_HYPOTHESES,
+        '{"empiricalTail": 1.0, "mcHalfWidth": 0.0015338791317189848, '
+        '"theoreticalBound": 13.343674513677938, "exactLeakage_nats": 2.3978952727983707, '
+        '"ledgerBound_nats": 6.931471805599453, "pass": true}',
+        "4b11d5ecd8280c6dd17f8835460a3ad8f4058bf6bb0d593bf4ecd61e28d159a6",
+    ),
+    "d10-em-1024-hypotheses": (
+        {**MANY_HYPOTHESES, "learner": {**MANY_HYPOTHESES["learner"], "kind": EM, "epsilon": 4.0}},
+        '{"empiricalTail": 0.37533333333333335, "mcHalfWidth": 0.02055620642227013, '
+        '"theoreticalBound": 2.1369217311155406, "exactLeakage_nats": 0.5662191695169734, '
+        '"ledgerBound_nats": 4.0, "pass": true}',
+        "cbd944584db9e863d57283c51a8c2b441062c3dee99590e7db0ecb66f40b98dc",
+    ),
+    "d2-erm-n300": (
+        LARGE_N,
+        '{"empiricalTail": 0.06233333333333333, "mcHalfWidth": 0.009851288836165713, '
+        '"theoreticalBound": 1.7850412811874385, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
+        "8547c06779aae755e38cc66fda33b942140c9c4bd0bd77db70a73487286f0ad6",
+    ),
+    "d2-em-n300": (
+        {**LARGE_N, "learner": {**LARGE_N["learner"], "kind": EM, "epsilon": 0.05}},
+        '{"empiricalTail": 0.07466666666666667, "mcHalfWidth": 0.010762982047462538, '
+        '"theoreticalBound": 1.7850412811874385, "exactLeakage_nats": null, '
+        '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
+        "17a149a85ea31fa06880b5582ba487e384a366efe411343da40363b631f2c92a",
     ),
 }
 

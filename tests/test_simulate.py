@@ -188,6 +188,46 @@ class TestVectorizedLearner:
         assert np.array_equal(few_picks, picks[:100])
         assert np.array_equal(few_empirical, empirical[:100])
 
+    def test_inverse_cdf_counts_past_a_byte(self):
+        # 300 rows: the count of rows at or below a target reaches 300,
+        # past what a uint8 holds, in either layout of the cumulative sums
+        rng = np.random.default_rng(4)
+        weights = rng.integers(0, 3, size=(300, 500)).astype(np.float64)
+        weights[0] += weights.sum(axis=0) == 0
+        cumulative = np.cumsum(weights, axis=0)
+        u = rng.random(500)
+        u[::2] = cumulative[280, ::2] / cumulative[-1, ::2]
+        u[1::4] = 0.0
+        u[3::8] = 1.0 - 2.0**-53
+        expected = [
+            min(np.searchsorted(cumulative[:, i], u[i] * cumulative[-1, i], side="right"), 299)
+            for i in range(len(u))
+        ]
+        assert max(expected) == 299
+        for layout in (cumulative, np.asfortranarray(cumulative)):
+            picks = _inverse_cdf(layout, u)
+            assert picks.dtype == np.intp
+            assert picks.tolist() == expected
+
+    @pytest.mark.parametrize("epsilon", [None, 0.05])
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_learn_matches_per_trial_oracle_past_a_byte(self, n, epsilon):
+        # n = 255 symbol tallies fit a uint8 and n = 256 do not. Under the
+        # second distribution every label is 0, so hypothesis (1, 1)
+        # mislabels all n draws: a pick over mistake counts cut to a byte
+        # would see 0 mistakes at n = 256 and take it, as it is listed first
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, ((1, 1), (0, 0), (0, 1), (1, 0)), epsilon)
+        u = _uniform_block(_trial_seeds(5, 0, 600), n + 1)
+        for dist in (skewed_dist(), DiscreteDistribution(FOUR_SYMBOLS, [0.6, 0.0, 0.4, 0.0])):
+            tables = _LearnerTables(spec, 2, n, dist)
+            expected_picks, expected_risks = per_trial_oracle(tables, u)
+            # 600 trials store their risks row by row, 100 column by column
+            for cols in (600, 100):
+                picks, empirical = tables.learn(u[:, :cols])
+                assert picks.tolist() == expected_picks[:cols]
+                assert empirical.tolist() == expected_risks[:cols]
+
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("trials", [2000, 7])
     def test_zero_probability_symbol_and_draws_on_cut_points(self, epsilon, trials):
@@ -566,6 +606,23 @@ class TestTypeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * table_bytes
+
+    def test_exact_erm_holds_one_type_array(self):
+        # ERM picks from float32 mistake counts that are gone before its
+        # K x H float64 one-hot rows are built, and the leakage reduces
+        # the rows without a masked copy, so one such array is alive
+        d, n = 10, 3
+        hypotheses = tuple(itertools.product((0, 1), repeat=d))
+        dist = DiscreteDistribution(data_alphabet(d), [1.0 / (2 * d)] * (2 * d))
+        config = GenErrConfig(d, n, dist, LearnerSpec(ERM, hypotheses), 0.3, 10, 1)
+        table_bytes = math.comb(n + 2 * d - 1, 2 * d - 1) * len(hypotheses) * 8
+        tracemalloc.start()
+        try:
+            run_gen_error_experiment(config, require_exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * table_bytes
 
     def test_cap_counts_histograms(self, monkeypatch):
         # d = 2, n = 8: 4^8 = 65536 datasets but C(11, 3) = 165 histograms
