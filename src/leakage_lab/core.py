@@ -171,6 +171,10 @@ class ProductAlphabet(Alphabet):
         if n < 1:
             raise LeakageLabError(f"product power must be >= 1, got {n}")
         cap = enumeration_cap()
+        # k >= 2 symbols give k^n >= 2^n > cap once n passes the cap's bit
+        # length, so a huge n is refused before its power is computed
+        if len(base) > 1 and n > cap.bit_length():
+            raise CapExceeded(f"{len(base)}^{n} states exceed the enumeration cap {cap}")
         size = len(base) ** n
         if size > cap:
             raise CapExceeded(f"{len(base)}^{n} = {size} states exceed the enumeration cap {cap}")

@@ -247,24 +247,35 @@ def _check_budgets(deltas) -> None:
             raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
 
 
-def _best_ratio_logs(mass: np.ndarray, denom: np.ndarray, deltas) -> np.ndarray:
-    """log max over the columns with mass above delta of (mass - delta) / denom: (B, K) -> (B, D).
+def _best_ratios(mass: np.ndarray, denom: np.ndarray, deltas) -> np.ndarray:
+    """Max of (mass - delta) / denom over the columns with mass above delta: (rows, K) -> (D, rows).
 
-    Each column is an outcome set with its p-mass and q-mass. A feasible
-    set without q-mass divides a positive numerator by zero, which makes
-    the result +inf; a row without a feasible set keeps -inf.
+    Each column is an outcome set with its p-mass and q-mass. Every
+    budget is taken in one (D, rows, K) pass, and each entry is the double
+    a per-budget pass forms. A feasible set without q-mass divides a
+    positive numerator by zero, which makes the result +inf; a row
+    without a feasible set keeps -inf.
     """
-    out = np.empty((len(mass), len(deltas)))
-    for k, delta in enumerate(deltas):
-        ratios = mass - delta
-        ratios[mass <= delta] = -np.inf
-        with np.errstate(divide="ignore"):
-            ratios /= denom
-        best = ratios.max(axis=1)
-        if (best == -np.inf).any():
-            raise NoFeasibleSet(f"no outcome set has mass above {delta}")
-        out[:, k] = [math.log(value) for value in best.tolist()]
-    return out
+    budgets = np.array(deltas, dtype=np.float64)[:, None, None]
+    ratios = mass - budgets
+    np.copyto(ratios, -np.inf, where=mass <= budgets)
+    with np.errstate(divide="ignore"):
+        ratios /= denom
+    return ratios.max(axis=-1)
+
+
+def _best_ratio_logs(best: np.ndarray, deltas) -> np.ndarray:
+    """``math.log`` of each best ratio: (D, rows) -> (rows, D).
+
+    Raises NoFeasibleSet naming the first budget, in the given order, at
+    which some row has no feasible set (a -inf best ratio). The logs are
+    ``math.log`` values, so a row's result does not depend on its batch.
+    """
+    infeasible = (best == -np.inf).any(axis=1)
+    if infeasible.any():
+        raise NoFeasibleSet(f"no outcome set has mass above {deltas[int(infeasible.argmax())]}")
+    logs = np.fromiter(map(math.log, best.T.ravel().tolist()), np.float64, best.size)
+    return logs.reshape(best.shape[::-1])
 
 
 def _approx_max_div_scan(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
@@ -283,7 +294,7 @@ def _approx_max_div_scan(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
     order = _ratio_order(pv, qv)
     mass = np.take_along_axis(pv, order, axis=1).cumsum(axis=1)
     denom = np.take_along_axis(qv, order, axis=1).cumsum(axis=1)
-    return _best_ratio_logs(mass, denom, deltas)
+    return _best_ratio_logs(_best_ratios(mass, denom, deltas), deltas)
 
 
 _ENUM_LIMIT = 16
@@ -306,20 +317,38 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 
 
 def _approx_max_div_enumerated(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
-    """Exhaustive twin of the prefix scan over all nonempty outcome sets: (B, m) rows -> (B, D).
+    """Exhaustive twin of the prefix scan over the sets of positive cells: (B, M) -> (B, D).
 
-    For small alphabets only; rows of different lengths go in separate calls.
+    Each row enumerates every nonempty subset of its cells with p > 0, in
+    index order, so rows of any length and with any zero padding go in
+    one call; rows are grouped by their count of positive cells. A cell
+    with p = 0 adds nothing to a set's p-mass and only q-mass to its
+    denominator, so it never raises the objective of a feasible set, and
+    the subsets left add their cells in the same index order: the maximum
+    is the double that enumerating every cell gives, +inf and ties
+    included. A row without a positive cell has no feasible set. For
+    small alphabets only: at most ``_ENUM_LIMIT`` positive cells a row.
     """
     _check_budgets(deltas)
-    m = pv.shape[1]
-    if m > _ENUM_LIMIT:
-        raise LeakageLabError(f"enumeration oracle is limited to {_ENUM_LIMIT} outcomes")
-    # rows a few at a time, so that the (2, rows, 2^m - 1) sums stay near _ENUM_BLOCK values
-    step = max(1, _ENUM_BLOCK >> (m + 1))
-    return np.concatenate([
-        _best_ratio_logs(*_subset_sums(np.stack((pv[lo : lo + step], qv[lo : lo + step]))), deltas)
-        for lo in range(0, len(pv), step)
-    ])
+    positive = pv > 0.0
+    counts = positive.sum(axis=1)
+    if (counts > _ENUM_LIMIT).any():
+        raise LeakageLabError(
+            f"enumeration oracle is limited to {_ENUM_LIMIT} outcomes with positive mass"
+        )
+    best = np.full((len(deltas), len(pv)), -np.inf)
+    for m in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == m)
+        # boolean indexing walks each row's positive cells in index order
+        on = positive[rows]
+        cells = np.stack((pv[rows][on], qv[rows][on])).reshape(2, len(rows), m)
+        # rows a few at a time, so that neither the (2, rows, 2^m - 1) sums nor
+        # the (D, rows, 2^m - 1) ratios hold more than _ENUM_BLOCK values
+        step = max(1, _ENUM_BLOCK // (max(2, len(deltas)) * ((1 << m) - 1)))
+        for lo in range(0, len(rows), step):
+            sums = _subset_sums(cells[:, lo : lo + step])
+            best[:, rows[lo : lo + step]] = _best_ratios(*sums, deltas)
+    return _best_ratio_logs(best, deltas)
 
 
 def approx_max_divergence(
@@ -375,6 +404,11 @@ def approx_max_information(joint: JointDistribution, beta: float) -> float:
 
 
 def approx_max_information_by_enumeration(joint: JointDistribution, beta: float) -> float:
+    """:func:`approx_max_information` by exhaustive enumeration of outcome sets.
+
+    Only the cells with positive mass are enumerated, so a joint of any
+    size is accepted as long as at most 16 of its cells are positive.
+    """
     _check_beta(beta)
     mass, product = _joint_product_vectors(joint.mass[None])
     return float(_approx_max_div_enumerated(mass, product, (beta,))[0, 0])

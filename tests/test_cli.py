@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,15 @@ GOLDEN_GENERR = {
 
 # sha256 of the stdout of verify all --instances 1000 --seed 7
 GOLDEN_VERIFY = "6607013bf7402fb192bdc141afe801c1d02e95cd6c41628676d85a5a8303aabe"
+# sha256 of the stdout of verify maxinfo at (instances, seed), which pins
+# the enumeration oracle's values on other draws
+GOLDEN_VERIFY_MAXINFO = {
+    (1000, 1): "dfbd63e9660e6d63858906f2eea837e31af40324b4b0cc45d2b3aef3c95425e0",
+    (1000, 3): "afe8fa450bc2c478491ab6a618b271a1955aab4a4be90f2ac5d91bac0a3d94db",
+    (1000, 11): "1225ae9dc1ced8a69915fbfc188c965ee231a0ddef5e6f73eadc81d969703bc7",
+    (1000, 2**64 - 1): "d0061cf0d1cb7025a16ae305655c571ee0a23d78abba0d72f10009187dc5dd3b",
+    (60, 7): "b6e165d72006844e2ed61d28b3f3e39f2d7f557c69dd8fb1864a551ae82c9929",
+}
 
 README_HYPTEST = {"n": 64, "numStats": 10, "sigma": 0.005, "delta": 0.05,
                   "trials": 10_000, "seed": 20260814}
@@ -671,6 +681,15 @@ class TestVerify:
         assert main(["verify", "all", "--instances", "1000", "--seed", "7"]) == 0
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_VERIFY
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("instances, seed", GOLDEN_VERIFY_MAXINFO)
+    def test_golden_maxinfo_report(self, capsys, instances, seed):
+        argv = ["verify", "maxinfo", "--instances", str(instances), "--seed", str(seed)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == GOLDEN_VERIFY_MAXINFO[instances, seed]
         assert captured.err == ""
 
     def test_all_suites_deterministic_across_workers(self, capsys):
@@ -1221,6 +1240,31 @@ def test_closed_form_commands_load_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("copies", [10**11, 2**63, 2**64, 2**70])
+def test_huge_copies_exit_4_in_bounded_memory(tmp_path, copies):
+    # the size k^copies would take gigabytes to hold; the child runs under a
+    # 2 GB address-space limit and a timeout, so a regression fails here
+    src = str(Path(leakage_lab.__file__).resolve().parents[1])
+    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    argv = ["measure", "dp", "--channel", channel, "--product-base", "0,1",
+            "--copies", str(copies)]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from leakage_lab.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = {**os.environ, "LEAKAGE_LAB_CAP": str(10**6)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: 2^{copies} states exceed the enumeration cap {10**6}"
+    ]
 
 
 def test_package_names_each_export_once_and_resolves_it_from_its_module():

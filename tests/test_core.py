@@ -119,6 +119,19 @@ class TestProductAlphabet:
         with pytest.raises(CapExceeded, match="exceed"):
             ProductAlphabet(Alphabet(["0", "1"]), 30)
 
+    def test_cap_refuses_a_huge_power_before_computing_it(self, monkeypatch):
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", str(10**6))
+        cap = "the enumeration cap 1000000"
+        # n up to the cap's bit length (20) computes the size and names it
+        with pytest.raises(CapExceeded, match=f"^2\\^20 = 1048576 states exceed {cap}$"):
+            ProductAlphabet(Alphabet(["0", "1"]), 20)
+        with pytest.raises(CapExceeded, match=f"^3\\^13 = 1594323 states exceed {cap}$"):
+            ProductAlphabet(Alphabet(["0", "1", "2"]), 13)
+        # past it, 2^n alone exceeds the cap, so the power is never formed
+        for n in (21, 10**11, 2**70):
+            with pytest.raises(CapExceeded, match=f"^2\\^{n} states exceed {cap}$"):
+                ProductAlphabet(Alphabet(["0", "1"]), n)
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "8")
         assert enumeration_cap() == 8

@@ -60,6 +60,22 @@ def enumerated(pv, qv, delta):
     return float(_approx_max_div_enumerated(pv[None], qv[None], (delta,))[0, 0])
 
 
+def enumerated_every_cell(pv, qv, deltas):
+    """Subset enumeration over every cell, zeros included, one budget at a time: (B, m) -> (B, D)."""
+    mass, denom = _subset_sums(np.stack((pv, qv)))
+    out = np.empty((len(pv), len(deltas)))
+    for k, delta in enumerate(deltas):
+        ratios = mass - delta
+        ratios[mass <= delta] = -np.inf
+        with np.errstate(divide="ignore"):
+            ratios /= denom
+        best = ratios.max(axis=1)
+        if (best == -np.inf).any():
+            raise NoFeasibleSet(f"no outcome set has mass above {delta}")
+        out[:, k] = [math.log(value) for value in best.tolist()]
+    return out
+
+
 def brute_force_leakage(rows: np.ndarray, support) -> float:
     total = 0.0
     for y in range(rows.shape[1]):
@@ -460,6 +476,63 @@ class TestApproxMaxDivergence:
                         if subset >> j & 1:
                             total += float(pv[i, j])
                     assert sums[i, subset - 1] == total
+
+    def test_positive_cells_give_the_every_cell_doubles(self, rng):
+        # dropping the p = 0 cells keeps each remaining subset's sum and the
+        # maximum to the bit, in a batch or alone, with +inf where a
+        # positive cell has no q-mass
+        deltas = (0.0, 0.01, 0.3, 1.0 - 2.0**-53)
+        for size in range(1, 13):
+            p = (rng.random((30, size)) + 1e-3) * (rng.random((30, size)) > 0.3)
+            q = (rng.random((30, size)) + 1e-3) * (rng.random((30, size)) > 0.3)
+            p[np.arange(30), rng.integers(size, size=30)] += 1.0
+            p /= p.sum(axis=1, keepdims=True)
+            # row 0 has no q-mass on the support of p, row 1 none on its largest cell
+            q[0] = np.where(p[0] > 0.0, 0.0, q[0])
+            q[1, p[1].argmax()] = 0.0
+            for rows in (slice(None), slice(0, 1), slice(7, 8), slice(5, 17)):
+                try:
+                    want = enumerated_every_cell(p[rows], q[rows], deltas)
+                except NoFeasibleSet as error:
+                    # the sum of a row can fall short of 1 - 2^-53
+                    with pytest.raises(NoFeasibleSet, match=f"^{error}$"):
+                        _approx_max_div_enumerated(p[rows], q[rows], deltas)
+                    want = enumerated_every_cell(p[rows], q[rows], deltas[:3])
+                    got = _approx_max_div_enumerated(p[rows], q[rows], deltas[:3])
+                else:
+                    got = _approx_max_div_enumerated(p[rows], q[rows], deltas)
+                assert got.tobytes() == want.tobytes(), (size, rows)
+            infinite = np.isinf(_approx_max_div_enumerated(p[:2], q[:2], deltas[:3]))
+            assert infinite[0].all() and infinite[1, 0]
+
+    def test_enumeration_without_a_feasible_set_names_the_first_budget(self):
+        deltas = (0.0, 0.01, 0.3, 1.0 - 2.0**-53)
+        # row 0 sums to 1 - 2^-53, so only the last budget leaves it without a set
+        pv = np.array([[0.5, 0.0, 0.5 - 2.0**-53], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        qv = np.full((3, 3), 1.0 / 3.0)
+        for rows, first in ((slice(0, 1), 1.0 - 2.0**-53), (slice(0, 2), 0.3),
+                            (slice(0, 3), 0.0), (slice(2, 3), 0.0)):
+            for oracle in (enumerated_every_cell, _approx_max_div_enumerated):
+                with pytest.raises(NoFeasibleSet, match=f"^no outcome set has mass above {first}$"):
+                    oracle(pv[rows], qv[rows], deltas)
+        # a budget list out of order still names its first infeasible entry
+        with pytest.raises(NoFeasibleSet, match="above 0.3$"):
+            _approx_max_div_enumerated(pv[:2], qv[:2], (0.0, 0.3, 0.25))
+
+    def test_enumeration_limit_counts_positive_cells(self, rng):
+        mass = np.zeros(20)
+        mass[rng.permutation(20)[:10]] = rng.random(10) + 1e-3
+        joint = JointDistribution(Alphabet([f"x{i}" for i in range(4)]),
+                                  Alphabet([f"y{i}" for i in range(5)]),
+                                  (mass / mass.sum()).reshape(4, 5))
+        for beta in (0.01, 0.1, 0.5):
+            assert approx_max_information_by_enumeration(joint, beta) == pytest.approx(
+                approx_max_information(joint, beta), abs=1e-12
+            )
+        mass[rng.permutation(np.flatnonzero(mass == 0.0))[:7]] = 0.5
+        joint = JointDistribution(joint.input, joint.output, (mass / mass.sum()).reshape(4, 5))
+        with pytest.raises(LeakageLabError, match="limited to 16 outcomes with positive mass"):
+            approx_max_information_by_enumeration(joint, 0.1)
 
     def test_infinite_when_budget_cannot_cover(self):
         a = Alphabet(["a", "b"])

@@ -108,7 +108,8 @@ class TestGenerators:
         assert (rows[live] == 0.0).any()
 
     def test_random_joint_is_valid(self):
-        nx, ny, mass, live = _joint_draws(uniforms("maxinfo", 5, 400))
+        nx, ny, mass = _joint_draws(uniforms("maxinfo", 5, 400))
+        live = _live(nx, 4)[:, :, None] & _live(ny, 6)[:, None, :]
         assert np.allclose(mass.sum(axis=(1, 2)), 1.0, atol=1e-12)
         assert mass.min() >= 0.0
         assert not mass[~live].any()
@@ -287,7 +288,7 @@ def composition_oracle(u):
 
 
 def maxinfo_oracle(u):
-    nx, ny, mass, _ = _joint_draws(u)
+    nx, ny, mass = _joint_draws(u)
     rows = {name: [] for name in ("leakage_budget", "enumeration_match", "beta_monotone",
                                   "dominates_leakage")}
     for i in range(u.shape[1]):
