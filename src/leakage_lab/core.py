@@ -175,6 +175,9 @@ class ProductAlphabet(Alphabet):
         # length, so a huge n is refused before its power is computed
         if len(base) > 1 and n > cap.bit_length():
             raise CapExceeded(f"{len(base)}^{n} states exceed the enumeration cap {cap}")
+        # one symbol makes one state at any n, but its label holds n copies
+        if n > cap:
+            raise CapExceeded(f"a label of {n} copies exceeds the enumeration cap {cap}")
         size = len(base) ** n
         if size > cap:
             raise CapExceeded(f"{len(base)}^{n} = {size} states exceed the enumeration cap {cap}")

@@ -33,7 +33,9 @@ def load_path(path: str) -> Any:
     The cyclic collector is paused while the text is parsed: a document
     is a tree, so the collector has nothing to free there, yet each of its
     passes would walk the lists the parser has built so far. It is
-    re-enabled afterwards only if it was enabled before.
+    re-enabled afterwards only if it was enabled before. A document nested
+    deeper than the parser's recursion limit is refused with an error that
+    names the path.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -41,6 +43,8 @@ def load_path(path: str) -> Any:
     gc.disable()
     try:
         return json.loads(text)
+    except RecursionError:
+        raise LeakageLabError(f"{path} is nested too deeply to parse") from None
     finally:
         if enabled:
             gc.enable()

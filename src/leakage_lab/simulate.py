@@ -14,9 +14,10 @@ Two experiment families check the bounds against live randomness:
 
 * post-selection hypothesis testing: under a fair-coin null, the
   minimum-p-value rule picks one of T coordinate-window binomial tests
-  with exact tail p-values (the first window with the smallest p-value); the
-  false-discovery frequency is compared against exp(log T) * sigma at
-  both the adjusted and raw significance.
+  with exact tail p-values (the first window with the most heads, whose
+  exact p-value is the smallest); the false-discovery frequency is
+  compared against exp(log T) * sigma at both the adjusted and raw
+  significance.
 
 Trials are independent work items. Trial t of master seed s has the seed
 derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
@@ -418,6 +419,35 @@ def _whole_rows(hypotheses: int, rows: int) -> bool:
     return rows >= _WHOLE_ROWS * hypotheses
 
 
+def _key_dtype(top: int, rows: int) -> np.dtype:
+    """Narrowest unsigned dtype of ``_first_max``'s keys for values <= top over ``rows`` rows."""
+    return np.min_scalar_type(((top + 1) << (rows - 1).bit_length()) - 1)
+
+
+def _first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of an (R, N) array, the lowest row index of its largest value, and that value.
+
+    ``values`` must already be in ``_key_dtype(top, R)``, top its largest
+    possible value, so the keys value * 2^s + (R - 1 - row),
+    s = bit_length(R - 1), are formed without a cast and none wraps: one
+    max over the R rows holds a column's largest value and the lowest row
+    that reaches it. A key is at most (top + 1) * 2^s - 1 and must fit in
+    uint64. Whole generr rows (see ``_WHOLE_ROWS``) have top = n and R = H:
+    a trial slice of 2^16 values holds at least 128 H of them only for
+    H <= 22 and n <= 512, and on the exact path n < K, so an overflow
+    there needs more than 2^35 types. Both results stay in the key dtype;
+    callers gather with ``take``, which casts the indices once, because
+    fancy indexing by narrow integers costs several times more.
+    """
+    rows = values.shape[0]
+    shift = (rows - 1).bit_length()
+    # a multiply by 2^s is the shift; numpy multiplies narrow integers faster
+    keys = values * values.dtype.type(1 << shift)
+    keys |= np.arange(rows - 1, -1, -1, dtype=values.dtype)[:, None]
+    best = keys.max(axis=0)
+    return (rows - 1) - (best & ((1 << shift) - 1)), best >> shift
+
+
 class _LearnerTables:
     """Precomputed loss tables shared by the type kernel, the dataset layer and the trials.
 
@@ -479,18 +509,19 @@ class _LearnerTables:
         return np.exp(weights, out=weights)
 
     def _lowest_minimizer(self, mistakes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per column, the lowest hypothesis index of fewest mistakes, and that count."""
+        """Per column, the lowest hypothesis index of fewest mistakes, and that count.
+
+        Whole rows take the first maximum of n - mistakes (``_first_max``),
+        cast once into its key dtype; column-contiguous counts take argmin.
+        """
         if not _whole_rows(*mistakes.shape):
             picks = mistakes.argmin(axis=0)
             return picks, mistakes[picks, np.arange(len(picks))]
-        # whole rows: count the hypotheses before each column's first minimum
-        least = mistakes.min(axis=0)
-        above = mistakes[0] > least
-        picks = above.astype(np.intp)
-        for row in mistakes[1:]:
-            above &= row > least
-            picks += above
-        return picks, least
+        # the correctly labelled draws, written straight into the key dtype
+        correct = np.empty(mistakes.shape, dtype=_key_dtype(self.n, len(mistakes)))
+        np.subtract(self.n, mistakes, out=correct, casting="unsafe")
+        picks, most = _first_max(correct)
+        return picks, self.n - most
 
     def rows(self, counts: np.ndarray) -> np.ndarray:
         """(rows, H) P(h | dataset) of the datasets whose (rows, symbols) histograms are given.
@@ -668,10 +699,22 @@ def run_gen_error_experiment(
     trace_path: str | None = None,
     require_exact: bool = False,
 ) -> ExperimentReport:
-    """Monte Carlo check of the generalization bound for one learner."""
+    """Monte Carlo check of the generalization bound for one learner.
+
+    A trial wider than the enumeration cap is refused before anything is
+    built or opened.
+    """
     cap = enumeration_cap()
-    tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
     symbols = len(config.data_dist.alphabet)
+    width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
+    # a trial's widest array is its uniforms, its histogram or its mistake counts
+    per_trial = max(width, symbols, len(config.learner.hypotheses))
+    if per_trial > cap:
+        raise CapExceeded(
+            f"a trial of n = {config.n} draws holds {per_trial} values, "
+            f"which exceed the cap {cap}"
+        )
+    tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
     types = _type_count(symbols, config.n)
     exact_leakage = None if types > cap else _exact_leakage(tables, config.data_dist)
     if require_exact and exact_leakage is None:
@@ -683,16 +726,12 @@ def run_gen_error_experiment(
     used_leakage = ledger_bound if exact_leakage is None else exact_leakage
     bound = gen_error_bound(config.n, config.eta, used_leakage).value
 
-    width = config.n + (config.learner.kind == EXPONENTIAL_MECHANISM)
-
     def block(seeds: np.ndarray):
         picks, empirical = tables.learn(_uniform_block(seeds, width))
-        gaps = np.abs(tables.true_risk[picks] - empirical)
+        gaps = np.abs(tables.true_risk.take(picks) - empirical)
         hits = gaps > config.eta
         return (hits,), (picks, empirical, gaps, hits)
 
-    # a trial's widest array is its uniforms, its histogram or its risks
-    per_trial = max(width, symbols, len(config.learner.hypotheses))
     (exceed,) = _count_trials(
         config.seed, config.trials, per_trial, block,
         ("trial", "hypothesis", "empirical_risk", "gap", "exceeds"), trace_path,
@@ -764,62 +803,21 @@ def _window_masks(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return word_index, masks
 
 
-def _key_dtype(width: int, t: int) -> np.dtype:
-    """Narrowest unsigned dtype of the keys count << s | (t - 1 - index), count <= width."""
-    return np.min_scalar_type(((width + 1) << (t - 1).bit_length()) - 1)
-
-
-def _first_equal(table: np.ndarray) -> np.ndarray | None:
-    """first[k]: the smallest count whose p-value is table[k], or None when no two are equal."""
-    first = np.searchsorted(-table, -table)
-    return None if (first == np.arange(len(table))).all() else first
-
-
-def _smallest_p(counts: np.ndarray, table: np.ndarray,
-                first_equal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise first argmin of ``table[counts]`` and its value, without the gather.
-
-    ``counts`` is a (T, N) array of head counts in ``_key_dtype``, one row
-    per window. The table is nonincreasing, so a trial's smallest p-value
-    sits at its largest count, and the largest key count << s | (T - 1 - t),
-    s = bit_length(T - 1), holds that count and the lowest index t among
-    the windows that reach it: one max over the T rows, and one table read
-    per trial. Where tails round or underflow to one double
-    (``first_equal``, see ``_first_equal``), a smaller count can share the
-    smallest p-value, and a trial whose largest count c has
-    first_equal[c] < c takes the first window whose count reaches
-    first_equal[c] instead.
-    """
-    t = counts.shape[0]
-    shift = (t - 1).bit_length()
-    # a multiply by 2^s is the shift; numpy multiplies narrow integers faster
-    keys = counts * counts.dtype.type(1 << shift)
-    keys |= np.arange(t - 1, -1, -1, dtype=counts.dtype)[:, None]
-    best = keys.max(axis=0)
-    top = (best >> shift).astype(np.intp)
-    selected = (t - 1) - (best & ((1 << shift) - 1))
-    if first_equal is not None:
-        low = first_equal[top]
-        (trials,) = np.nonzero(low < top)
-        selected[trials] = np.argmax(counts[:, trials] >= low[trials], axis=0)
-    return selected, table[top]
-
-
 def run_hyptest_experiment(
     config: HypTestConfig,
     trace_path: str | None = None,
 ) -> HypTestReport:
     """Monte Carlo check of the post-selection false-discovery bound.
 
-    A trial selects the first window with the smallest p-value by one max
-    over packed (count, index) keys (``_smallest_p``), which is exact
-    because the tail table is nonincreasing in the count.
+    A trial selects the first window with the most heads (``_first_max``).
+    The exact tails sum_{j >= k} C(w, j) / 2^w strictly decrease in k, so
+    that window has the smallest exact p-value; its reported p-value is
+    that tail's rounded double.
     """
     windows = statistic_windows(config.n, config.num_stats)
     table = binomial_tail_table(windows.shape[1])
     word_index, masks = _window_masks(windows)
     key_dtype = _key_dtype(windows.shape[1], config.num_stats)
-    first_equal = _first_equal(table)
     draws_per_trial = -(-config.n // 64)
     selection_bound = cardinality_bound(config.num_stats)
     adjusted_sigma = adjusted_significance(config.delta, selection_bound)
@@ -832,7 +830,8 @@ def run_hyptest_experiment(
         # pages back between slices, and each slice then paid page faults
         words &= masks[..., None]
         counts = np.bitwise_count(words).sum(axis=1, dtype=key_dtype)
-        selected, p_min = _smallest_p(counts, table, first_equal)
+        selected, top = _first_max(counts)
+        p_min = table.take(top)
         reject_adjusted = p_min <= adjusted_sigma
         reject_raw = p_min <= config.sigma
         return (reject_adjusted, reject_raw), (selected, p_min, reject_adjusted, reject_raw)

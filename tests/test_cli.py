@@ -1242,14 +1242,14 @@ def test_closed_form_commands_load_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("copies", [10**11, 2**63, 2**64, 2**70])
-def test_huge_copies_exit_4_in_bounded_memory(tmp_path, copies):
-    # the size k^copies would take gigabytes to hold; the child runs under a
-    # 2 GB address-space limit and a timeout, so a regression fails here
+def run_bounded(argv):
+    """Exit code, stdout and stderr lines of ``main(argv)`` in a child process.
+
+    The child runs at a cap of 10^6 under a 2 GB address-space limit and a
+    20-s timeout, so a refusal that comes after the work fails the test
+    instead of exhausting the host.
+    """
     src = str(Path(leakage_lab.__file__).resolve().parents[1])
-    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
-    argv = ["measure", "dp", "--channel", channel, "--product-base", "0,1",
-            "--copies", str(copies)]
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -1260,11 +1260,55 @@ def test_huge_copies_exit_4_in_bounded_memory(tmp_path, copies):
     env = {**os.environ, "LEAKAGE_LAB_CAP": str(10**6)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=20)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        f"error: 2^{copies} states exceed the enumeration cap {10**6}"
-    ]
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("copies", [10**11, 2**63, 2**64, 2**70])
+def test_huge_copies_exit_4_in_bounded_memory(tmp_path, copies):
+    # the size k^copies would take gigabytes to hold
+    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    argv = ["measure", "dp", "--channel", channel, "--product-base", "0,1",
+            "--copies", str(copies)]
+    assert run_bounded(argv) == (
+        4, "", [f"error: 2^{copies} states exceed the enumeration cap {10**6}"])
+
+
+@pytest.mark.parametrize("copies", [10**11, 2**64])
+def test_one_symbol_copies_past_the_cap_exit_4_in_bounded_memory(tmp_path, copies):
+    # one state at any power, but its label would hold 3 * copies characters
+    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    argv = ["measure", "dp", "--channel", channel, "--product-base", "ab",
+            "--copies", str(copies)]
+    assert run_bounded(argv) == (
+        4, "", [f"error: a label of {copies} copies exceeds the enumeration cap {10**6}"])
+
+
+@pytest.mark.parametrize("n", [10**10, 2**63])
+def test_wide_generr_trial_exits_4_in_bounded_memory(tmp_path, n):
+    # one trial of n uniforms would take n * 8 bytes; the refusal comes
+    # before the exact enumeration and before the trace file is opened
+    config = write_json(tmp_path / "generr.json", {**README_GENERR, "n": n, "trials": 1})
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate", "generr", "--config", config, "--trace", str(trace)]
+    assert run_bounded(argv) == (
+        4, "", [f"error: a trial of n = {n} draws holds {n} values, which exceed the cap "
+                f"{10**6}"])
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["measure", "ml", "--channel"], ["measure", "cml", "--channel", "BEC", "--pairs"],
+     ["compose", "--ledger"], ["simulate", "generr", "--config"]],
+    ids=["measure-ml", "measure-cml", "compose", "simulate-generr"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    # the parser recurses once per level, past Python's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    argv = [channel if arg == "BEC" else arg for arg in command] + [str(deep)]
+    assert run_bounded(argv) == (2, "", [f"error: {deep} is nested too deeply to parse"])
 
 
 def test_package_names_each_export_once_and_resolves_it_from_its_module():

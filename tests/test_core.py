@@ -106,8 +106,14 @@ class TestProductAlphabet:
         assert ProductAlphabet(base, n).labels == expected
 
     def test_one_symbol_base_at_a_large_power(self):
-        # --copies is not bounded by the cap when the base has one symbol
+        # one state at any power: the cap bounds the label's copies instead
         assert ProductAlphabet(Alphabet(["ab"]), 10**6).labels == (",".join(["ab"] * 10**6),)
+
+    def test_one_symbol_base_past_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", "10")
+        assert ProductAlphabet(Alphabet(["ab"]), 10).labels == (",".join(["ab"] * 10),)
+        with pytest.raises(CapExceeded, match="a label of 11 copies exceeds the enumeration cap 10"):
+            ProductAlphabet(Alphabet(["ab"]), 11)
 
     def test_colliding_labels_rejected(self):
         # ("a", "a,a") and ("a,a", "a") both spell "a,a,a"

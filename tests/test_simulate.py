@@ -38,12 +38,11 @@ from leakage_lab.simulate import (
     LearnerSpec,
     _clopper_pearson_lower,
     _count_symbols,
+    _first_max,
     _histograms,
-    _first_equal,
     _inverse_cdf,
     _key_dtype,
     _LearnerTables,
-    _smallest_p,
     _tail_check,
     _trial_seeds,
     _uniform_block,
@@ -227,6 +226,36 @@ class TestVectorizedLearner:
                 picks, empirical = tables.learn(u[:, :cols])
                 assert picks.tolist() == expected_picks[:cols]
                 assert empirical.tolist() == expected_risks[:cols]
+
+    @pytest.mark.parametrize(
+        "hypotheses,n",
+        # n - mistakes over H rows fits uint8 keys at the first n and needs
+        # uint16 at the second; H = 22 is the most whole rows a slice holds
+        [(1, 255), (1, 256), (2, 127), (2, 128), (4, 63), (4, 64), (8, 31), (8, 32),
+         (22, 7), (22, 8)],
+    )
+    def test_erm_pick_agrees_in_both_layouts(self, hypotheses, n):
+        # synthetic mistake counts with ties, at 0 and at n, picked by the
+        # whole-rows branch (all columns at once), by the column branch (in
+        # slices too short for whole rows) and by a per-column oracle
+        spec = LearnerSpec(ERM, tuple(itertools.product((0, 1), repeat=5))[:hypotheses])
+        dist = DiscreteDistribution(data_alphabet(5), [0.1] * 10)
+        tables = _LearnerTables(spec, 5, n, dist)
+        rng = np.random.default_rng(hypotheses * 1000 + n)
+        cols = 128 * hypotheses + 37
+        mistakes = rng.choice([0, 1, n // 2, n - 1, n], size=(hypotheses, cols))
+        mistakes[:, :5] = n
+        mistakes[:, 5:10] = 0
+        mistakes = mistakes.astype(np.float32)
+        expected = [(column.index(min(column)), min(column)) for column in mistakes.T.tolist()]
+        picks, least = tables._lowest_minimizer(mistakes)
+        assert list(zip(picks.tolist(), np.asarray(least, dtype=float).tolist())) == expected
+        step = 128 * hypotheses - 1
+        for lo in range(0, cols, step):
+            few_picks, few_least = tables._lowest_minimizer(mistakes[:, lo:lo + step])
+            assert few_picks.tolist() == picks[lo:lo + step].tolist()
+            assert (np.divide(few_least, n, dtype=np.float64).tobytes()
+                    == np.divide(least[lo:lo + step], n, dtype=np.float64).tobytes())
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     @pytest.mark.parametrize("trials", [2000, 7])
@@ -634,6 +663,20 @@ class TestTypeKernel:
         with pytest.raises(CapExceeded, match="165 dataset histograms exceed the cap 164"):
             run_gen_error_experiment(config, require_exact=True)
 
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_trial_wider_than_the_cap_is_refused(self, monkeypatch, epsilon):
+        # a trial holds its n = 6 uniforms, one more for the mechanism's pick
+        kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
+        spec = LearnerSpec(kind, full_erm().hypotheses, epsilon)
+        config = GenErrConfig(2, 6, skewed_dist(), spec, 0.45, 10, 1)
+        width = 6 if epsilon is None else 7
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", str(width))
+        assert run_gen_error_experiment(config).exact_leakage_nats is None
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", str(width - 1))
+        message = f"a trial of n = 6 draws holds {width} values, which exceed the cap {width - 1}"
+        with pytest.raises(CapExceeded, match=message):
+            run_gen_error_experiment(config)
+
     def test_non_finite_rows_fail_loudly(self):
         # epsilon * n / 2 overflows, so a zero risk gap times it is NaN
         spec = LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 0), (1, 1)), 1e308)
@@ -827,20 +870,23 @@ class TestHypTestExperiment:
          (500, 10, np.uint16), (2000, 40, np.uint32), (4000, 17, np.uint32)],
     )
     def test_packed_selection_matches_first_argmin(self, width, t, dtype):
-        # the first argmin of the p-values and its p-value, on random counts,
-        # on counts of a few values (ties among windows), and on counts at
-        # both ends, where tails of large widths round or underflow together
+        # the first argmin of the exact p-values and its rounded p-value, on
+        # random counts, on counts of a few values (ties among windows), and
+        # on counts at both ends, where tails of large widths round or
+        # underflow together as doubles but still differ as integers
         assert _key_dtype(width, t) == dtype
         rng = np.random.default_rng(width * 100 + t)
         table = binomial_tail_table(width)
+        # 2^width times the exact tails, so integers compare them exactly
+        tails = list(itertools.accumulate(math.comb(width, j) for j in range(width, -1, -1)))[::-1]
         few = rng.choice([0, width // 2, width], size=(t, 300))
         ends = rng.choice([0, 1, 2, 3, width - 3, width - 2, width - 1, width], size=(t, 300))
         for counts in (rng.integers(0, width + 1, size=(t, 500)), few, np.clip(ends, 0, width)):
-            p_values = table[counts]
-            expected = np.argmin(p_values, axis=0)
-            selected, p_min = _smallest_p(counts.astype(dtype), table, _first_equal(table))
-            assert selected.tolist() == expected.tolist()
-            assert p_min.tobytes() == p_values[expected, np.arange(counts.shape[1])].tobytes()
+            expected = [min(range(t), key=lambda r: tails[column[r]]) for column in counts.T.tolist()]
+            selected, top = _first_max(counts.astype(dtype))
+            p_min = table[top]
+            assert selected.tolist() == expected
+            assert p_min.tobytes() == table[counts[expected, np.arange(counts.shape[1])]].tobytes()
 
     def test_window_tables_grow_with_the_window_width(self):
         # at n = 10^5 and T = 10^4 a window holds 10 coins, so it touches at
