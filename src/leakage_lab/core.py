@@ -245,9 +245,6 @@ class DiscreteDistribution:
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
 
-    def prob(self, label: str) -> float:
-        return float(self.probs[self.alphabet.index(label)])
-
     def support(self) -> np.ndarray:
         """Indices with strictly positive mass."""
         return np.flatnonzero(self.probs > 0.0)

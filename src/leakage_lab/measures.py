@@ -89,42 +89,56 @@ def _log_clamped(totals: np.ndarray) -> np.ndarray:
     return values
 
 
-def _section_leakage(sections: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Leakage of each stacked channel over sections of its rows: (B, S, L, Y), (B, S, L) -> (B,).
-
-    Item b is log max_s sum_y max over the rows l of section s with
-    ``support[b, s, l]`` of ``sections[b, s, l, y]``. Rows outside the
-    support, such as padding, count as zero rows, and a section without
-    support sums to 0, so it never wins. One section is plain maximal
-    leakage; the sections of a conditional leakage are its z values.
-    The maxima skip the rows outside the support, starting from 0, so no
-    masked copy of ``sections`` is built; the entries are nonnegative, so
-    this equals the maxima over the rows with the others zeroed.
-    """
-    maxima = sections.max(axis=2, where=support[..., None], initial=0.0)
+def _maxima_leakage(maxima: np.ndarray) -> np.ndarray:
+    """log max_s sum_y of stacked section column maxima, (B, S, Y) -> (B,): every leakage's tail."""
     return _log_clamped(maxima.sum(axis=2).max(axis=1))
 
 
+def _section_leakage(sections: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+    """Leakage of each stacked channel over sections of its rows: (B, S, L, Y) -> (B,).
+
+    Item b is log max_s sum_y max over the rows l of section s of
+    ``sections[b, s, l, y]``, each max starting from 0. A ``support``
+    mask, broadcastable to (B, S, L), skips the rows outside it without a
+    masked copy; ``None`` keeps every row. Callers mask only to drop rows
+    with mass: entries are nonnegative, so an all-zero row, such as
+    padding, never raises a max. A section without support never wins.
+    """
+    where = True if support is None else support[..., None]
+    return _maxima_leakage(sections.max(axis=2, where=where, initial=0.0))
+
+
 def _joint_leakage(mass: np.ndarray) -> np.ndarray:
-    """Maximal leakage of the conditional channel of each stacked joint over its input support."""
+    """Maximal leakage of the conditional channel of each stacked joint over its input support.
+
+    A row without mass divides into a zero row, so the support needs no mask.
+    """
     row_sums = mass.sum(axis=2, keepdims=True)
-    live = row_sums[..., 0] > 0.0
     rows = np.divide(mass, row_sums, out=np.zeros_like(mass), where=row_sums > 0.0)
-    return _section_leakage(rows[:, None], live[:, None])
+    return _section_leakage(rows[:, None], None)
 
 
-def _support_mask(channel: Channel, support) -> np.ndarray:
-    """Boolean input mask of ``support`` (labels or indices).
+def _support_index(channel: Channel, item) -> int:
+    """Input index of one support entry: a label, or an integer that is not a bool."""
+    if isinstance(item, str):
+        return channel.input.index(item)
+    if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+        return int(item)
+    raise LeakageLabError(f"support entry {item!r} is neither an input label nor an integer index")
+
+
+def _support_mask(channel: Channel, support) -> np.ndarray | None:
+    """Boolean input mask of ``support`` (labels or integer indices); ``None`` for all inputs.
 
     Labels become their indices, which are range-checked in array passes;
-    an object array keeps Python integers exact until then.
+    an object array keeps Python integers exact until then. Bools, floats
+    and arrays of any dtype but an integer one are refused, not truncated.
     """
-    size = len(channel.input)
     if support is None:
-        return np.ones(size, dtype=bool)
+        return None
+    size = len(channel.input)
     if not (isinstance(support, np.ndarray) and support.dtype.kind in "iu"):
-        items = [channel.input.index(i) if isinstance(i, str) else int(i) for i in support]
-        support = np.array(items, dtype=object)
+        support = np.array([_support_index(channel, i) for i in support], dtype=object)
     if not support.size:
         raise EmptySupport("support set is empty")
     if support.min() < 0 or support.max() >= size:
@@ -141,13 +155,13 @@ def maximal_leakage(channel: Channel, support: Iterable[str | int] | None = None
     Parameters
     ----------
     channel : Channel
-    support : iterable of input labels or indices, optional
-        Defaults to the whole input alphabet. Two priors with equal
-        support produce bit-identical results.
+    support : iterable of input labels or integer indices, optional
+        Defaults to the whole input alphabet, which needs no mask. Two
+        priors with equal support produce bit-identical results.
     """
     chosen = _support_mask(channel, support)
-    nats = _section_leakage(channel.rows[None, None], chosen[None, None])[0]
-    return LeakageValue(float(nats), int(chosen.sum()))
+    nats = _section_leakage(channel.rows[None, None], chosen)[0]
+    return LeakageValue(float(nats), len(channel.input) if chosen is None else int(chosen.sum()))
 
 
 def maximal_leakage_of_joint(joint: JointDistribution) -> LeakageValue:
@@ -172,6 +186,8 @@ def conditional_maximal_leakage(
     support : iterable of (x, z) pairs, optional
         Pairs with positive joint probability; defaults to all pairs.
         Conditioning values z with an empty x-section are skipped.
+
+    The supported rows, grouped by z, are maxed in one pass without padding.
     """
     if len(pairs) != len(channel.input):
         raise AlphabetMismatch(
@@ -183,34 +199,24 @@ def conditional_maximal_leakage(
     if unknown:
         raise LeakageLabError(f"support references unknown pairs: {sorted(unknown)[:3]}")
 
-    sections: dict[str, list[int]] = {}
-    xs: set[str] = set()
-    for i, (x, z) in enumerate(pairs):
-        if (x, z) in wanted:
-            sections.setdefault(z, []).append(i)
-            xs.add(x)
-    if not sections:
+    kept = [i for i, pair in enumerate(pairs) if pair in wanted]
+    if not kept:
         raise EmptySupport("conditional support is empty")
-
-    # sections of one size stack without padding; log and the zero snap are
-    # monotone, so the worst section's leakage is the largest group result
-    by_size: dict[int, list[list[int]]] = {}
-    for rows in sections.values():
-        by_size.setdefault(len(rows), []).append(rows)
-    nats = max(
-        _section_leakage(channel.rows[np.array(group)][None], np.ones((1, len(group), size), bool))[0]
-        for size, group in by_size.items()
-    )
-    return LeakageValue(float(nats), len(xs))
+    # number the z values in order of first appearance; a stable sort by
+    # number puts each section's rows in one run, which reduceat maxes
+    numbers: dict[str, int] = {}
+    keys = np.array([numbers.setdefault(pairs[i][1], len(numbers)) for i in kept])
+    sizes = np.bincount(keys)
+    rows = channel.rows[np.array(kept)[np.argsort(keys, kind="stable")]]
+    maxima = np.maximum.reduceat(rows, sizes.cumsum() - sizes)
+    xs = {pairs[i][0] for i in kept}
+    return LeakageValue(float(_maxima_leakage(maxima[None])[0]), len(xs))
 
 
 def mutual_information(joint: JointDistribution) -> float:
     """Shannon mutual information of a joint, in nats."""
-    px = joint.mass.sum(axis=1)
-    py = joint.mass.sum(axis=0)
-    mass = joint.mass
+    mass, product = _joint_product_vectors(joint.mass[None])
     positive = mass > 0.0
-    product = np.outer(px, py)
     terms = mass[positive] * (np.log(mass[positive]) - np.log(product[positive]))
     value = float(terms.sum())
     if value < 0.0:

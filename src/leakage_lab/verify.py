@@ -120,9 +120,8 @@ def _stochastic_rows(draws: _Draws, live_rows: np.ndarray, live_cols: np.ndarray
 
 
 def _leakage(rows: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-    """Maximal leakage of each stacked channel over its nonzero rows, or over ``support``."""
-    support = rows.any(axis=2) if support is None else support
-    return _section_leakage(rows[:, None], support[:, None])
+    """Maximal leakage of each stacked channel over ``support``, or over all rows (padding is 0)."""
+    return _section_leakage(rows[:, None], None if support is None else support[:, None])
 
 
 def _event_bounds(prior: np.ndarray, rows: np.ndarray, event: np.ndarray):
@@ -281,7 +280,7 @@ def _certificate_total(first: np.ndarray, stages: list[np.ndarray]) -> np.ndarra
     """Sum, in step order, of per-step certificates: step k's worst leakage over every prefix."""
     total = _leakage(first)
     for stage in stages:
-        total = total + _section_leakage(stage, stage.any(axis=3))
+        total = total + _section_leakage(stage, None)
     return total
 
 

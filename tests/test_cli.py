@@ -254,6 +254,70 @@ def write_measure_inputs(directory: Path) -> None:
     write_json(directory / "zeros.json", Channel(product, outputs, rows).to_json())
 
 
+# argv and the sha256 of its stdout, run in a directory that holds
+# write_leakage_inputs(): a 12-row channel with zero entries, (x, z) pairs
+# with equal sections and with unequal, interleaved ones (two of a single
+# row), a pair support that leaves z0 empty, and a joint with a zero row
+# and a zero column
+GOLDEN_LEAKAGE = {
+    "cml-equal": (("measure", "cml", "--channel", "channel.json", "--pairs", "equal.json"),
+                  "0dcc2ba121ae6422260bf40ab78ec471856b3751e1a0694c6a4c943fa6694fe9"),
+    "cml-unequal": (("measure", "cml", "--channel", "channel.json", "--pairs", "unequal.json"),
+                    "4320ebb080e522238ce8a4ea2975631fc6a6404f282fec5ca2fc7a38550ae4c6"),
+    "cml-support": (("measure", "cml", "--channel", "channel.json", "--pairs", "unequal.json",
+                     "--support", "support.json"),
+                    "29290a179fa02d4404c0d008cfcd23119bbae09cdc62520878e024a45f6d687f"),
+    "ml": (("measure", "ml", "--channel", "channel.json"),
+           "3a384a5a9353e82cd9a460ac22293fca40abe074b028a867f3ecd1860dea5e79"),
+    "ml-support": (("measure", "ml", "--channel", "channel.json", "--support", "x1,x4,x7,x10"),
+                   "7a2d96e05a1e96053d4f1d1c4db1d7a8a277ffc77abc727daa6e134f11a61deb"),
+    "mi": (("measure", "mi", "--joint", "joint.json"),
+           "1a530604d47ac571a709d88e18d54bc7c5a8d66417c7785a01da4eb77c6b7810"),
+    "maxinfo": (("measure", "maxinfo", "--joint", "joint.json"),
+                "6ddfa67c1da85b4ede5281db4ecf1b9222991d688f2d3402d1e7452f27298a37"),
+    "compose": (("compose", "--channel", "channel.json", "--bits"),
+                "f5aa356cc73e6582fe174f7dbe7bdd424ea3b6ddebd589448a0c655c5669c3e7"),
+}
+
+
+def write_leakage_inputs(directory: Path) -> None:
+    """The GOLDEN_LEAKAGE inputs, every float written as its repr."""
+    rng = np.random.default_rng(20261020)
+    rows = rng.random((12, 4)) + 1e-3
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[np.arange(12), rng.integers(0, 4, 12)] += 0.5
+    rows /= rows.sum(axis=1, keepdims=True)
+    channel = Channel(Alphabet(f"x{i}" for i in range(12)), Alphabet(f"y{j}" for j in range(4)),
+                      rows)
+    write_json(directory / "channel.json", channel.to_json())
+    write_json(directory / "equal.json", [[f"a{i % 4}", f"z{i // 4}"] for i in range(12)])
+    zs = [3, 0, 3, 1, 3, 2, 0, 3, 4, 0, 3, 4]
+    unequal = [[f"a{zs[:i].count(z)}", f"z{z}"] for i, z in enumerate(zs)]
+    write_json(directory / "unequal.json", unequal)
+    write_json(directory / "support.json",
+               [p for i, p in enumerate(unequal) if p[1] != "z0" and i not in (4, 10)])
+    mass = rng.random((5, 4))
+    mass[rng.random(mass.shape) < 0.3] = 0.0
+    mass[2], mass[:, 1] = 0.0, 0.0
+    mass[0, 0] += 0.1
+    mass /= mass.sum()
+    write_json(directory / "joint.json", JointDistribution(
+        Alphabet(f"x{i}" for i in range(5)), Alphabet(f"y{j}" for j in range(4)), mass).to_json())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LEAKAGE))
+def test_golden_leakage_report(capsys, tmp_path, monkeypatch, name):
+    # pins every byte of the leakage reports: plain and conditional maximal
+    # leakage, with and without a support, and the joint measures
+    argv, stdout_sha256 = GOLDEN_LEAKAGE[name]
+    write_leakage_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+    assert captured.err == ""
+
+
 @pytest.fixture
 def bec_path(tmp_path):
     return write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())

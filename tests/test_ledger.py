@@ -96,6 +96,11 @@ class TestLedgerEntry:
         entry = LedgerEntry.from_channel("erasure", bec05, support=["0"])
         assert entry.bound_nats == 0.0
 
+    def test_from_channel_refuses_float_support(self, bec05):
+        # 0.5 is neither a label nor an index; it is not truncated to 0
+        with pytest.raises(LeakageLabError, match="support entry 0.5"):
+            LedgerEntry.from_channel("erasure", bec05, support=[0.5, 1.5])
+
     def test_declared(self):
         entry = LedgerEntry.declared("trusted", 0.3)
         assert entry.bound_nats == 0.3

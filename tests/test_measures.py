@@ -140,20 +140,33 @@ class TestMaximalLeakage:
             [0, 2**70],
             [0, 2**63 + 1],
             ["a", "zz"],
+            np.array([False, False, True]),
+            np.array([0.2, 1.7]),
+            [2.9],
+            [1, np.float64(2.0)],
+            [float("nan")],
+            np.array(["a", "c"]),
+            np.array([3, 0], dtype=object),
+            [0, np.True_],
         ],
     )
     def test_support_indices_match_per_element_path(self, support):
-        # the per-element set path this replaced, as the reference
+        # the per-element set path this replaced, as the reference; entries
+        # are labels or integers, so bools and floats are refused, not read
+        # as indices
         def reference(channel, support):
             indices = set()
             for item in support:
                 if isinstance(item, str):
                     indices.add(channel.input.index(item))
-                else:
+                elif isinstance(item, (int, np.integer)) and not isinstance(item, bool):
                     i = int(item)
                     if not 0 <= i < len(channel.input):
                         raise LeakageLabError(f"support index {i} out of range")
                     indices.add(i)
+                else:
+                    raise LeakageLabError(
+                        f"support entry {item!r} is neither an input label nor an integer index")
             if not indices:
                 raise EmptySupport("support set is empty")
             return np.array(sorted(indices), dtype=np.intp)
@@ -306,6 +319,25 @@ class TestConditionalLeakage:
                 assert conditional_maximal_leakage(ch, pairs, chosen).nats == (
                     0.0 if want <= 1e-8 else want
                 )
+
+    def test_is_the_worst_section_maximal_leakage_bit_for_bit(self, rng):
+        # ragged, interleaved sections, one-row ones among them, with and
+        # without a support that can empty a section
+        for _ in range(200):
+            n = int(rng.integers(1, 16))
+            zs = [f"z{k}" for k in rng.integers(0, 5, n)]
+            pairs = [(f"a{zs[:i].count(z)}", z) for i, z in enumerate(zs)]
+            ch = random_channel(rng, n, int(rng.integers(1, 6)))
+            support = [p for p in pairs if rng.random() < 0.6] or pairs[-1:]
+            for chosen in (None, support):
+                kept = pairs if chosen is None else chosen
+                sections: dict[str, list[int]] = {}
+                for i, pair in enumerate(pairs):
+                    if pair in kept:
+                        sections.setdefault(pair[1], []).append(i)
+                got = conditional_maximal_leakage(ch, pairs, chosen)
+                assert got.nats == max(maximal_leakage(ch, rows).nats for rows in sections.values())
+                assert got.support_size == len({x for x, _ in kept})
 
     def test_support_filters_sections(self):
         pairs = [("a", "0"), ("b", "0"), ("a", "1"), ("b", "1")]
