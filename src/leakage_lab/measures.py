@@ -22,6 +22,7 @@ All values are natural-log based (nats). The measures implemented here:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -182,7 +183,7 @@ def conditional_maximal_leakage(
     channel : Channel
         Input symbols each stand for an (x, z) pair.
     pairs : sequence of (x, z) label pairs
-        Aligned with ``channel.input.labels``.
+        Aligned with ``channel.input.labels``; no pair may repeat.
     support : iterable of (x, z) pairs, optional
         Pairs with positive joint probability; defaults to all pairs.
         Conditioning values z with an empty x-section are skipped.
@@ -194,8 +195,12 @@ def conditional_maximal_leakage(
             f"need {len(channel.input)} (x, z) pairs, got {len(pairs)}"
         )
     pairs = [(str(x), str(z)) for x, z in pairs]
-    wanted = set((str(x), str(z)) for x, z in support) if support is not None else set(pairs)
-    unknown = wanted - set(pairs)
+    known = set(pairs)
+    if len(known) != len(pairs):
+        repeated = next(pair for pair, count in Counter(pairs).items() if count > 1)
+        raise LeakageLabError(f"(x, z) pair {list(repeated)} appears more than once")
+    wanted = set((str(x), str(z)) for x, z in support) if support is not None else known
+    unknown = wanted - known
     if unknown:
         raise LeakageLabError(f"support references unknown pairs: {sorted(unknown)[:3]}")
 

@@ -10,7 +10,9 @@ Two experiment families check the bounds against live randomness:
   2 exp(L - 2 n eta^2). L is the exact leakage of the learner channel
   when the C(n + 2d - 1, 2d - 1) symbol histograms of n draws fit under
   the enumeration cap (the learner sees a dataset only through its
-  histogram), else the ledger bound;
+  histogram), else the ledger bound. The trials, the enumerated datasets
+  and the types all reach one set of learner rules as draw-major
+  (symbols, rows) histograms;
 
 * post-selection hypothesis testing: under a fair-coin null, the
   minimum-p-value rule picks one of T coordinate-window binomial tests
@@ -73,7 +75,7 @@ from .core import (
 from .errors import CapExceeded, LeakageLabError
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
-from .measures import _section_leakage
+from .measures import _maxima_leakage
 
 __all__ = [
     "LearnerSpec",
@@ -234,6 +236,14 @@ class LearnerSpec:
         )
 
 
+def _check_learner(spec: LearnerSpec, d: int, data_dist: DiscreteDistribution) -> None:
+    """Hypotheses over exactly the d domain points, and data over the canonical 2d pairs."""
+    if spec.domain_size != d:
+        raise LeakageLabError("hypotheses do not cover the domain")
+    if data_dist.alphabet != data_alphabet(d):
+        raise LeakageLabError("data distribution must use the canonical x{i}:{b} symbols")
+
+
 @dataclass(frozen=True)
 class GenErrConfig:
     """Generalization-error experiment parameters."""
@@ -255,8 +265,7 @@ class GenErrConfig:
             raise LeakageLabError(f"eta must lie in (0, 1), got {self.eta}")
         if self.trials < 1:
             raise LeakageLabError(f"trial count must be >= 1, got {self.trials}")
-        if self.learner.domain_size != self.d:
-            raise LeakageLabError("hypotheses do not cover the domain")
+        _check_learner(self.learner, self.d, self.data_dist)
         # the weights exp(-epsilon * n * risk / 2) need a finite exponent scale
         if self.learner.kind == EXPONENTIAL_MECHANISM and not math.isfinite(
             0.5 * self.learner.epsilon * self.n
@@ -264,8 +273,6 @@ class GenErrConfig:
             raise LeakageLabError(
                 f"epsilon * n / 2 overflows for epsilon = {self.learner.epsilon} and n = {self.n}"
             )
-        if self.data_dist.alphabet != data_alphabet(self.d):
-            raise LeakageLabError("data distribution must use the canonical x{i}:{b} symbols")
         _check_seed(self.seed)
 
     def to_json(self) -> dict:
@@ -451,19 +458,17 @@ def _first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _LearnerTables:
     """Precomputed loss tables shared by the type kernel, the dataset layer and the trials.
 
-    One set of learner rules serves all three: ``mistakes`` maps symbol
-    histograms to integer mistake counts, ``_lowest_minimizer`` counts to
-    the ERM pick, and ``risks`` counts to risks over n, which
-    ``_weights`` maps to exponential-mechanism weights. For counts
-    m1 < m2 <= n < 2^53 the doubles m1 / n and m2 / n are distinct and in
-    the same order, so ERM compares counts and divides only the picked
-    one. Each rule works on (H, rows) arrays and reduces over the leading
-    hypothesis axis.
+    One set of learner rules serves all three: ``mistakes`` maps draw-major
+    (symbols, rows) histograms to integer mistake counts,
+    ``_lowest_minimizer`` counts to the ERM pick, and ``risks`` counts to
+    risks over n, which ``_weights`` maps to exponential-mechanism weights.
+    For counts m1 < m2 <= n < 2^53 the doubles m1 / n and m2 / n are
+    distinct and in the same order, so ERM compares counts and divides only
+    the picked one. Each rule works on (H, rows) arrays and reduces over
+    the leading hypothesis axis.
     """
 
-    def __init__(self, spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
-        if len(data_dist.alphabet) != 2 * d:
-            raise LeakageLabError("data alphabet must hold 2 d domain-label pairs")
+    def __init__(self, spec: LearnerSpec, n: int, data_dist: DiscreteDistribution):
         self.spec = spec
         self.n = n
         hypotheses = np.array(spec.hypotheses, dtype=np.int64)  # (H, d)
@@ -477,10 +482,6 @@ class _LearnerTables:
         # exactly up to 2^24; its matrix product costs a fraction of float64's
         self._count_dtype = np.float32 if n <= 1 << 24 else np.float64
         self._loss = self.loss01.astype(self._count_dtype)
-        self.hypothesis_alphabet = Alphabet(
-            "".join(str(v) for v in h) for h in spec.hypotheses
-        )
-        self.data_alphabet = data_dist.alphabet
         self.cum_probs = np.cumsum(np.asarray(data_dist.probs))
 
     def mistakes(self, counts: np.ndarray) -> np.ndarray:
@@ -524,7 +525,7 @@ class _LearnerTables:
         return picks, self.n - most
 
     def rows(self, counts: np.ndarray) -> np.ndarray:
-        """(rows, H) P(h | dataset) of the datasets whose (rows, symbols) histograms are given.
+        """(rows, H) P(h | dataset) of the datasets whose (symbols, rows) histograms are given.
 
         ERM rows are one-hot at the lowest-index minimizer; exponential-
         mechanism rows are the normalized weights. A row depends only on
@@ -534,46 +535,28 @@ class _LearnerTables:
         its rows are built.
         """
         if self.spec.kind == ERM:
-            picks = self._lowest_minimizer(self.mistakes(counts.T))[0]
-            rows = np.zeros((len(counts), len(self.true_risk)))
+            picks = self._lowest_minimizer(self.mistakes(counts))[0]
+            rows = np.zeros((counts.shape[1], len(self.true_risk)))
             rows[np.arange(len(rows)), picks] = 1.0
             return rows
-        rows = np.ascontiguousarray(self._weights(self.risks(counts.T)).T)
+        rows = np.ascontiguousarray(self._weights(self.risks(counts)).T)
         rows /= rows.sum(axis=1, keepdims=True)
         return rows
-
-    def dataset_table(self) -> tuple[ProductAlphabet, np.ndarray, np.ndarray]:
-        """The (2d)^n dataset alphabet with each dataset's histogram and P(h | dataset)."""
-        product = ProductAlphabet(self.data_alphabet, self.n)
-        counts = _count_symbols(product.digit_matrix(), len(self.data_alphabet))
-        return product, counts, self.rows(counts)
 
     def learn(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Picked hypothesis and its empirical risk for each column of draw-major uniforms.
 
         Row j of ``u`` holds draw j of every trial: rows ``:n`` draw the
         datasets' symbols and row ``n`` drives the exponential
-        mechanism's pick. The symbol counts take one pass per cut point
-        over whole rows of trials, adding the boolean rows as uint8 into
-        the narrowest unsigned type that holds n, and the pick reduces
-        over the hypotheses in the layout that ``mistakes`` chose; trial-
-        major rows would instead run one tiny numpy reduction per trial.
-        ERM compares mistake counts and divides only the picked one by n.
+        mechanism's pick. ``_tally`` counts the symbols over whole rows of
+        trials, and the pick reduces over the hypotheses in the layout that
+        ``mistakes`` chose; trial-major rows would instead run one tiny
+        numpy reduction per trial. ERM compares mistake counts and divides
+        only the picked one by n.
         """
         n = self.n
-        # a draw's symbol is the number of cut points cum_probs[:-1] at or
-        # below it: searchsorted(cum_probs, u, side="right") clipped to the
-        # last symbol, ties included. reached[s] counts the draws at or
-        # above cut s - 1: all n for s = 0, none past the last symbol. It
-        # never increases with s, so the unsigned differences cannot wrap.
-        cuts = self.cum_probs[:-1]
-        tally = np.min_scalar_type(n)
-        reached = np.empty((len(cuts) + 2, u.shape[1]), dtype=tally)
-        reached[0] = n
-        reached[-1] = 0
-        for s, cut in enumerate(cuts, start=1):
-            np.add.reduce((u[:n] >= cut).view(np.uint8), axis=0, dtype=tally, out=reached[s])
-        counts = reached[:-1] - reached[1:]
+        # searchsorted(cum_probs, u, side="right") clipped to the last symbol, ties included
+        counts = _tally(u[:n], self.cum_probs[:-1], n)
         if self.spec.kind == ERM:
             picks, least = self._lowest_minimizer(self.mistakes(counts))
             return picks, np.divide(least, n, dtype=np.float64)
@@ -608,12 +591,22 @@ def _inverse_cdf(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(picks, rows - 1, out=picks)
 
 
-def _count_symbols(drawn: np.ndarray, symbols: int) -> np.ndarray:
-    """(rows, symbols) histogram of each row of symbol indices; offsets ``drawn`` in place."""
-    rows = len(drawn)
-    # offset row i's symbols by i * symbols: one bincount counts every row
-    drawn += symbols * np.arange(rows)[:, None]
-    return np.bincount(drawn.ravel(), minlength=rows * symbols).reshape(rows, symbols)
+def _tally(values: np.ndarray, cuts: np.ndarray, n: int) -> np.ndarray:
+    """(symbols, columns) histograms of each column's n draw-major ``values``.
+
+    A value's symbol is the number of the ascending ``cuts`` at or below
+    it. Each cut takes one pass over whole rows, adding the boolean rows as
+    uint8 into the narrowest unsigned type that holds n. reached[s] counts
+    the values at or above cut s - 1 and never increases with s, so the
+    unsigned differences cannot wrap.
+    """
+    tally = np.min_scalar_type(n)
+    reached = np.empty((len(cuts) + 2, values.shape[1]), dtype=tally)
+    reached[0] = n
+    reached[-1] = 0
+    for s, cut in enumerate(cuts, start=1):
+        np.add.reduce((values >= cut).view(np.uint8), axis=0, dtype=tally, out=reached[s])
+    return reached[:-1] - reached[1:]
 
 
 def _type_count(symbols: int, n: int) -> int:
@@ -622,7 +615,7 @@ def _type_count(symbols: int, n: int) -> int:
 
 
 def _histograms(symbols: int, n: int) -> np.ndarray:
-    """All (K, symbols) histograms of n draws, in lexicographic order, by stars and bars.
+    """All (symbols, K) histograms of n draws, columns in lexicographic order, by stars and bars.
 
     Each choice of ``symbols - 1`` bar positions among ``n + symbols - 1``
     slots is one histogram: the counts are the runs of stars between bars.
@@ -630,15 +623,29 @@ def _histograms(symbols: int, n: int) -> np.ndarray:
     """
     slots = n + symbols - 1
     count = _type_count(symbols, n)
-    bars = np.empty((count, symbols + 1), dtype=np.int64)
-    bars[:, 0] = -1
-    bars[:, -1] = slots
-    bars[:, 1:-1] = np.fromiter(
+    bars = np.empty((symbols + 1, count), dtype=np.int64)
+    bars[0] = -1
+    bars[-1] = slots
+    bars[1:-1] = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(slots), symbols - 1)),
         dtype=np.int64,
         count=count * (symbols - 1),
-    ).reshape(count, symbols - 1)
-    return np.diff(bars, axis=1) - 1
+    ).reshape(count, symbols - 1).T
+    return np.diff(bars, axis=0) - 1
+
+
+def _dataset_layer(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution):
+    """The learner tables, the (2d, N) histograms of all N = (2d)^n datasets, and their channel.
+
+    A base index is its own symbol under the cuts 1, ..., 2d - 1. Each
+    dataset's row comes from its histogram by the type kernel's rule.
+    """
+    _check_learner(spec, d, data_dist)
+    tables = _LearnerTables(spec, n, data_dist)
+    product = ProductAlphabet(data_dist.alphabet, n)
+    counts = _tally(product.digit_matrix().T, np.arange(1, 2 * d), n)
+    hypotheses = Alphabet("".join(map(str, h)) for h in spec.hypotheses)
+    return tables, counts, Channel(product, hypotheses, tables.rows(counts))
 
 
 def learner_channel(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistribution) -> Channel:
@@ -646,12 +653,9 @@ def learner_channel(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistri
 
     ERM rows are one-hot at the lowest-index empirical-risk minimizer;
     exponential-mechanism rows are proportional to
-    exp(-epsilon * n * risk / 2). Each dataset's row comes from its
-    symbol histogram by the same rule as the type kernel's rows.
+    exp(-epsilon * n * risk / 2).
     """
-    tables = _LearnerTables(spec, d, n, data_dist)
-    product, _, rows = tables.dataset_table()
-    return Channel(product, tables.hypothesis_alphabet, rows)
+    return _dataset_layer(spec, d, n, data_dist)[2]
 
 
 def generalization_event(
@@ -662,13 +666,11 @@ def generalization_event(
     eta: float,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
-    tables = _LearnerTables(spec, d, n, data_dist)
-    product, counts, rows = tables.dataset_table()
-    gaps = np.abs(tables.true_risk[:, None] - tables.risks(counts.T))
+    tables, counts, channel = _dataset_layer(spec, d, n, data_dist)
+    gaps = np.abs(tables.true_risk[:, None] - tables.risks(counts))
     mask = np.ascontiguousarray(gaps.T > eta)
-    channel = Channel(product, tables.hypothesis_alphabet, rows)
-    prior = DiscreteDistribution(product, _iid_probs(data_dist.probs, n))
-    return joint_from(prior, channel), EventMask(product, channel.output, mask)
+    prior = DiscreteDistribution(channel.input, _iid_probs(data_dist.probs, n))
+    return joint_from(prior, channel), EventMask(channel.input, channel.output, mask)
 
 
 def _ledger_bound(spec: LearnerSpec, n: int) -> float:
@@ -683,15 +685,15 @@ def _exact_leakage(tables: _LearnerTables, data_dist: DiscreteDistribution) -> f
 
     A dataset's row depends only on its histogram, so the column maxima
     over the supported datasets are those over the supported histograms:
-    the ones that use only symbols of positive probability.
+    the ones that put no draw on a symbol of zero probability, and only
+    those get rows.
     """
     counts = _histograms(len(tables.cum_probs), tables.n)
-    rows = tables.rows(counts)
-    # validated like any channel's rows, without labelling the K types
-    _check_channel_rows(rows)
     unsupported = np.asarray(data_dist.probs) == 0.0
-    supported = ~counts[:, unsupported].any(axis=1)
-    return float(_section_leakage(rows[None, None], supported[None, None])[0])
+    rows = tables.rows(counts[:, ~counts[unsupported].any(axis=0)])
+    # validated like any channel's rows, without labelling the types
+    _check_channel_rows(rows)
+    return float(_maxima_leakage(rows.max(axis=0)[None, None])[0])
 
 
 def run_gen_error_experiment(
@@ -714,7 +716,7 @@ def run_gen_error_experiment(
             f"a trial of n = {config.n} draws holds {per_trial} values, "
             f"which exceed the cap {cap}"
         )
-    tables = _LearnerTables(config.learner, config.d, config.n, config.data_dist)
+    tables = _LearnerTables(config.learner, config.n, config.data_dist)
     types = _type_count(symbols, config.n)
     exact_leakage = None if types > cap else _exact_leakage(tables, config.data_dist)
     if require_exact and exact_leakage is None:

@@ -431,6 +431,18 @@ class TestMeasure:
         assert doc is None
         assert err.splitlines() == [f"error: {bad} must hold a list of [x, z] pairs"]
 
+    def test_cml_duplicate_pair_is_one_error_line(self, capsys, tmp_path):
+        channel_path = write_json(
+            tmp_path / "id.json", Channel.identity(Alphabet(("a", "b"))).to_json()
+        )
+        pairs_path = write_json(tmp_path / "pairs.json", [["a", "z"], ["a", "z"]])
+        code, doc, err = run_cli(
+            capsys, "measure", "cml", "--channel", channel_path, "--pairs", pairs_path
+        )
+        assert code == 2
+        assert doc is None
+        assert err.splitlines() == ["error: (x, z) pair ['a', 'z'] appears more than once"]
+
     def test_joint_measures(self, capsys, joint_path):
         code, doc, _ = run_cli(capsys, "measure", "maxinfo", "--joint", joint_path)
         assert code == 0
@@ -717,6 +729,36 @@ def test_error_class_exits_with_its_documented_code(capsys, monkeypatch, name):
     assert code == EXIT_CODES[name] == error.exit_code
     assert doc is None
     assert err.splitlines() == [f"error: {error}"]
+
+
+@pytest.mark.parametrize(
+    "cap,argv,document,code,message",
+    [
+        ("abc", "simulate generr --config", GENERR, 2,
+         "LEAKAGE_LAB_CAP must be an integer, got 'abc'"),
+        ("0", "simulate generr --config", GENERR, 2, "LEAKAGE_LAB_CAP must be positive, got 0"),
+        (None, "measure dp --product-base 0,1 --copies 0 --channel",
+         Channel.identity(Alphabet(("0", "1"))).to_json(), 2, "product power must be >= 1, got 0"),
+        (None, "simulate generr --config", {k: v for k, v in GENERR.items() if k != "n"}, 2,
+         "missing key 'n'"),
+        (None, f"bound --theorem generr --n {10**400} --eta 0.1 --leakage 1", None, 3,
+         "result too large to represent"),
+    ],
+    ids=["cap-not-an-integer", "cap-zero", "dp-zero-copies", "config-missing-key",
+         "arithmetic-overflow"],
+)
+def test_rare_error_exit_is_one_error_line(capsys, monkeypatch, tmp_path, cap, argv, document,
+                                           code, message):
+    if cap is not None:
+        monkeypatch.setenv("LEAKAGE_LAB_CAP", cap)
+    args = argv.split()
+    if document is not None:
+        args.append(write_json(tmp_path / "input.json", document))
+    got, doc, err = run_cli(capsys, *args)
+    assert got == code
+    assert doc is None
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {message}"]
 
 
 class TestVerify:

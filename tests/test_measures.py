@@ -365,6 +365,13 @@ class TestConditionalLeakage:
         with pytest.raises(EmptySupport):
             conditional_maximal_leakage(ch, pairs, [])
 
+    def test_duplicate_pair_is_refused_by_name(self):
+        # two inputs under one (x, z) pair would merge two rows into one x
+        ch = Channel.identity(Alphabet(["p", "q", "r"]))
+        pairs = [("a", "z"), ("b", "z"), ("b", "z")]
+        with pytest.raises(LeakageLabError, match=r"pair \['b', 'z'\] appears more than once"):
+            conditional_maximal_leakage(ch, pairs)
+
 
 class TestMutualInformation:
     def test_product_is_zero(self):

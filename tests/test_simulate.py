@@ -37,13 +37,13 @@ from leakage_lab.simulate import (
     HypTestConfig,
     LearnerSpec,
     _clopper_pearson_lower,
-    _count_symbols,
     _first_max,
     _histograms,
     _inverse_cdf,
     _key_dtype,
     _LearnerTables,
     _tail_check,
+    _tally,
     _trial_seeds,
     _uniform_block,
     _window_masks,
@@ -171,7 +171,7 @@ class TestVectorizedLearner:
         kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
         spec = LearnerSpec(kind, hypotheses, epsilon)
         n = 5
-        tables = _LearnerTables(spec, 2, n, skewed_dist())
+        tables = _LearnerTables(spec, n, skewed_dist())
         u = _uniform_block(_trial_seeds(17, 0, 3000), n + 1)
         picks, empirical = tables.learn(u)
         for i in range(u.shape[1]):
@@ -219,7 +219,7 @@ class TestVectorizedLearner:
         spec = LearnerSpec(kind, ((1, 1), (0, 0), (0, 1), (1, 0)), epsilon)
         u = _uniform_block(_trial_seeds(5, 0, 600), n + 1)
         for dist in (skewed_dist(), DiscreteDistribution(FOUR_SYMBOLS, [0.6, 0.0, 0.4, 0.0])):
-            tables = _LearnerTables(spec, 2, n, dist)
+            tables = _LearnerTables(spec, n, dist)
             expected_picks, expected_risks = per_trial_oracle(tables, u)
             # 600 trials store their risks row by row, 100 column by column
             for cols in (600, 100):
@@ -240,7 +240,7 @@ class TestVectorizedLearner:
         # slices too short for whole rows) and by a per-column oracle
         spec = LearnerSpec(ERM, tuple(itertools.product((0, 1), repeat=5))[:hypotheses])
         dist = DiscreteDistribution(data_alphabet(5), [0.1] * 10)
-        tables = _LearnerTables(spec, 5, n, dist)
+        tables = _LearnerTables(spec, n, dist)
         rng = np.random.default_rng(hypotheses * 1000 + n)
         cols = 128 * hypotheses + 37
         mistakes = rng.choice([0, 1, n // 2, n - 1, n], size=(hypotheses, cols))
@@ -267,7 +267,7 @@ class TestVectorizedLearner:
         kind = ERM if epsilon is None else EXPONENTIAL_MECHANISM
         spec = LearnerSpec(kind, ((0, 0), (0, 1), (1, 0), (1, 1)), epsilon)
         n = 5
-        tables = _LearnerTables(spec, 2, n, dist)
+        tables = _LearnerTables(spec, n, dist)
         assert tables.cum_probs[0] == tables.cum_probs[1] and tables.cum_probs[-1] < 1.0
         cuts = tables.cum_probs.tolist()
         pool = [0.0, 1.0 - 2.0**-53]
@@ -284,7 +284,7 @@ class TestVectorizedLearner:
     def test_risks_are_exact_mistake_counts_over_n(self, n):
         # float32 holds every integer up to 2^24 but not 2^24 + 1, so a
         # float32 product at n = 2^24 + 1 would round the largest mistake count
-        tables = _LearnerTables(full_erm(), 2, n, skewed_dist())
+        tables = _LearnerTables(full_erm(), n, skewed_dist())
         counts = np.array([[n - 3, 1, 1, 1], [n, 0, 0, 0], [0, 0, 1, n - 1]]).T
         expected = (counts.T @ tables.loss01 / n).T
         for rows in (counts, np.tile(counts, 600)):
@@ -534,6 +534,22 @@ class TestLearnerChannel:
         with pytest.raises(CapExceeded):
             learner_channel(full_erm(), 2, 8, skewed_dist())
 
+    @pytest.mark.parametrize(
+        "layer", [learner_channel, lambda *args: generalization_event(*args, 0.3)],
+        ids=["channel", "event"],
+    )
+    def test_learner_problem_is_checked_like_a_config(self, layer):
+        # 3-wide hypotheses over d = 2 would ignore a coordinate, and 2-wide
+        # ones over d = 3 would index past their width
+        dist3 = DiscreteDistribution(data_alphabet(3), [1 / 6] * 6)
+        for spec, d, dist in ((LearnerSpec(ERM, ((0, 1, 0), (1, 0, 1))), 2, skewed_dist()),
+                              (full_erm(), 3, dist3)):
+            with pytest.raises(LeakageLabError, match="hypotheses do not cover the domain"):
+                layer(spec, d, 2, dist)
+        wrong = DiscreteDistribution(Alphabet(("a", "b", "c", "d")), [0.4, 0.1, 0.3, 0.2])
+        with pytest.raises(LeakageLabError, match="canonical"):
+            layer(full_erm(), 2, 2, wrong)
+
 
 def per_dataset_oracle(spec, d, n, dist):
     """Dataset alphabet, (N, H) empirical risks and learner rows, one dataset at a time.
@@ -541,7 +557,7 @@ def per_dataset_oracle(spec, d, n, dist):
     Each dataset's risks are the mean of its symbols' 0/1 losses, gathered
     from the digit matrix; no histogram is formed.
     """
-    tables = _LearnerTables(spec, d, n, dist)
+    tables = _LearnerTables(spec, n, dist)
     product = ProductAlphabet(dist.alphabet, n)
     empirical = tables.loss01[product.digit_matrix()].mean(axis=1)
     if spec.kind == ERM:
@@ -566,18 +582,19 @@ class TestTypeKernel:
             tuple(combo.count(s) for s in range(symbols))
             for combo in itertools.combinations_with_replacement(range(symbols), n)
         )
-        assert [tuple(row) for row in counts.tolist()] == expected
-        assert len(counts) == math.comb(n + symbols - 1, symbols - 1)
+        assert [tuple(column) for column in counts.T.tolist()] == expected
+        assert counts.shape == (symbols, math.comb(n + symbols - 1, symbols - 1))
 
     def test_every_histogram_counts_its_datasets(self):
-        # the dataset layer's histograms are the types, each held by its
-        # multinomial number of datasets
+        # the dataset layer's histograms, tallied over the cuts 1, 2, 3 of
+        # the base indices, are the types, each held by its multinomial
+        # number of datasets
         product = ProductAlphabet(FOUR_SYMBOLS, 5)
         digits = product.digit_matrix()
-        counts = _count_symbols(digits.copy(), 4)
-        assert np.array_equal(counts, np.stack([(digits == s).sum(axis=1) for s in range(4)], 1))
-        types, held = np.unique(counts, axis=0, return_counts=True)
-        assert np.array_equal(types, _histograms(4, 5))
+        counts = _tally(digits.T, np.arange(1, 4), 5)
+        assert np.array_equal(counts, np.stack([(digits == s).sum(axis=1) for s in range(4)]))
+        types, held = np.unique(counts.T, axis=0, return_counts=True)
+        assert np.array_equal(types, _histograms(4, 5).T)
         multinomial = [math.factorial(5) // math.prod(map(math.factorial, c)) for c in types.tolist()]
         assert held.tolist() == multinomial
 
@@ -595,13 +612,13 @@ class TestTypeKernel:
         assert channel.input == product
         assert np.array_equal(channel.rows, rows)
         joint, event = generalization_event(spec, 2, n, dist, 0.3)
-        tables = _LearnerTables(spec, 2, n, dist)
+        tables = _LearnerTables(spec, n, dist)
         assert np.array_equal(event.mask, np.abs(tables.true_risk - empirical) > 0.3)
         prior = iid_prior(dist, n)
         assert np.array_equal(joint.mass, prior.probs[:, None] * rows)
 
         support = np.flatnonzero(prior.probs > 0.0)
-        oracle = maximal_leakage(Channel(product, tables.hypothesis_alphabet, rows), support)
+        oracle = maximal_leakage(Channel(product, channel.output, rows), support)
         config = GenErrConfig(2, n, dist, spec, 0.3, 16, 5)
         report = run_gen_error_experiment(config, require_exact=True)
         assert report.exact_leakage_nats == oracle.nats

@@ -83,6 +83,23 @@ class TestGenerators:
         for i in range(50):
             assert np.array_equal(grid[i], block[1:65, i].reshape(8, 8))
 
+    @pytest.mark.parametrize("suite,draw", [("soundness", _soundness_draws),
+                                            ("composition", _composition_draws),
+                                            ("maxinfo", _joint_draws)])
+    def test_suite_width_is_the_draws_it_takes(self, monkeypatch, suite, draw):
+        # the block is wider than the suite's width, so an extra draw shows
+        # as a count past it rather than as a reshape error
+        made = []
+
+        class Recording(_Draws):
+            def __init__(self, block):
+                super().__init__(block)
+                made.append(self)
+
+        monkeypatch.setattr(verify, "_Draws", Recording)
+        draw(_uniform_block(_trial_seeds(3, 0, 50), WIDTHS[suite] + 64))
+        assert [draws.used for draws in made] == [WIDTHS[suite]]
+
     def test_random_distribution_is_valid(self):
         u = uniforms("soundness", 5, 400)
         sizes = 2 + _Draws(u).integers(7)
