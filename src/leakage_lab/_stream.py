@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LeakageLabError
+from .errors import LeakageLabError, _within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,8 +51,7 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     ``verify`` require. For a fixed master seed the map index -> seed is
     injective, so no two trials ever share a stream.
     """
-    if index < 0:
-        raise LeakageLabError(f"trial index must be nonnegative, got {index}")
+    _within(index, "trial index", "[0, inf)")
     return int(_trial_seeds(_check_seed(master_seed), index, index + 1)[0])
 
 

@@ -34,6 +34,7 @@ from .errors import (
     LeakageLabError,
     NegativeEpsilon,
     NonPositiveSensitivity,
+    _within,
 )
 
 if TYPE_CHECKING:
@@ -92,36 +93,9 @@ def _probability_report(name, value, inputs, flags=None) -> BoundReport:
     return BoundReport(name, value, inputs, trivial=value >= 1.0, flags=flags)
 
 
-def _check_leakage(leakage_nats: float) -> float:
-    if leakage_nats < 0.0:
-        raise LeakageLabError(f"leakage must be nonnegative, got {leakage_nats}")
-    return float(leakage_nats)
-
-
-def _check_eta(eta: float) -> float:
-    if not 0.0 < eta < 1.0:
-        raise LeakageLabError(f"accuracy eta must lie in (0, 1), got {eta}")
-    return float(eta)
-
-
-def _check_deviation(eta: float) -> float:
-    # risks with general sensitivity c are not confined to [0, 1], so
-    # only positivity is required here
-    if eta <= 0.0:
-        raise LeakageLabError(f"accuracy eta must be positive, got {eta}")
-    return float(eta)
-
-
-def _check_n(n: int) -> int:
-    if n < 1:
-        raise LeakageLabError(f"sample size must be >= 1, got {n}")
-    return int(n)
-
-
 def _check_sensitivity(c: float, n: int) -> float:
     """``c`` if it is positive and the denominator c^2 n is not zero."""
-    if c <= 0.0:
-        raise NonPositiveSensitivity(f"sensitivity must be positive, got {c}")
+    _within(c, "sensitivity", "(0, inf)", NonPositiveSensitivity)
     if c * c * n == 0.0:
         raise DenominatorNonPositive(f"c^2 n underflows to zero at c = {c}, n = {n}")
     return float(c)
@@ -130,21 +104,24 @@ def _check_sensitivity(c: float, n: int) -> float:
 def _exp_report(name: str, coefficient: float, exponent: float, inputs) -> BoundReport:
     """Probability bound ``name`` of value coefficient * exp(exponent).
 
-    An exponent that overflows exp gives an infinite value, which
-    :class:`BoundReport` refuses by name.
+    Where exp(exponent) overflows, a zero coefficient still gives 0 and a
+    positive one gives exp(exponent + log(coefficient)). A value that
+    overflows even so is infinite, which :class:`BoundReport` refuses by name.
     """
     try:
         value = coefficient * math.exp(exponent)
     except OverflowError:
-        value = math.inf
+        try:
+            value = math.exp(exponent + math.log(coefficient)) if coefficient else 0.0
+        except OverflowError:
+            value = math.inf
     return _probability_report(name, value, inputs)
 
 
 def adaptive_event_bound(max_fiber_prob: float, leakage_nats: float) -> BoundReport:
     """P(E) <= exp(L) * max_y P_X(E_y) for adaptively chosen events."""
-    if not 0.0 <= max_fiber_prob <= 1.0:
-        raise LeakageLabError(f"fiber probability must lie in [0, 1], got {max_fiber_prob}")
-    leakage_nats = _check_leakage(leakage_nats)
+    _within(max_fiber_prob, "fiber probability", "[0, 1]")
+    leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return _exp_report(
         "adaptive-event",
         max_fiber_prob,
@@ -164,18 +141,17 @@ def exact_event_probability(joint: JointDistribution, event: EventMask) -> float
 
 def mcdiarmid_tail(n: int, t: float, c: float) -> float:
     """One-sided bounded-differences tail exp(-2 t^2 / (n c^2))."""
-    n = _check_n(n)
-    if t < 0.0:
-        raise LeakageLabError(f"deviation must be nonnegative, got {t}")
+    n = int(_within(n, "sample size", "[1, inf)"))
+    _within(t, "deviation", "[0, inf)")
     c = _check_sensitivity(c, n)
     return math.exp(-2.0 * t * t / (n * c * c))
 
 
 def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
     """Two-sided generalization bound 2 exp(L - 2 n eta^2) for 1/n-sensitive risks."""
-    n = _check_n(n)
-    eta = _check_eta(eta)
-    leakage_nats = _check_leakage(leakage_nats)
+    n = int(_within(n, "sample size", "[1, inf)"))
+    eta = float(_within(eta, "accuracy eta", "(0, 1)"))
+    leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return _exp_report(
         "generalization-error",
         2.0,
@@ -186,10 +162,11 @@ def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
 
 def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: float) -> BoundReport:
     """Generalization bound 2 exp(L - 2 eta^2 / (c^2 n)) for c-sensitive risks."""
-    n = _check_n(n)
-    eta = _check_deviation(eta)
+    n = int(_within(n, "sample size", "[1, inf)"))
+    # risks with general sensitivity c are not confined to [0, 1]
+    eta = float(_within(eta, "accuracy eta", "(0, inf)"))
     c = _check_sensitivity(c, n)
-    leakage_nats = _check_leakage(leakage_nats)
+    leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return _exp_report(
         "generalization-error-sensitivity",
         2.0,
@@ -200,8 +177,8 @@ def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: floa
 
 def dp_sensitivity_reference_bound(n: int, eta: float, c: float) -> float:
     """DP-literature tail 3 exp(-eta^2 / (c^2 n)) used for comparisons."""
-    n = _check_n(n)
-    eta = _check_deviation(eta)
+    n = int(_within(n, "sample size", "[1, inf)"))
+    eta = float(_within(eta, "accuracy eta", "(0, inf)"))
     c = _check_sensitivity(c, n)
     return 3.0 * math.exp(-eta * eta / (c * c * n))
 
@@ -228,17 +205,15 @@ P_VALUE_NOTE = (
 
 def adjusted_significance(delta: float, leakage_nats: float) -> float:
     """Per-test significance delta * exp(-L) that survives selection."""
-    if not 0.0 < delta <= 1.0:
-        raise LeakageLabError(f"target significance must lie in (0, 1], got {delta}")
-    leakage_nats = _check_leakage(leakage_nats)
+    _within(delta, "target significance", "(0, 1]")
+    leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return delta * math.exp(-leakage_nats)
 
 
 def fdr_bound(sigma: float, leakage_nats: float) -> BoundReport:
     """P(false discovery) <= exp(L) * sigma after adaptive selection."""
-    if not 0.0 <= sigma <= 1.0:
-        raise LeakageLabError(f"significance must lie in [0, 1], got {sigma}")
-    leakage_nats = _check_leakage(leakage_nats)
+    _within(sigma, "significance", "[0, 1]")
+    leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return _exp_report(
         "false-discovery",
         sigma,
@@ -255,11 +230,9 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
     crossover epsilon log(3 / sqrt(beta)) / n below which this bound can
     beat an exp(-n (2 eta^2 - epsilon)) style leakage bound.
     """
-    if not 0.0 < beta < 1.0:
-        raise LeakageLabError(f"beta must lie in (0, 1), got {beta}")
-    if epsilon < 0.0:
-        raise NegativeEpsilon(f"epsilon must be nonnegative, got {epsilon}")
-    n = _check_n(n)
+    _within(beta, "beta", "(0, 1)")
+    _within(epsilon, "epsilon", "[0, inf)", NegativeEpsilon)
+    n = int(_within(n, "sample size", "[1, inf)"))
     value = 3.0 * math.sqrt(beta)
     epsilon_ceiling = math.sqrt(-math.log(beta) / (2.0 * n))
     crossover = math.log(3.0 / math.sqrt(beta)) / n
@@ -279,10 +252,9 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
 
 def mi_gen_bound(mi_nats: float, n: int, eta: float) -> BoundReport:
     """Mutual-information tail (I + log 2) / (2 n eta^2 - log 2)."""
-    if mi_nats < 0.0:
-        raise LeakageLabError(f"mutual information must be nonnegative, got {mi_nats}")
-    n = _check_n(n)
-    eta = _check_eta(eta)
+    _within(mi_nats, "mutual information", "[0, inf)")
+    n = int(_within(n, "sample size", "[1, inf)"))
+    eta = float(_within(eta, "accuracy eta", "(0, 1)"))
     denominator = 2.0 * n * eta * eta - math.log(2.0)
     if denominator <= 0.0:
         raise DenominatorNonPositive(
@@ -302,11 +274,9 @@ def sample_complexity(value_nats: float, eta: float, delta: float, mode: str) ->
     ``mode="leakage"`` uses (L + ln(1/delta)) / eta^2;
     ``mode="mutual-info"`` uses I / (eta^2 * delta).
     """
-    if value_nats < 0.0:
-        raise LeakageLabError(f"information value must be nonnegative, got {value_nats}")
-    eta = _check_eta(eta)
-    if not 0.0 < delta < 1.0:
-        raise LeakageLabError(f"failure probability must lie in (0, 1), got {delta}")
+    _within(value_nats, "information value", "[0, inf)")
+    eta = float(_within(eta, "accuracy eta", "(0, 1)"))
+    _within(delta, "failure probability", "(0, 1)")
     if mode == "leakage":
         numerator, denominator = value_nats - math.log(delta), eta * eta
     elif mode == "mutual-info":

@@ -38,7 +38,7 @@ from .bounds import (
     mi_gen_bound,
     sample_complexity,
 )
-from .errors import Infeasible, LeakageLabError
+from .errors import Infeasible, LeakageLabError, _within
 from .ledger import LeakageLedger, LedgerEntry
 
 __all__ = ["main"]
@@ -242,7 +242,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     _require(args.seed is not None, "verify needs an explicit --seed")
-    _require(args.instances >= 1, "--instances must be >= 1")
+    _within(args.instances, "--instances", "[1, inf)")
     from .verify import run_suites
 
     names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]

@@ -27,6 +27,7 @@ from .errors import (
     LeakageLabError,
     NegativeMass,
     NotNormalized,
+    _within,
 )
 from .jsonio import _read_array
 
@@ -61,9 +62,7 @@ def enumeration_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise LeakageLabError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise LeakageLabError(f"{_CAP_ENV} must be positive, got {cap}")
-    return cap
+    return _within(cap, _CAP_ENV, "[1, inf)")
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -168,8 +167,7 @@ class ProductAlphabet(Alphabet):
     SEPARATOR = ","
 
     def __init__(self, base: Alphabet, n: int):
-        if n < 1:
-            raise LeakageLabError(f"product power must be >= 1, got {n}")
+        _within(n, "product power", "[1, inf)")
         cap = enumeration_cap()
         # k >= 2 symbols give k^n >= 2^n > cap once n passes the cap's bit
         # length, so a huge n is refused before its power is computed

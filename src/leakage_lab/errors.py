@@ -4,9 +4,15 @@ Everything derives from :class:`LeakageLabError` (itself a ``ValueError``)
 so callers can catch the whole family with one handler, and each class
 carries its code as ``exit_code``: 2 for validation, 3 for
 :class:`Infeasible` and its subclasses, 4 for :class:`CapExceeded`.
+
+Every scalar range check goes through :func:`_within`, which refuses
+NaN and the infinities with exit code 2 whatever class its caller names.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 __all__ = [
     "LeakageLabError",
@@ -85,3 +91,26 @@ class NonPositiveSensitivity(Infeasible):
 
 class DenominatorNonPositive(Infeasible):
     """A bound's denominator is not positive for these parameters."""
+
+
+@functools.cache
+def _ends(interval: str) -> tuple[float, bool, float, bool]:
+    """The low end, whether it is open, the high end, whether it is open."""
+    low, high = interval[1:-1].split(",")
+    return float(low), interval[0] == "(", float(high), interval[-1] == ")"
+
+
+def _within(value, name: str, interval: str, error: type[LeakageLabError] = LeakageLabError):
+    """``value`` if it lies in ``interval``, written as ``"(0, 1]"`` or ``"[1, inf)"``.
+
+    Every comparison with NaN is false, so NaN lies in no interval. A
+    non-finite value raises :class:`LeakageLabError`; a finite one outside
+    the interval raises ``error``.
+    """
+    low, low_open, high, high_open = _ends(interval)
+    above = low < value if low_open else low <= value
+    if above and (value < high if high_open else value <= high):
+        return value
+    raise (error if -math.inf < value < math.inf else LeakageLabError)(
+        f"{name} must lie in {interval}, got {value}"
+    )

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon
+from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _within
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 
 if TYPE_CHECKING:
@@ -43,10 +43,8 @@ def dp_to_leakage(epsilon: float, n: int) -> float:
     """Leakage budget of an epsilon-DP mechanism on n-sample datasets."""
     if not math.isfinite(epsilon):
         raise LeakageLabError(f"epsilon must be finite, got {epsilon}")
-    if epsilon < 0.0:
-        raise NegativeEpsilon(f"epsilon must be nonnegative, got {epsilon}")
-    if n < 1:
-        raise LeakageLabError(f"dataset size must be >= 1, got {n}")
+    _within(epsilon, "epsilon", "[0, inf)", NegativeEpsilon)
+    _within(n, "dataset size", "[1, inf)")
     leakage = float(epsilon) * n
     if math.isinf(leakage):
         raise Infeasible(f"epsilon * n = {epsilon} * {n} overflows")
@@ -55,25 +53,18 @@ def dp_to_leakage(epsilon: float, n: int) -> float:
 
 def cardinality_bound(output_size: int) -> float:
     """log of the number of possible outputs."""
-    if output_size < 1:
-        raise LeakageLabError(f"output size must be >= 1, got {output_size}")
-    return math.log(output_size)
+    return math.log(_within(output_size, "output size", "[1, inf)"))
 
 
 def leakage_to_approx_maxinfo(leakage_nats: float, beta: float) -> float:
     """Budgeted max-information implied by a leakage bound: L + log(1/beta)."""
-    if leakage_nats < 0.0:
-        raise LeakageLabError(f"leakage bound must be nonnegative, got {leakage_nats}")
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    return float(leakage_nats) - math.log(beta)
+    _within(leakage_nats, "leakage bound", "[0, inf)")
+    return float(leakage_nats) - math.log(_within(beta, "beta", "(0, 1)", BetaOutOfRange))
 
 
 def maxinfo_to_leakage(maxinfo_nats: float) -> float:
     """A max-information bound is itself a leakage bound."""
-    if maxinfo_nats < 0.0:
-        raise LeakageLabError(f"max-information bound must be nonnegative, got {maxinfo_nats}")
-    return float(maxinfo_nats)
+    return float(_within(maxinfo_nats, "max-information bound", "[0, inf)"))
 
 
 @dataclass(frozen=True)

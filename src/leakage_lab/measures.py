@@ -36,6 +36,7 @@ from .errors import (
     InputNotProduct,
     LeakageLabError,
     NoFeasibleSet,
+    _within,
 )
 
 __all__ = [
@@ -254,8 +255,7 @@ def _ratio_order(pv: np.ndarray, qv: np.ndarray) -> np.ndarray:
 
 def _check_budgets(deltas) -> None:
     for delta in deltas:
-        if not 0.0 <= delta < 1.0:
-            raise BetaOutOfRange(f"mass budget must lie in [0, 1), got {delta}")
+        _within(delta, "mass budget", "[0, 1)", BetaOutOfRange)
 
 
 def _best_ratios(mass: np.ndarray, denom: np.ndarray, deltas) -> np.ndarray:
@@ -399,17 +399,12 @@ def max_information(joint: JointDistribution) -> float:
     return float(_max_information(*_joint_product_vectors(joint.mass[None]))[0])
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-
-
 def approx_max_information(joint: JointDistribution, beta: float) -> float:
     """Budgeted max-information; requires 0 < beta < 1.
 
     A zero budget is exactly :func:`max_information`; call that instead.
     """
-    _check_beta(beta)
+    _within(beta, "beta", "(0, 1)", BetaOutOfRange)
     mass, product = _joint_product_vectors(joint.mass[None])
     return float(_approx_max_div_scan(mass, product, (beta,))[0, 0])
 
@@ -420,7 +415,7 @@ def approx_max_information_by_enumeration(joint: JointDistribution, beta: float)
     Only the cells with positive mass are enumerated, so a joint of any
     size is accepted as long as at most 16 of its cells are positive.
     """
-    _check_beta(beta)
+    _within(beta, "beta", "(0, 1)", BetaOutOfRange)
     mass, product = _joint_product_vectors(joint.mass[None])
     return float(_approx_max_div_enumerated(mass, product, (beta,))[0, 0])
 

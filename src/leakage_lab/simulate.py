@@ -72,7 +72,7 @@ from .core import (
     enumeration_cap,
     joint_from,
 )
-from .errors import CapExceeded, LeakageLabError
+from .errors import CapExceeded, LeakageLabError, _within
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _maxima_leakage
@@ -158,8 +158,7 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
 
 def data_alphabet(d: int) -> Alphabet:
     """Domain-label pairs x{i}:{b} for a domain of size d and binary labels."""
-    if d < 1:
-        raise LeakageLabError(f"domain size must be >= 1, got {d}")
+    _within(d, "domain size", "[1, inf)")
     return Alphabet(f"x{i}:{b}" for i in range(d) for b in (0, 1))
 
 
@@ -257,14 +256,10 @@ class GenErrConfig:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise LeakageLabError(f"domain size must be >= 1, got {self.d}")
-        if self.n < 1:
-            raise LeakageLabError(f"sample size must be >= 1, got {self.n}")
-        if not 0.0 < self.eta < 1.0:
-            raise LeakageLabError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.trials < 1:
-            raise LeakageLabError(f"trial count must be >= 1, got {self.trials}")
+        _within(self.d, "domain size", "[1, inf)")
+        _within(self.n, "sample size", "[1, inf)")
+        _within(self.eta, "eta", "(0, 1)")
+        _within(self.trials, "trial count", "[1, inf)")
         _check_learner(self.learner, self.d, self.data_dist)
         # the weights exp(-epsilon * n * risk / 2) need a finite exponent scale
         if self.learner.kind == EXPONENTIAL_MECHANISM and not math.isfinite(
@@ -312,16 +307,11 @@ class HypTestConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise LeakageLabError(f"sample size must be >= 1, got {self.n}")
-        if self.num_stats < 1:
-            raise LeakageLabError(f"statistic count must be >= 1, got {self.num_stats}")
-        if not 0.0 < self.sigma < 1.0:
-            raise LeakageLabError(f"sigma must lie in (0, 1), got {self.sigma}")
-        if not 0.0 < self.delta < 1.0:
-            raise LeakageLabError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.trials < 1:
-            raise LeakageLabError(f"trial count must be >= 1, got {self.trials}")
+        _within(self.n, "sample size", "[1, inf)")
+        _within(self.num_stats, "statistic count", "[1, inf)")
+        _within(self.sigma, "sigma", "(0, 1)")
+        _within(self.delta, "delta", "(0, 1)")
+        _within(self.trials, "trial count", "[1, inf)")
         _check_seed(self.seed)
 
     def to_json(self) -> dict:
@@ -666,6 +656,7 @@ def generalization_event(
     eta: float,
 ) -> tuple[JointDistribution, EventMask]:
     """Materialize {(dataset, h): |true - empirical| > eta} with its joint."""
+    _within(eta, "eta", "(0, 1)")
     tables, counts, channel = _dataset_layer(spec, d, n, data_dist)
     gaps = np.abs(tables.true_risk[:, None] - tables.risks(counts))
     mask = np.ascontiguousarray(gaps.T > eta)

@@ -45,7 +45,7 @@ from .core import (
     _fiber_max,
     adaptive_channel,
 )
-from .errors import LeakageLabError
+from .errors import _within
 from .measures import (
     _approx_max_div_enumerated,
     _approx_max_div_scan,
@@ -200,8 +200,7 @@ def _run_sweep(suite: str, instances: int, seed: int, width: int,
     slice that starts at instance ``lo`` to ``{check: (margins, payload
     [, where])}``, the arguments of :meth:`_Check.record`.
     """
-    if instances < 1:
-        raise LeakageLabError(f"instance count must be >= 1, got {instances}")
+    _within(instances, "instance count", "[1, inf)")
     checks = {name: _Check(tolerance) for name, tolerance in tolerances.items()}
 
     def run(lo: int, hi: int) -> None:

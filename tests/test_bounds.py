@@ -7,6 +7,7 @@ import pytest
 
 from leakage_lab import (
     Alphabet,
+    BetaOutOfRange,
     AlphabetMismatch,
     BoundReport,
     Channel,
@@ -39,6 +40,8 @@ from conftest import (
     random_event,
     uniform,
 )
+from leakage_lab import bounds, ledger
+from leakage_lab.ledger import LedgerEntry
 
 
 class TestAdaptiveEventBound:
@@ -81,6 +84,16 @@ class TestAdaptiveEventBound:
     def test_monotone_in_leakage(self):
         values = [adaptive_event_bound(0.1, L).value for L in (0.0, 0.5, 1.0, 2.0)]
         assert values == sorted(values)
+
+    def test_overflowing_exponent_with_a_small_coefficient(self):
+        # exp(1000) overflows, yet 0 * exp(L) is 0 at any L
+        for report in (adaptive_event_bound(0.0, 1000.0), fdr_bound(0.0, 1000.0)):
+            assert report.value == 0.0
+            assert not report.trivial
+        tiny = adaptive_event_bound(1e-300, 750.0)
+        assert tiny.value == math.exp(750.0 + math.log(1e-300))
+        assert math.isfinite(tiny.value)
+        assert tiny.trivial
 
 
 class TestExactEventProbability:
@@ -393,3 +406,69 @@ class TestBoundReport:
         assert "flags" not in payload
         flagged = dwork_dp_bound(0.01, 0.1, 100).to_json()
         assert flagged["flags"] == {"epsilon_within_validity": True}
+
+
+# every public callable of bounds and ledger that takes a number, with valid numeric arguments
+NUMERIC_CALLS = {
+    "adaptive_event_bound": (adaptive_event_bound, (0.1, 1.0)),
+    "mcdiarmid_tail": (mcdiarmid_tail, (100, 0.1, 0.01)),
+    "gen_error_bound": (gen_error_bound, (100, 0.1, 1.0)),
+    "gen_error_bound_sensitivity": (gen_error_bound_sensitivity, (100, 0.1, 0.01, 1.0)),
+    "dp_sensitivity_reference_bound": (dp_sensitivity_reference_bound, (100, 0.1, 0.01)),
+    "compare_sensitivity_bounds": (compare_sensitivity_bounds, (100, 0.1, 0.01, 1.0)),
+    "adjusted_significance": (adjusted_significance, (0.05, 1.0)),
+    "fdr_bound": (fdr_bound, (0.01, 1.0)),
+    "dwork_dp_bound": (dwork_dp_bound, (0.01, 0.01, 100)),
+    "mi_gen_bound": (mi_gen_bound, (0.1, 100, 0.1)),
+    "sample_complexity": (
+        lambda value, eta, delta: sample_complexity(value, eta, delta, "leakage"), (1.0, 0.1, 0.05)),
+    "dp_to_leakage": (ledger.dp_to_leakage, (0.01, 100)),
+    "cardinality_bound": (ledger.cardinality_bound, (4,)),
+    "leakage_to_approx_maxinfo": (ledger.leakage_to_approx_maxinfo, (1.0, 0.1)),
+    "maxinfo_to_leakage": (ledger.maxinfo_to_leakage, (1.0,)),
+    "LedgerEntry.from_dp": (lambda epsilon, n: LedgerEntry.from_dp("s", epsilon, n), (0.01, 100)),
+    "LedgerEntry.from_cardinality": (lambda size: LedgerEntry.from_cardinality("s", size), (4,)),
+    "LedgerEntry.from_maxinfo": (lambda nats: LedgerEntry.from_maxinfo("s", nats), (1.0,)),
+    "LedgerEntry.declared": (lambda nats: LedgerEntry.declared("s", nats), (1.0,)),
+}
+# exports that take no scalar parameter of their own
+NO_NUMBER = {"BoundReport", "P_VALUE_NOTE", "exact_event_probability", "LeakageLedger", "compose"}
+
+
+def test_numeric_calls_cover_every_export():
+    exports = set(bounds.__all__) | set(ledger.__all__)
+    assert {name.split(".")[0] for name in NUMERIC_CALLS} | NO_NUMBER == exports
+    # the constructors that take a number; from_json reads one and from_channel computes it
+    builders = {name for name, member in vars(LedgerEntry).items()
+                if isinstance(member, classmethod) and name not in ("from_json", "from_channel")}
+    assert {name for name in NUMERIC_CALLS if name.startswith("LedgerEntry.")} == {
+        f"LedgerEntry.{name}" for name in builders}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,position", [
+    (name, position) for name, (_, args) in NUMERIC_CALLS.items() for position in range(len(args))])
+def test_non_finite_argument_is_a_validation_error(name, position, value):
+    call, args = NUMERIC_CALLS[name]
+    call(*args)  # the valid arguments pass, so the error below is the replaced one's
+    args = args[:position] + (value,) + args[position + 1:]
+    with pytest.raises(LeakageLabError) as caught:
+        call(*args)
+    assert caught.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: gen_error_bound(0, 0.1, 1.0), LeakageLabError,
+     "sample size must lie in [1, inf), got 0"),
+    (lambda: dwork_dp_bound(0.01, -0.5, 10), NegativeEpsilon,
+     "epsilon must lie in [0, inf), got -0.5"),
+    (lambda: mcdiarmid_tail(10, 0.1, 0.0), NonPositiveSensitivity,
+     "sensitivity must lie in (0, inf), got 0.0"),
+    (lambda: ledger.leakage_to_approx_maxinfo(1.0, 1.0), BetaOutOfRange,
+     "beta must lie in (0, 1), got 1.0"),
+], ids=["sample-size", "epsilon", "sensitivity", "beta"])
+def test_finite_value_outside_its_interval_keeps_its_error_class(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -736,9 +736,9 @@ def test_error_class_exits_with_its_documented_code(capsys, monkeypatch, name):
     [
         ("abc", "simulate generr --config", GENERR, 2,
          "LEAKAGE_LAB_CAP must be an integer, got 'abc'"),
-        ("0", "simulate generr --config", GENERR, 2, "LEAKAGE_LAB_CAP must be positive, got 0"),
+        ("0", "simulate generr --config", GENERR, 2, "LEAKAGE_LAB_CAP must lie in [1, inf), got 0"),
         (None, "measure dp --product-base 0,1 --copies 0 --channel",
-         Channel.identity(Alphabet(("0", "1"))).to_json(), 2, "product power must be >= 1, got 0"),
+         Channel.identity(Alphabet(("0", "1"))).to_json(), 2, "product power must lie in [1, inf), got 0"),
         (None, "simulate generr --config", {k: v for k, v in GENERR.items() if k != "n"}, 2,
          "missing key 'n'"),
         (None, f"bound --theorem generr --n {10**400} --eta 0.1 --leakage 1", None, 3,
@@ -1222,6 +1222,15 @@ class TestParser:
             assert internal not in lines[0]
         if argv in OVERFLOWING_BOUNDS:
             assert lines == [f"error: bound '{OVERFLOWING_BOUNDS[argv]}' is too large to represent"]
+
+    @pytest.mark.parametrize("argv", ["bound --theorem adapt --max-fiber-prob 0 --leakage 1000",
+                                      "bound --theorem hyptest --sigma 0 --leakage 1000"])
+    def test_zero_coefficient_bounds_to_zero_past_the_exp_overflow(self, capsys, argv):
+        code, doc, err = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert err == ""
+        assert doc["value"] == 0.0
+        assert doc["trivial"] is False
 
     def test_dp_overflow_prints_the_library_message_once(self, capsys):
         code, doc, err = run_cli(capsys, "compose", "--dp", "1e308,10")

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -728,6 +729,14 @@ class TestGeneralizationEvent:
             leakage = maximal_leakage(channel, prior.support()).nats
             bound = adaptive_event_bound(fiber_max_prob(event, prior), leakage)
             assert exact <= bound.value + 1e-12
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0])
+    def test_eta_outside_the_unit_interval_is_refused_as_the_config_refuses_it(self, eta):
+        message = re.escape(f"eta must lie in (0, 1), got {eta}")
+        with pytest.raises(LeakageLabError, match=message):
+            generalization_event(full_erm(), 2, 3, skewed_dist(), eta)
+        with pytest.raises(LeakageLabError, match=message):
+            GenErrConfig(2, 3, skewed_dist(), full_erm(), eta, 10, 1)
 
 
 class TestGenErrorExperiment:
