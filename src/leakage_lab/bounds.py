@@ -34,6 +34,7 @@ from .errors import (
     LeakageLabError,
     NegativeEpsilon,
     NonPositiveSensitivity,
+    _count,
     _within,
 )
 
@@ -141,7 +142,7 @@ def exact_event_probability(joint: JointDistribution, event: EventMask) -> float
 
 def mcdiarmid_tail(n: int, t: float, c: float) -> float:
     """One-sided bounded-differences tail exp(-2 t^2 / (n c^2))."""
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     _within(t, "deviation", "[0, inf)")
     c = _check_sensitivity(c, n)
     return math.exp(-2.0 * t * t / (n * c * c))
@@ -149,7 +150,7 @@ def mcdiarmid_tail(n: int, t: float, c: float) -> float:
 
 def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
     """Two-sided generalization bound 2 exp(L - 2 n eta^2) for 1/n-sensitive risks."""
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     eta = float(_within(eta, "accuracy eta", "(0, 1)"))
     leakage_nats = float(_within(leakage_nats, "leakage", "[0, inf)"))
     return _exp_report(
@@ -162,7 +163,7 @@ def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
 
 def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: float) -> BoundReport:
     """Generalization bound 2 exp(L - 2 eta^2 / (c^2 n)) for c-sensitive risks."""
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     # risks with general sensitivity c are not confined to [0, 1]
     eta = float(_within(eta, "accuracy eta", "(0, inf)"))
     c = _check_sensitivity(c, n)
@@ -177,7 +178,7 @@ def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: floa
 
 def dp_sensitivity_reference_bound(n: int, eta: float, c: float) -> float:
     """DP-literature tail 3 exp(-eta^2 / (c^2 n)) used for comparisons."""
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     eta = float(_within(eta, "accuracy eta", "(0, inf)"))
     c = _check_sensitivity(c, n)
     return 3.0 * math.exp(-eta * eta / (c * c * n))
@@ -232,7 +233,7 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
     """
     _within(beta, "beta", "(0, 1)")
     _within(epsilon, "epsilon", "[0, inf)", NegativeEpsilon)
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     value = 3.0 * math.sqrt(beta)
     epsilon_ceiling = math.sqrt(-math.log(beta) / (2.0 * n))
     crossover = math.log(3.0 / math.sqrt(beta)) / n
@@ -253,7 +254,7 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
 def mi_gen_bound(mi_nats: float, n: int, eta: float) -> BoundReport:
     """Mutual-information tail (I + log 2) / (2 n eta^2 - log 2)."""
     _within(mi_nats, "mutual information", "[0, inf)")
-    n = int(_within(n, "sample size", "[1, inf)"))
+    n = _count(n, "sample size")
     eta = float(_within(eta, "accuracy eta", "(0, 1)"))
     denominator = 2.0 * n * eta * eta - math.log(2.0)
     if denominator <= 0.0:

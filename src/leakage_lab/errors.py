@@ -6,13 +6,15 @@ carries its code as ``exit_code``: 2 for validation, 3 for
 :class:`Infeasible` and its subclasses, 4 for :class:`CapExceeded`.
 
 Every scalar range check goes through :func:`_within`, which refuses
-NaN and the infinities with exit code 2 whatever class its caller names.
+NaN and the infinities with exit code 2 whatever class its caller names,
+and every count through :func:`_count`, which also refuses fractions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 
 __all__ = [
     "LeakageLabError",
@@ -114,3 +116,18 @@ def _within(value, name: str, interval: str, error: type[LeakageLabError] = Leak
     raise (error if -math.inf < value < math.inf else LeakageLabError)(
         f"{name} must lie in {interval}, got {value}"
     )
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an ``int`` if it is a whole number in [1, inf) that a float can hold.
+
+    An integral float such as ``500.0`` passes. A fraction raises
+    :class:`LeakageLabError`, and a count past the largest float raises
+    :class:`Infeasible`, since the results that it feeds would overflow.
+    """
+    _within(value, name, "[1, inf)")
+    if value != int(value):
+        raise LeakageLabError(f"{name} must be a whole number, got {value}")
+    if value > sys.float_info.max:
+        raise Infeasible("result too large to represent")
+    return int(value)

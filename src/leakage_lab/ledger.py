@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _within
+from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _count, _within
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 
 if TYPE_CHECKING:
@@ -41,10 +41,8 @@ _KINDS = ("computed-channel", "dp-derived", "cardinality", "max-info-derived", "
 
 def dp_to_leakage(epsilon: float, n: int) -> float:
     """Leakage budget of an epsilon-DP mechanism on n-sample datasets."""
-    if not math.isfinite(epsilon):
-        raise LeakageLabError(f"epsilon must be finite, got {epsilon}")
     _within(epsilon, "epsilon", "[0, inf)", NegativeEpsilon)
-    _within(n, "dataset size", "[1, inf)")
+    n = _count(n, "dataset size")
     leakage = float(epsilon) * n
     if math.isinf(leakage):
         raise Infeasible(f"epsilon * n = {epsilon} * {n} overflows")
@@ -53,7 +51,7 @@ def dp_to_leakage(epsilon: float, n: int) -> float:
 
 def cardinality_bound(output_size: int) -> float:
     """log of the number of possible outputs."""
-    return math.log(_within(output_size, "output size", "[1, inf)"))
+    return math.log(_count(output_size, "output size"))
 
 
 def leakage_to_approx_maxinfo(leakage_nats: float, beta: float) -> float:

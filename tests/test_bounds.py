@@ -431,6 +431,13 @@ NUMERIC_CALLS = {
     "LedgerEntry.from_maxinfo": (lambda nats: LedgerEntry.from_maxinfo("s", nats), (1.0,)),
     "LedgerEntry.declared": (lambda nats: LedgerEntry.declared("s", nats), (1.0,)),
 }
+# the position of each numeric call's count argument
+COUNT_POSITIONS = {
+    "mcdiarmid_tail": 0, "gen_error_bound": 0, "gen_error_bound_sensitivity": 0,
+    "dp_sensitivity_reference_bound": 0, "compare_sensitivity_bounds": 0, "dwork_dp_bound": 2,
+    "mi_gen_bound": 1, "dp_to_leakage": 1, "cardinality_bound": 0, "LedgerEntry.from_dp": 1,
+    "LedgerEntry.from_cardinality": 0,
+}
 # exports that take no scalar parameter of their own
 NO_NUMBER = {"BoundReport", "P_VALUE_NOTE", "exact_event_probability", "LeakageLedger", "compose"}
 
@@ -466,9 +473,25 @@ def test_non_finite_argument_is_a_validation_error(name, position, value):
      "sensitivity must lie in (0, inf), got 0.0"),
     (lambda: ledger.leakage_to_approx_maxinfo(1.0, 1.0), BetaOutOfRange,
      "beta must lie in (0, 1), got 1.0"),
-], ids=["sample-size", "epsilon", "sensitivity", "beta"])
+    # a count that no float holds
+    (lambda: gen_error_bound(10**400, 0.1, 1.0), Infeasible, "result too large to represent"),
+    (lambda: ledger.dp_to_leakage(0.1, 10**400), Infeasible, "result too large to represent"),
+    (lambda: LedgerEntry.from_dp("s", 0.0, 10**400), Infeasible, "result too large to represent"),
+], ids=["sample-size", "epsilon", "sensitivity", "beta", "huge-sample-size", "huge-dataset-size",
+        "huge-dp-entry"])
 def test_finite_value_outside_its_interval_keeps_its_error_class(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name", list(COUNT_POSITIONS))
+def test_fractional_count_is_a_validation_error(name):
+    call, args = NUMERIC_CALLS[name]
+    position = COUNT_POSITIONS[name]
+    # an integral float is the same count
+    assert call(*args[:position], float(args[position]), *args[position + 1:]) == call(*args)
+    with pytest.raises(LeakageLabError, match="must be a whole number, got 2.5") as caught:
+        call(*args[:position], 2.5, *args[position + 1:])
+    assert type(caught.value) is LeakageLabError and caught.value.exit_code == 2

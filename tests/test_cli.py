@@ -156,6 +156,14 @@ GOLDEN_GENERR = {
 
 # sha256 of the stdout of verify all --instances 1000 --seed 7
 GOLDEN_VERIFY = "6607013bf7402fb192bdc141afe801c1d02e95cd6c41628676d85a5a8303aabe"
+# stdout of verify soundness --instances 150 (the benchmark's size) at a
+# seed, which pins diagonal_equality_gap, the worst gap of a twin
+GOLDEN_VERIFY_SOUNDNESS = {
+    seed: '{"suites": [{"suite": "soundness", "instances": 150, "checks": {"event_bound": '
+          '{"count": 150, "violations": 0, "worst_margin": 0.0, "tolerance": 1e-10}}, '
+          f'"failures": [], "pass": true, "diagonal_equality_gap": {gap}}}], "pass": true}}\n'
+    for seed, gap in ((7, "1.1102230246251565e-16"), (11, "2.220446049250313e-16"))
+}
 # sha256 of the stdout of verify maxinfo at (instances, seed), which pins
 # the enumeration oracle's values on other draws
 GOLDEN_VERIFY_MAXINFO = {
@@ -789,6 +797,13 @@ class TestVerify:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_VERIFY
         assert captured.err == ""
 
+    @pytest.mark.parametrize("seed", GOLDEN_VERIFY_SOUNDNESS)
+    def test_golden_soundness_report(self, capsys, seed):
+        assert main(["verify", "soundness", "--instances", "150", "--seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN_VERIFY_SOUNDNESS[seed]
+        assert captured.err == ""
+
     @pytest.mark.parametrize("instances, seed", GOLDEN_VERIFY_MAXINFO)
     def test_golden_maxinfo_report(self, capsys, instances, seed):
         argv = ["verify", "maxinfo", "--instances", str(instances), "--seed", str(seed)]
@@ -1190,7 +1205,7 @@ class TestParser:
         code, doc, err = run_cli(capsys, "compose", "--dp", "nan,10")
         assert code == 2
         assert doc is None
-        assert err.splitlines() == ["error: epsilon must be finite, got nan"]
+        assert err.splitlines() == ["error: epsilon must lie in [0, inf), got nan"]
 
     @pytest.mark.parametrize(
         "argv,expected",

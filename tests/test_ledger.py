@@ -37,8 +37,10 @@ class TestConversions:
         with pytest.raises(LeakageLabError):
             dp_to_leakage(0.5, 0)
         for epsilon in (math.nan, math.inf, -math.inf):
-            with pytest.raises(LeakageLabError, match="epsilon must be finite"):
+            with pytest.raises(LeakageLabError) as caught:
                 dp_to_leakage(epsilon, 10)
+            assert str(caught.value) == f"epsilon must lie in [0, inf), got {epsilon}"
+            assert caught.value.exit_code == 2
         with pytest.raises(Infeasible, match="overflows"):
             dp_to_leakage(1e308, 10)
 
