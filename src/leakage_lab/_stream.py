@@ -24,9 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LeakageLabError, _within
+from .errors import LeakageLabError, _count
 
 _MASK64 = (1 << 64) - 1
+# the 64-bit unsigned integers: seeds, and trial indices, whose counter wraps modulo 2**64
+_UINT64 = "[0, 18446744073709551616)"
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -37,31 +39,32 @@ _BLOCK_DRAWS = 1 << 16
 
 
 def _check_seed(seed: int) -> int:
-    """``seed`` if it is a 64-bit unsigned integer."""
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise LeakageLabError("seed must be a 64-bit unsigned integer")
-    return seed
+    """``seed`` as an ``int`` if it is a 64-bit unsigned integer (``_count``'s rule)."""
+    try:
+        return _count(seed, "seed", _UINT64)
+    except LeakageLabError:
+        raise LeakageLabError("seed must be a 64-bit unsigned integer") from None
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
     """Counter-mixed per-trial seed (a SplitMix64 step).
 
     ``master_seed`` must be a 64-bit unsigned integer, as configs and
-    ``verify`` require. For a fixed master seed the map index -> seed is
-    injective, so no two trials ever share a stream.
+    ``verify`` require, and so must ``index``. For a fixed master seed the
+    map index -> seed is injective, so no two trials ever share a stream.
     """
-    _within(index, "trial index", "[0, inf)")
+    index = _count(index, "trial index", _UINT64)
     return int(_trial_seeds(_check_seed(master_seed), index, index + 1)[0])
 
 
 def _counter_mix(base: np.ndarray, first: int, count: int) -> np.ndarray:
     """SplitMix64 outputs ``mix(base + (first + j + 1) * GOLDEN)`` for j < count.
 
-    The result has shape ``(count,) + base.shape``; uint64 arithmetic
-    wraps modulo 2**64.
+    The result has shape ``(count,) + base.shape``; uint64 arithmetic,
+    the counter ``first + j + 1`` included, wraps modulo 2**64.
     """
-    steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK64)
+    steps *= np.uint64(_GOLDEN)
     base = np.asarray(base, dtype=np.uint64)
     z = steps.reshape((count,) + (1,) * base.ndim) + base
     z ^= z >> np.uint64(30)

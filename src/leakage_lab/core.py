@@ -27,6 +27,7 @@ from .errors import (
     LeakageLabError,
     NegativeMass,
     NotNormalized,
+    _count,
     _within,
 )
 from .jsonio import _read_array
@@ -167,7 +168,7 @@ class ProductAlphabet(Alphabet):
     SEPARATOR = ","
 
     def __init__(self, base: Alphabet, n: int):
-        _within(n, "product power", "[1, inf)")
+        n = _count(n, "product power")
         cap = enumeration_cap()
         # k >= 2 symbols give k^n >= 2^n > cap once n passes the cap's bit
         # length, so a huge n is refused before its power is computed
@@ -181,7 +182,7 @@ class ProductAlphabet(Alphabet):
             raise CapExceeded(f"{len(base)}^{n} = {size} states exceed the enumeration cap {cap}")
         super().__init__(_joined_tuples(base.labels, n, self.SEPARATOR))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
 
     def digit_matrix(self) -> np.ndarray:
         """(len(self), n) matrix of base indices; row i spells tuple i."""
@@ -391,7 +392,8 @@ class EventMask(_Rectangle):
 
     def fiber(self, y: int | str) -> np.ndarray:
         """Input indices belonging to the event at output ``y``."""
-        col = self.output.index(y) if isinstance(y, str) else int(y)
+        col = self.output.index(y) if isinstance(y, str) else _count(
+            y, "output index", f"[0, {len(self.output)})")
         return np.flatnonzero(self.mask[:, col])
 
     @classmethod
@@ -462,7 +464,7 @@ def _iid_probs(probs: np.ndarray, n: int) -> np.ndarray:
 def iid_prior(base: DiscreteDistribution, n: int) -> DiscreteDistribution:
     """Product distribution of ``n`` independent copies of ``base``."""
     alphabet = ProductAlphabet(base.alphabet, n)
-    return DiscreteDistribution(alphabet, _iid_probs(base.probs, n))
+    return DiscreteDistribution(alphabet, _iid_probs(base.probs, alphabet.n))
 
 
 def _event_mass(mass: np.ndarray, mask: np.ndarray) -> np.ndarray:

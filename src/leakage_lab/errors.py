@@ -5,15 +5,18 @@ so callers can catch the whole family with one handler, and each class
 carries its code as ``exit_code``: 2 for validation, 3 for
 :class:`Infeasible` and its subclasses, 4 for :class:`CapExceeded`.
 
-Every scalar range check goes through :func:`_within`, which refuses
-NaN and the infinities with exit code 2 whatever class its caller names,
-and every count through :func:`_count`, which also refuses fractions.
+Every scalar parameter is checked once, where it enters, by :func:`_within`,
+and every count, index and seed by :func:`_count`. A bool, a non-number,
+NaN and the infinities exit 2, whatever class the caller names, and a
+value past the largest float exits 3. A count is a whole number, kept as
+an ``int``: ``500.0`` is the count 500 and ``2.5`` exits 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 
 __all__ = [
@@ -105,29 +108,32 @@ def _ends(interval: str) -> tuple[float, bool, float, bool]:
 def _within(value, name: str, interval: str, error: type[LeakageLabError] = LeakageLabError):
     """``value`` if it lies in ``interval``, written as ``"(0, 1]"`` or ``"[1, inf)"``.
 
-    Every comparison with NaN is false, so NaN lies in no interval. A
-    non-finite value raises :class:`LeakageLabError`; a finite one outside
-    the interval raises ``error``.
+    Every comparison with NaN is false, so NaN lies in no interval. A bool,
+    a non-number or a non-finite value raises :class:`LeakageLabError`, a
+    finite one outside the interval ``error``, and one inside it that no
+    float holds :class:`Infeasible`, since the results that it feeds would overflow.
     """
+    cls = type(value)
+    # plain floats and ints are tested first: they are nearly every call
+    if cls is not float and cls is not int and (cls is bool or not isinstance(value, numbers.Real)):
+        raise LeakageLabError(f"{name} must be a number, got {value!r}")
     low, low_open, high, high_open = _ends(interval)
     above = low < value if low_open else low <= value
     if above and (value < high if high_open else value <= high):
-        return value
+        if cls is float or abs(value) <= sys.float_info.max:
+            return value
+        raise Infeasible("result too large to represent")
     raise (error if -math.inf < value < math.inf else LeakageLabError)(
         f"{name} must lie in {interval}, got {value}"
     )
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an ``int`` if it is a whole number in [1, inf) that a float can hold.
+def _count(value, name: str, interval: str = "[1, inf)") -> int:
+    """``value`` as an ``int`` if it is a whole number in ``interval`` (see :func:`_within`).
 
-    An integral float such as ``500.0`` passes. A fraction raises
-    :class:`LeakageLabError`, and a count past the largest float raises
-    :class:`Infeasible`, since the results that it feeds would overflow.
+    A fraction raises :class:`LeakageLabError`; an integral float is its ``int``.
     """
-    _within(value, name, "[1, inf)")
-    if value != int(value):
+    whole = int(_within(value, name, interval))
+    if whole != value:
         raise LeakageLabError(f"{name} must be a whole number, got {value}")
-    if value > sys.float_info.max:
-        raise Infeasible("result too large to represent")
-    return int(value)
+    return whole

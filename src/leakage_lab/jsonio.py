@@ -50,26 +50,22 @@ def load_path(path: str) -> Any:
             gc.enable()
 
 
-def _read_int(payload: Mapping, key: str, where: str = "") -> int:
-    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused.
-
-    An error names the field as ``where`` followed by ``key``.
-    """
+def _read_scalar(payload: Mapping, key: str, where: str, kind: type, what: str):
+    """``payload[key]`` if it is a ``kind`` but no bool; an error names it as ``where`` + ``key``."""
     value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise LeakageLabError(f"{where}{key} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise LeakageLabError(f"{where}{key} must be {what}, got {value!r}")
+    return value
+
+
+def _read_int(payload: Mapping, key: str, where: str = "") -> int:
+    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
+    return int(_read_scalar(payload, key, where, numbers.Integral, "an integer"))
 
 
 def _read_number(payload: Mapping, key: str, where: str = "") -> float:
-    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused.
-
-    An error names the field as ``where`` followed by ``key``.
-    """
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise LeakageLabError(f"{where}{key} must be a number, got {value!r}")
-    return float(value)
+    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused."""
+    return float(_read_scalar(payload, key, where, numbers.Real, "a number"))
 
 
 def _read_object(value: Any, name: str) -> dict:

@@ -102,12 +102,12 @@ class LedgerEntry:
     @classmethod
     def from_dp(cls, label: str, epsilon: float, n: int) -> "LedgerEntry":
         return cls(label, dp_to_leakage(epsilon, n),
-                   {"kind": "dp-derived", "epsilon": float(epsilon), "n": int(n)})
+                   {"kind": "dp-derived", "epsilon": float(epsilon), "n": _count(n, "dataset size")})
 
     @classmethod
     def from_cardinality(cls, label: str, output_size: int) -> "LedgerEntry":
         return cls(label, cardinality_bound(output_size),
-                   {"kind": "cardinality", "output_size": int(output_size)})
+                   {"kind": "cardinality", "output_size": _count(output_size, "output size")})
 
     @classmethod
     def from_maxinfo(cls, label: str, maxinfo_nats: float) -> "LedgerEntry":
@@ -123,7 +123,7 @@ class LedgerEntry:
 
     @classmethod
     def declared(cls, label: str, bound_nats: float) -> "LedgerEntry":
-        return cls(label, float(bound_nats), {"kind": "declared"})
+        return cls(label, float(_within(bound_nats, "bound_nats", "[-inf, inf]")), {"kind": "declared"})
 
     def to_json(self) -> dict:
         return {

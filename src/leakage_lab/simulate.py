@@ -21,22 +21,14 @@ Two experiment families check the bounds against live randomness:
   compared against exp(log T) * sigma at both the adjusted and raw
   significance.
 
-Trials are independent work items. Trial t of master seed s has the seed
-derive_trial_seed(s, t), and its draw j is the SplitMix64 mix of
-seed_t + (j + 1) * GOLDEN, a counter-based stream (see ``_stream``)
-computed for a whole block of trials at once, draw-major: draw j of
-every trial in a slice is one row. A generalization trial turns each
-draw into one uniform, and the learner reduces over the short axes of a
-trial (its draws, cut points and hypotheses) in passes over whole rows
-of trials. A hypothesis-testing trial reads its n fair coins packed 64
-to a draw, coin i being bit 63 - (i mod 64) of draw i // 64, and its T
-window counts are rows of trials, reduced by one max over the rows.
-Both experiments run on one harness: ``map_chunked`` cuts the trial
-range into slices whose bounds depend only on the trial count and the
-size of a trial's widest array, each experiment maps a slice's seeds to
-boolean hit columns (and per-trial trace columns), and the hits are
-added as integers in slice order, so a report depends only on its config
-and seed.
+Trials are independent work items on the counter-based streams of
+``_stream``: trial t of master seed s draws from derive_trial_seed(s, t),
+a slice of trials at a time, draw-major. A generalization trial turns
+each draw into one uniform; a hypothesis-testing trial reads its n fair
+coins packed 64 to a draw, coin i being bit 63 - (i mod 64) of draw
+i // 64. Both run on one harness, ``_count_trials``, which adds the hit
+columns of the slices as integers in slice order, so a report depends
+only on its config and seed.
 """
 
 from __future__ import annotations
@@ -72,7 +64,7 @@ from .core import (
     enumeration_cap,
     joint_from,
 )
-from .errors import CapExceeded, LeakageLabError, _within
+from .errors import CapExceeded, LeakageLabError, _count, _within
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _maxima_leakage
@@ -157,8 +149,10 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
 
 
 def data_alphabet(d: int) -> Alphabet:
-    """Domain-label pairs x{i}:{b} for a domain of size d and binary labels."""
-    _within(d, "domain size", "[1, inf)")
+    """Domain-label pairs x{i}:{b} for a domain of size d and binary labels, at most the cap."""
+    d, cap = _count(d, "domain size"), enumeration_cap()
+    if 2 * d > cap:
+        raise CapExceeded(f"2 * {d} domain-label pairs exceed the enumeration cap {cap}")
     return Alphabet(f"x{i}:{b}" for i in range(d) for b in (0, 1))
 
 
@@ -194,15 +188,10 @@ class LearnerSpec:
             raise LeakageLabError("hypotheses must share the domain size")
         if len(set(hypotheses)) != len(hypotheses):
             raise LeakageLabError("hypotheses must be distinct")
-        if self.epsilon is not None and (
-            isinstance(self.epsilon, bool)
-            or not isinstance(self.epsilon, numbers.Real)
-            or not math.isfinite(self.epsilon)
-        ):
-            raise LeakageLabError(f"epsilon must be a finite number, got {self.epsilon!r}")
         if self.kind == EXPONENTIAL_MECHANISM:
-            if self.epsilon is None or self.epsilon <= 0.0:
-                raise LeakageLabError("exponential mechanism needs epsilon > 0")
+            _within(self.epsilon, "epsilon", "(0, inf)")
+        elif self.epsilon is not None:
+            raise LeakageLabError(f"an ERM learner takes no epsilon, got {self.epsilon!r}")
         object.__setattr__(self, "hypotheses", hypotheses)
 
     @property
@@ -243,6 +232,12 @@ def _check_learner(spec: LearnerSpec, d: int, data_dist: DiscreteDistribution) -
         raise LeakageLabError("data distribution must use the canonical x{i}:{b} symbols")
 
 
+def _keep(config, **checked) -> None:
+    """Store each checked field on the frozen ``config``, so an integral float is kept as its int."""
+    for field, value in checked.items():
+        object.__setattr__(config, field, value)
+
+
 @dataclass(frozen=True)
 class GenErrConfig:
     """Generalization-error experiment parameters."""
@@ -256,19 +251,14 @@ class GenErrConfig:
     seed: int
 
     def __post_init__(self):
-        _within(self.d, "domain size", "[1, inf)")
-        _within(self.n, "sample size", "[1, inf)")
-        _within(self.eta, "eta", "(0, 1)")
-        _within(self.trials, "trial count", "[1, inf)")
+        _keep(self, d=_count(self.d, "domain size"), n=_count(self.n, "sample size"),
+              eta=_within(self.eta, "eta", "(0, 1)"), trials=_count(self.trials, "trial count"))
         _check_learner(self.learner, self.d, self.data_dist)
+        epsilon = self.learner.epsilon  # None for ERM
         # the weights exp(-epsilon * n * risk / 2) need a finite exponent scale
-        if self.learner.kind == EXPONENTIAL_MECHANISM and not math.isfinite(
-            0.5 * self.learner.epsilon * self.n
-        ):
-            raise LeakageLabError(
-                f"epsilon * n / 2 overflows for epsilon = {self.learner.epsilon} and n = {self.n}"
-            )
-        _check_seed(self.seed)
+        if epsilon is not None and not math.isfinite(0.5 * epsilon * self.n):
+            raise LeakageLabError(f"epsilon * n / 2 overflows for epsilon = {epsilon} and n = {self.n}")
+        _keep(self, seed=_check_seed(self.seed))
 
     def to_json(self) -> dict:
         return {
@@ -307,12 +297,11 @@ class HypTestConfig:
     seed: int
 
     def __post_init__(self):
-        _within(self.n, "sample size", "[1, inf)")
-        _within(self.num_stats, "statistic count", "[1, inf)")
-        _within(self.sigma, "sigma", "(0, 1)")
-        _within(self.delta, "delta", "(0, 1)")
-        _within(self.trials, "trial count", "[1, inf)")
-        _check_seed(self.seed)
+        _keep(self, n=_count(self.n, "sample size"),
+              num_stats=_count(self.num_stats, "statistic count"),
+              sigma=_within(self.sigma, "sigma", "(0, 1)"),
+              delta=_within(self.delta, "delta", "(0, 1)"),
+              trials=_count(self.trials, "trial count"), seed=_check_seed(self.seed))
 
     def to_json(self) -> dict:
         return {
@@ -630,6 +619,7 @@ def _dataset_layer(spec: LearnerSpec, d: int, n: int, data_dist: DiscreteDistrib
     A base index is its own symbol under the cuts 1, ..., 2d - 1. Each
     dataset's row comes from its histogram by the type kernel's rule.
     """
+    d, n = _count(d, "domain size"), _count(n, "sample size")
     _check_learner(spec, d, data_dist)
     tables = _LearnerTables(spec, n, data_dist)
     product = ProductAlphabet(data_dist.alphabet, n)
@@ -660,7 +650,7 @@ def generalization_event(
     tables, counts, channel = _dataset_layer(spec, d, n, data_dist)
     gaps = np.abs(tables.true_risk[:, None] - tables.risks(counts))
     mask = np.ascontiguousarray(gaps.T > eta)
-    prior = DiscreteDistribution(channel.input, _iid_probs(data_dist.probs, n))
+    prior = DiscreteDistribution(channel.input, _iid_probs(data_dist.probs, tables.n))
     return joint_from(prior, channel), EventMask(channel.input, channel.output, mask)
 
 
@@ -748,8 +738,8 @@ def statistic_windows(n: int, t: int) -> np.ndarray:
     by the discrete binomial p-values. A (T, w) table larger than the
     enumeration cap is refused before anything is allocated.
     """
+    n, t, cap = _count(n, "sample size"), _count(t, "statistic count"), enumeration_cap()
     width = min(n, max(8, n // t))
-    cap = enumeration_cap()
     if t * width > cap:
         raise CapExceeded(
             f"numStats = {t} windows of width {width} over n = {n} coins make "
@@ -764,8 +754,12 @@ def binomial_tail_table(m: int) -> np.ndarray:
 
     Each entry is the correctly rounded double of the integer tail sum
     over 2^m, so the table is nonincreasing; where neighbouring tails round
-    (or underflow) to one double, neighbouring entries are equal.
+    (or underflow) to one double, neighbouring entries are equal. More
+    coins than the enumeration cap are refused before any tail is computed.
     """
+    m, cap = _count(m, "coin count", "[0, inf)"), enumeration_cap()
+    if m > cap:
+        raise CapExceeded(f"the tails of {m} coins exceed the enumeration cap {cap}")
     # C(m, i + 1) = C(m, i) * (m - i) / (i + 1), exact in integers
     weights = [1]
     for i in range(m):

@@ -47,7 +47,7 @@ from .core import (
     _fiber_max,
     adaptive_channel,
 )
-from .errors import _within
+from .errors import _count
 from .measures import (
     _approx_max_div_enumerated,
     _approx_max_div_scan,
@@ -196,7 +196,7 @@ def _run_sweep(suite: str, instances: int, seed: int, width: int,
     slice that starts at instance ``lo`` to ``{check: (margins, payload
     [, where])}``, the arguments of :meth:`_Check.record`.
     """
-    _within(instances, "instance count", "[1, inf)")
+    seed, instances = _check_seed(seed), _count(instances, "instance count")
     checks = {name: _Check(tolerance) for name, tolerance in tolerances.items()}
 
     def run(lo: int, hi: int) -> None:
@@ -413,6 +413,5 @@ SUITES = {"soundness": sweep_soundness, "composition": sweep_composition, "maxin
 
 def run_suites(names, instances: int, seed: int) -> dict:
     """Run the requested suites and bundle their results."""
-    _check_seed(seed)
     results = [SUITES[name](instances, seed) for name in names]
     return {"suites": results, "pass": all(r["pass"] for r in results)}

@@ -495,3 +495,25 @@ def test_fractional_count_is_a_validation_error(name):
     with pytest.raises(LeakageLabError, match="must be a whole number, got 2.5") as caught:
         call(*args[:position], 2.5, *args[position + 1:])
     assert type(caught.value) is LeakageLabError and caught.value.exit_code == 2
+
+
+@pytest.mark.parametrize("value", [True, "3", None], ids=["bool", "string", "none"])
+@pytest.mark.parametrize("name,position", [
+    (name, position) for name, (_, args) in NUMERIC_CALLS.items() for position in range(len(args))])
+def test_non_number_argument_is_a_validation_error(name, position, value):
+    # a bool is not the number 1, and nothing is converted on the way in
+    call, args = NUMERIC_CALLS[name]
+    with pytest.raises(LeakageLabError) as caught:
+        call(*args[:position], value, *args[position + 1:])
+    assert type(caught.value) is LeakageLabError and caught.value.exit_code == 2
+    assert str(caught.value).endswith(f" must be a number, got {value!r}")
+
+
+@pytest.mark.parametrize("name", list(COUNT_POSITIONS))
+def test_count_below_its_range_or_past_every_float_is_refused(name):
+    call, args = NUMERIC_CALLS[name]
+    position = COUNT_POSITIONS[name]
+    for value, error in ((0, LeakageLabError), (-3, LeakageLabError), (10**400, Infeasible)):
+        with pytest.raises(error) as caught:
+            call(*args[:position], value, *args[position + 1:])
+        assert type(caught.value) is error

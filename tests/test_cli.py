@@ -1484,3 +1484,15 @@ def test_bench_tracer_counts_every_trial(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "2500"
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0, "0.5"])
+def test_an_epsilon_on_an_erm_learner_is_one_error_line(capsys, tmp_path, epsilon):
+    # an ERM learner has no epsilon to use, so one in its config is refused, not
+    # ignored; "epsilon": null is the same as no epsilon
+    learner = {**GENERR["learner"], "epsilon": epsilon}
+    path = write_json(tmp_path / "erm.json", {**GENERR, "learner": learner})
+    code, doc, err = run_cli(capsys, "simulate", "generr", "--config", path)
+    assert code == 2
+    assert doc is None
+    assert err.splitlines() == [f"error: an ERM learner takes no epsilon, got {epsilon!r}"]

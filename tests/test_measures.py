@@ -33,6 +33,7 @@ from leakage_lab import (
 from leakage_lab.measures import (
     _approx_max_div_enumerated,
     _approx_max_div_scan,
+    _log_clamped,
     _ratio_order,
     _subset_sums,
     _support_mask,
@@ -811,3 +812,33 @@ def stride_empirical_dp(channel: Channel) -> float:
                 log_ratio = np.where(hot, np.log(p) - np.log(q), -np.inf)
             best = max(best, float(log_ratio.max()))
     return best
+
+
+class TestRefusalsNameTheirCase:
+    """Refusals that must look at every row and name the one at fault (see tests/mutate.py)."""
+
+    def test_enumeration_limit_checks_every_row(self):
+        # a row of 17 positive cells beside a row of 3 refuses the whole batch
+        pv = np.zeros((2, 17))
+        pv[0], pv[1, :3] = 1 / 17, 1 / 3
+        qv = np.full((2, 17), 1 / 17)
+        with pytest.raises(LeakageLabError, match="limited to 16 outcomes with positive mass"):
+            _approx_max_div_enumerated(pv, qv, (0.1,))
+        # exactly 16 positive cells is within the limit
+        pv, qv = np.full((1, 16), 1 / 16), np.linspace(1.0, 2.0, 16)[None] / 24.0
+        assert _approx_max_div_enumerated(pv, qv, (0.1,)) == pytest.approx(
+            _approx_max_div_scan(pv, qv, (0.1,)), abs=1e-12)
+
+    def test_log_clamped_names_the_sum_below_every_channel(self):
+        # only the second sum lies below 1 - 1e-8
+        with pytest.raises(LeakageLabError) as caught:
+            _log_clamped(np.array([1.5, 0.5, 1.0]))
+        assert str(caught.value) == "column maxima sum to 0.5, below any valid channel"
+
+    def test_unknown_support_pairs_list_the_first_three(self):
+        pairs = [("0", "z"), ("1", "z")]
+        support = [("9", "z"), ("5", "z"), ("7", "z"), ("6", "z"), ("8", "z")]
+        with pytest.raises(LeakageLabError) as caught:
+            conditional_maximal_leakage(bec_channel(0.5), pairs, support)
+        assert str(caught.value) == (
+            "support references unknown pairs: [('5', 'z'), ('6', 'z'), ('7', 'z')]")

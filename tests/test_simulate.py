@@ -946,3 +946,17 @@ class TestHypTestExperiment:
             "theoreticalBound",
             "pass",
         }
+
+    def test_a_p_value_equal_to_sigma_rejects(self, tmp_path):
+        # P(Bin(8, 1/2) >= 8) is exactly 1/256, the smallest p-value of an
+        # 8-coin window, and with one statistic the adjusted level is delta
+        config = HypTestConfig(8, 1, 1 / 256, 1 / 256, 4096, 7)
+        trace = tmp_path / "trace.csv"
+        report = run_hyptest_experiment(config, trace_path=str(trace))
+        assert binomial_tail_table(8)[8] == report.adjusted_sigma == config.sigma == 1 / 256
+        with open(trace, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        at_sigma = [row for row in rows if float(row["p_value"]) == config.sigma]
+        assert len(at_sigma) == 11
+        assert all(row["reject_adjusted"] == row["reject_raw"] == "True" for row in at_sigma)
+        assert report.adjusted.empirical_tail == report.raw.empirical_tail == 11 / 4096
