@@ -123,8 +123,13 @@ def _within(value, name: str, interval: str, error: type[LeakageLabError] = Leak
         if cls is float or abs(value) <= sys.float_info.max:
             return value
         raise Infeasible("result too large to represent")
+    shown = value
+    if isinstance(value, int) and not -10**19 < value < 10**20:
+        import decimal  # an integer past 20 characters prints in scientific form
+
+        shown = f"{decimal.Decimal(value):.3e}"
     raise (error if -math.inf < value < math.inf else LeakageLabError)(
-        f"{name} must lie in {interval}, got {value}"
+        f"{name} must lie in {interval}, got {shown}"
     )
 
 

@@ -17,6 +17,7 @@ Totals are recomputed from the entries on every call, never cached.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -74,6 +75,9 @@ class LedgerEntry:
     provenance: Mapping[str, object]
 
     def __post_init__(self):
+        if isinstance(self.bound_nats, bool) or not isinstance(self.bound_nats, numbers.Real):
+            raise LeakageLabError(
+                f"entry {self.label!r} bound must be a number, got {self.bound_nats!r}")
         if not math.isfinite(self.bound_nats):
             raise LeakageLabError(f"entry {self.label!r} has non-finite bound {self.bound_nats}")
         kind = self.provenance.get("kind")

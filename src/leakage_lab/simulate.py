@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ._clopper_pearson import _clopper_pearson_lower
 from ._stream import (
     _check_seed,
     _counter_mix,
@@ -87,34 +88,22 @@ __all__ = [
     "run_hyptest_experiment",
 ]
 
-CONFIDENCE = 0.99
-
 ERM = "ERM"
 EXPONENTIAL_MECHANISM = "exponential-mechanism"
 # the one tie break: ties in empirical risk go to the lowest hypothesis index
 TIE_BREAK = "lowest-index"
 
 
-def _clopper_pearson_lower(successes: int, trials: int) -> float:
-    """One-sided lower bound for a binomial proportion at confidence CONFIDENCE."""
-    if successes <= 0:
-        return 0.0
-    if successes >= trials:
-        return float((1.0 - CONFIDENCE) ** (1.0 / trials))
-    # imported here so that no other command pays for loading scipy
-    from scipy.special import betaincinv
-
-    return float(betaincinv(successes, trials - successes + 1, 1.0 - CONFIDENCE))
-
-
-def _tail_check(hits: int, trials: int, bound: float) -> tuple[float, float, bool]:
+def _tail_check(hits: int, trials: int, bound: float,
+                edge: float | None = None) -> tuple[float, float, bool]:
     """Empirical tail, its Monte Carlo half-width, and whether the tail passes.
 
-    The half-width reaches down to the Clopper-Pearson lower edge, and the
-    tail passes when that edge does not exceed ``bound``.
+    The half-width reaches down to the Clopper-Pearson lower edge (``edge``,
+    when the caller has it already), and the tail passes when that edge
+    does not exceed ``bound``.
     """
     tail = hits / trials
-    half_width = tail - _clopper_pearson_lower(hits, trials)
+    half_width = tail - (_clopper_pearson_lower(hits, trials) if edge is None else edge)
     return tail, half_width, tail - half_width <= bound
 
 
@@ -828,9 +817,12 @@ def run_hyptest_experiment(
         ("trial", "selected", "p_value", "reject_adjusted", "reject_raw"), trace_path,
     )
 
+    # equal hit counts share one edge
+    edges = {hits: _clopper_pearson_lower(hits, config.trials) for hits in {hits_adjusted, hits_raw}}
+
     def check(level: float, hits: int) -> SignificanceCheck:
         bound = fdr_bound(level, selection_bound).value
-        empirical, half_width, passed = _tail_check(hits, config.trials, bound)
+        empirical, half_width, passed = _tail_check(hits, config.trials, bound, edges[hits])
         return SignificanceCheck(level, empirical, half_width, bound, passed)
 
     adjusted = check(adjusted_sigma, hits_adjusted)

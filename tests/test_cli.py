@@ -94,14 +94,14 @@ LARGE_N = {**README_GENERR, "n": 300, "eta": 0.05, "trials": 3_000, "seed": 12}
 GOLDEN_GENERR = {
     "readme-erm": (
         README_GENERR,
-        '{"empiricalTail": 0.0109, "mcHalfWidth": 0.0022714316964554445, '
+        '{"empiricalTail": 0.0109, "mcHalfWidth": 0.0022714316964554462, '
         '"theoreticalBound": 0.7042946606589803, "exactLeakage_nats": 1.3862943611198906, '
         '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
         "2e1634e4d996af1ca8d3a46f009fa1837336f8a13c6bfcc08f3e3b83fe6d57a0",
     ),
     "readme-em": (
         {**README_GENERR, "learner": {**README_GENERR["learner"], "kind": EM, "epsilon": 0.5}},
-        '{"empiricalTail": 0.009, "mcHalfWidth": 0.0020521632487821868, '
+        '{"empiricalTail": 0.009, "mcHalfWidth": 0.002052163248782185, '
         '"theoreticalBound": 0.3248796507717736, "exactLeakage_nats": 0.6125523488900907, '
         '"ledgerBound_nats": 1.3862943611198906, "pass": true}',
         "5650c7144d626dc2d1636ce3c750fd736915bad76799af889efd558218d0db74",
@@ -118,7 +118,7 @@ GOLDEN_GENERR = {
             "trials": 10_000,
             "seed": 7,
         },
-        '{"empiricalTail": 0.207, "mcHalfWidth": 0.009357908578203733, '
+        '{"empiricalTail": 0.207, "mcHalfWidth": 0.009357908578203705, '
         '"theoreticalBound": 1.532090125589739, "exactLeakage_nats": 0.45348571774204216, '
         '"ledgerBound_nats": 2.0, "pass": true}',
         "5e75981f7cb3dd1760796c661c9fe1f4a1b5615d487844e35d652fbdb2c1cfb6",
@@ -184,9 +184,9 @@ GOLDEN_HYPTEST = {
         README_HYPTEST,
         '{"adjustedSigma": 0.004999999999999999, "exactLeakage_nats": null, '
         '"ledgerBound_nats": 2.302585092994046, "adjusted": {"significance": '
-        '0.004999999999999999, "empiricalTail": 0.0352, "mcHalfWidth": 0.0041525977146525846, '
+        '0.004999999999999999, "empiricalTail": 0.0352, "mcHalfWidth": 0.004152597714652588, '
         '"theoreticalBound": 0.05, "pass": true}, "raw": {"significance": 0.005, '
-        '"empiricalTail": 0.0352, "mcHalfWidth": 0.0041525977146525846, '
+        '"empiricalTail": 0.0352, "mcHalfWidth": 0.004152597714652588, '
         '"theoreticalBound": 0.05000000000000001, "pass": true}, "pass": true',
         "814b0420acf7c3439298b07c1036eb1d570331eb210bb8d03768b53609902425",
     ),
@@ -196,7 +196,7 @@ GOLDEN_HYPTEST = {
         '"ledgerBound_nats": 2.772588722239781, "adjusted": {"significance": 0.003125, '
         '"empiricalTail": 0.0, "mcHalfWidth": 0.0, "theoreticalBound": 0.049999999999999996, '
         '"pass": true}, "raw": {"significance": 0.005, "empiricalTail": 0.0578, '
-        '"mcHalfWidth": 0.005303162070784392, "theoreticalBound": 0.07999999999999999, '
+        '"mcHalfWidth": 0.005303162070784399, "theoreticalBound": 0.07999999999999999, '
         '"pass": true}, "pass": true',
         "a1daa9e5fc9356ff8cdff3cb1daab23f56466dc9cbfe0f71b0e690ad2df388c4",
     ),
@@ -214,9 +214,9 @@ GOLDEN_HYPTEST = {
         {**README_HYPTEST, "n": 5000},
         '{"adjustedSigma": 0.004999999999999999, "exactLeakage_nats": null, '
         '"ledgerBound_nats": 2.302585092994046, "adjusted": {"significance": '
-        '0.004999999999999999, "empiricalTail": 0.0373, "mcHalfWidth": 0.004274640227764713, '
+        '0.004999999999999999, "empiricalTail": 0.0373, "mcHalfWidth": 0.00427464022776472, '
         '"theoreticalBound": 0.05, "pass": true}, "raw": {"significance": 0.005, '
-        '"empiricalTail": 0.0373, "mcHalfWidth": 0.004274640227764713, '
+        '"empiricalTail": 0.0373, "mcHalfWidth": 0.00427464022776472, '
         '"theoreticalBound": 0.05000000000000001, "pass": true}, "pass": true',
         "064bd4e3763c6577369410ca82cbf05ec023d44f7cd9181ea9f37b701dcfcbdc",
     ),
@@ -1314,13 +1314,19 @@ class TestParser:
 
 
 def test_import_does_not_load_scipy_stats(tmp_path):
-    # neither the import nor bound, compose and measure load any scipy module
+    # neither the import nor bound, compose, measure and the README
+    # simulate runs load any scipy module
     src = str(Path(leakage_lab.__file__).resolve().parents[1])
     channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    generr = write_json(tmp_path / "generr.json", README_GENERR)
+    hyptest = write_json(tmp_path / "hyptest.json", README_HYPTEST)
     commands = [
         ["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"],
         ["compose", "--dp", "0.1,10", "--cardinality", "4"],
         ["measure", "ml", "--channel", channel],
+        ["simulate", "generr", "--config", generr],
+        ["simulate", "generr", "--config", generr, "--exact"],
+        ["simulate", "hyptest", "--config", hyptest],
     ]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import leakage_lab.cli\n"

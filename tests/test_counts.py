@@ -15,6 +15,7 @@ from typing import Callable
 import pytest
 
 from leakage_lab import jsonio
+from leakage_lab.bounds import gen_error_bound
 from leakage_lab.core import Alphabet, DiscreteDistribution, ProductAlphabet, iid_prior
 from leakage_lab.errors import Infeasible, LeakageLabError
 from leakage_lab.simulate import (
@@ -190,3 +191,20 @@ def test_an_erm_learner_refuses_an_epsilon(epsilon):
     with pytest.raises(LeakageLabError, match="an ERM learner takes no epsilon") as caught:
         LearnerSpec(ERM, HYPOTHESES, epsilon)
     assert caught.value.exit_code == 2
+
+
+@pytest.mark.parametrize("value,shown", [
+    (10**19, "10000000000000000000"),
+    (-10**18, "-1000000000000000000"),
+    (10**20, "1.000e+20"),
+    (-10**19, "-1.000e+19"),
+    (HUGE, "1.000e+400"),
+    (10**5000 + 7, "1.000e+5000"),
+], ids=["20-digits", "negative-20-characters", "21-digits", "negative-21-characters",
+        "10**400", "10**5000"])
+def test_a_huge_integer_prints_in_scientific_form(value, shown):
+    # values of at most 20 characters print as before; past the int-to-string
+    # limit of 4300 digits, printing in full would itself raise ValueError
+    with pytest.raises(LeakageLabError) as caught:
+        gen_error_bound(100, value, 1.0)
+    assert str(caught.value) == f"accuracy eta must lie in (0, 1), got {shown}"

@@ -112,6 +112,12 @@ class TestLedgerEntry:
         with pytest.raises(LeakageLabError, match="provenance kind"):
             LedgerEntry("bad", 0.1, {"kind": "guesswork"})
 
+    @pytest.mark.parametrize("bound", [True, "3", None])
+    def test_rejects_a_bound_that_is_not_a_number(self, bound):
+        # a bool would be written as JSON true, which from_json refuses
+        with pytest.raises(LeakageLabError, match=f"^entry 'bad' bound must be a number, got {bound!r}$"):
+            LedgerEntry("bad", bound, {"kind": "declared"})
+
     def test_rejects_negative_bound(self):
         with pytest.raises(LeakageLabError, match="negative bound"):
             LedgerEntry("bad", -0.1, {"kind": "declared"})

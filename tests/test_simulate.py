@@ -28,7 +28,7 @@ from leakage_lab import (
     learner_channel,
     maximal_leakage,
 )
-from leakage_lab import _stream
+from leakage_lab import _stream, simulate
 from leakage_lab.core import Channel, ProductAlphabet
 from leakage_lab.simulate import (
     ERM,
@@ -330,6 +330,9 @@ class TestClopperPearson:
 
     def test_all_successes(self):
         assert _clopper_pearson_lower(50, 50) == 0.01 ** (1.0 / 50)
+
+    def test_one_success(self):
+        assert _clopper_pearson_lower(1, 50) == -math.expm1(math.log1p(-(1.0 - 0.99)) / 50)
 
     def test_matches_scipy_exact_interval(self):
         # one-sided 99% lower edge equals the lower end of the exact
@@ -840,6 +843,19 @@ class TestGenErrorExperiment:
 
 
 class TestHypTestExperiment:
+    @pytest.mark.parametrize("num_stats,edges", [(10, 1), (16, 2)])
+    def test_equal_hit_counts_share_one_edge(self, monkeypatch, num_stats, edges):
+        # at the README seed, T = 10 rejects 352 times at both levels and
+        # T = 16 rejects 0 and 578 times
+        calls = []
+        edge = simulate._clopper_pearson_lower
+        monkeypatch.setattr(simulate, "_clopper_pearson_lower",
+                            lambda hits, trials: calls.append(hits) or edge(hits, trials))
+        report = run_hyptest_experiment(HypTestConfig(64, num_stats, 0.005, 0.05, 10_000, 20260814))
+        assert len(calls) == edges
+        assert sorted(set(calls)) == sorted({round(report.adjusted.empirical_tail * 10_000),
+                                             round(report.raw.empirical_tail * 10_000)})
+
     def test_single_statistic_is_classical_testing(self):
         # T = 1 means no selection: zero ledger bound and no adjustment
         config = HypTestConfig(16, 1, 0.05, 0.05, 4096, 5)
