@@ -8,6 +8,13 @@ given) and reports problems on stderr.
 on the standard library: a handler imports the numpy-bearing modules
 (``core``, ``measures``, ``verify``, ``simulate``) only when it runs.
 
+Every subcommand is described once, in ``_COMMANDS``. ``main`` reads a
+well-formed argv straight from that table. argparse is imported, and its
+parser built from the same table, only for ``--help`` and for the argv
+that the direct reader leaves (abbreviations, ``--``, unknown flags,
+missing or malformed values), so help text, refusals and their exit
+codes are argparse's own.
+
 Exit codes (a library error exits with its class's ``exit_code``):
     0  success; for verify/simulate, every check passed
     1  a verify or simulate check failed
@@ -19,11 +26,13 @@ Exit codes (a library error exits with its class's ``exit_code``):
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
+import types
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import jsonio
 from .bounds import (
@@ -41,6 +50,9 @@ from .bounds import (
 from .errors import Infeasible, LeakageLabError, _within
 from .ledger import LeakageLedger, LedgerEntry
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = ["main"]
 
 EXIT_OK = 0
@@ -49,10 +61,8 @@ EXIT_VALIDATION = LeakageLabError.exit_code
 
 _NATS_PER_BIT = math.log(2.0)
 
-# the keys of verify.SUITES, named here so that building the parser loads no numpy
+# the keys of verify.SUITES, named here so that the command table loads no numpy
 _SUITE_NAMES = ("soundness", "composition", "maxinfo")
-
-_WORKERS_HELP = "accepted for compatibility; has no effect, every run is serial"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -269,72 +279,209 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     return report.to_json(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _Option(NamedTuple):
+    """A long option ``--name`` of a command, or the command's positional ``name``."""
+
+    name: str
+    kind: str = "value"  # "value", "flag" (store_true) or "append"
+    type: Callable[[str], Any] | None = None
+    choices: tuple | None = None
+    default: Any = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple[_Option, ...]
+    positional: _Option | None = None
+
+
+# every command takes these before its own
+_SHARED = (
+    _Option("seed", type=int, help="seed for randomized commands"),
+    _Option("bits", kind="flag", default=False, help="also display leakage totals in bits"),
+    _Option("output", help="also write the JSON report to this path"),
+)
+_WORKERS = _Option("workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect, every run is serial")
+
+# every subcommand, once: the direct reader and build_parser both read it
+_COMMANDS = {
+    "measure": _Command(
+        "compute one measure from JSON inputs", _cmd_measure,
+        positional=_Option("kind", choices=("ml", "cml", "mi", "maxinfo", "approx-maxinfo", "dp")),
+        options=(
+            _Option("channel", help="channel JSON path (ml, cml, dp)"),
+            _Option("joint", help="joint-distribution JSON path (mi, maxinfo, approx-maxinfo)"),
+            _Option("support", help="ml: comma-separated input labels; cml: JSON path of [x, z] pairs"),
+            _Option("pairs", help="cml: JSON path with one [x, z] pair per channel input"),
+            _Option("beta", type=float, help="budget in (0, 1) for approx-maxinfo"),
+            _Option("product-base", help="dp: comma-separated base labels of the input product"),
+            _Option("copies", type=int, help="dp: number of coordinates in the input product"),
+        ),
+    ),
+    "compose": _Command(
+        "extend a leakage ledger and print its total", _cmd_compose,
+        options=(
+            _Option("ledger", help="existing ledger JSON path; omitted means empty"),
+            _Option("dp", kind="append", metavar="EPS,N", help="add an eps-DP step over n records"),
+            _Option("cardinality", kind="append", type=int, metavar="K",
+                    help="add a log(K) output-size step"),
+            _Option("maxinfo", kind="append", type=float, metavar="NATS",
+                    help="add a max-information certificate"),
+            _Option("channel", kind="append", metavar="PATH",
+                    help="add the exact leakage of a channel JSON"),
+            _Option("declared", kind="append", type=float, metavar="NATS",
+                    help="add an externally justified bound"),
+        ),
+    ),
+    "bound": _Command(
+        "evaluate one closed-form bound", _cmd_bound,
+        options=(
+            _Option("theorem", required=True, choices=(
+                "adapt", "generr", "generr-c", "hyptest", "dwork", "mi", "sample-complexity")),
+            _Option("leakage", type=float, help="leakage budget in nats"),
+            _Option("max-fiber-prob", type=float, help="adapt: worst per-output event mass"),
+            _Option("n", type=int, help="sample size"),
+            _Option("eta", type=float, help="accuracy in (0, 1)"),
+            _Option("sensitivity", type=float, help="generr-c: per-coordinate sensitivity"),
+            _Option("sigma", type=float, help="hyptest: per-test significance level"),
+            _Option("delta", type=float, help="hyptest: target level; sample-complexity: confidence"),
+            _Option("beta", type=float, help="dwork: event-probability parameter"),
+            _Option("epsilon", type=float, help="dwork: DP parameter"),
+            _Option("mutual-info", type=float, help="mi: mutual information in nats"),
+            _Option("value", type=float, help="sample-complexity: leakage or MI in nats"),
+            _Option("mode", choices=("leakage", "mutual-info"), default="leakage"),
+        ),
+    ),
+    "verify": _Command(
+        "run randomized property sweeps", _cmd_verify,
+        positional=_Option("suite", choices=(*_SUITE_NAMES, "all")),
+        options=(_Option("instances", type=int, default=1000), _WORKERS),
+    ),
+    "simulate": _Command(
+        "run a Monte Carlo experiment from a config file", _cmd_simulate,
+        positional=_Option("kind", choices=("generr", "hyptest")),
+        options=(
+            _Option("config", required=True, help="experiment config JSON path"),
+            _Option("trace", help="write per-trial CSV here"),
+            _WORKERS,
+            _Option("exact", kind="flag", default=False,
+                    help="generr: fail instead of falling back to the ledger bound"),
+        ),
+    ),
+}
+
+
+def _arguments(command: _Command) -> tuple[_Option, ...]:
+    """The command's arguments in argparse's order: shared, positional, own."""
+    return (*_SHARED, *filter(None, [command.positional]), *command.options)
+
+
+# per command: "--name" -> option, argparse's defaults in its namespace order,
+# and the dests that must be given
+_FLAGS = {
+    name: {f"--{option.name}": option for option in (*_SHARED, *command.options)}
+    for name, command in _COMMANDS.items()
+}
+_DEFAULTS = {
+    name: {"command": name, **{option.dest: option.default for option in _arguments(command)},
+           "handler": command.handler}
+    for name, command in _COMMANDS.items()
+}
+_REQUIRED = {
+    name: tuple(option.dest for option in _arguments(command)
+                if option.required or option is command.positional)
+    for name, command in _COMMANDS.items()
+}
+
+# argparse reads a token that starts with "-" as a value only when it looks
+# like a negative number; every supported Python's pattern accepts these
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _read_argv(argv) -> types.SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives for a well-formed ``argv``, or None.
+
+    It takes argv only when every token after the command is an exact long
+    option of that command (``--name value`` or ``--name=value``) or its one
+    positional. A value in the first form must not start with "-" unless it
+    is a negative number; every value must convert and lie within its
+    choices, and every required argument must be present. None leaves the
+    rest to argparse: help, abbreviations, ``--``, unknown flags, missing
+    or bad values.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    flags, positional = _FLAGS[command], _COMMANDS[command].positional
+    values = dict(_DEFAULTS[command])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:2] == "--":
+            flag, equals, text = token.partition("=")
+            option = flags.get(flag)
+            if option is None:
+                return None
+            if option.kind == "flag":
+                if equals:
+                    return None
+                values[option.dest] = True
+                continue
+            if not equals:
+                text = next(tokens, None)
+                if text is None or text[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(text):
+                    return None
+        elif positional is None or values[positional.dest] is not None:
+            return None
+        else:
+            # no choice starts with "-", so "-h" or "-1" fails the choices check
+            option, text = positional, token
+        try:
+            value = text if option.type is None else option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.kind == "append":
+            value = [*(values[option.dest] or ()), value]
+        values[option.dest] = value
+    if any(values[dest] is None for dest in _REQUIRED[command]):
+        return None
+    return types.SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
-    common.add_argument("--bits", action="store_true", help="also display leakage totals in bits")
-    common.add_argument("--output", default=None, help="also write the JSON report to this path")
+    """The argparse parser of ``_COMMANDS``, for --help and the argv ``_read_argv`` leaves."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="leakage-lab",
         description="Information-leakage measures, composition ledgers, and bound checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    measure = sub.add_parser("measure", parents=[common], help="compute one measure from JSON inputs")
-    measure.add_argument("kind", choices=["ml", "cml", "mi", "maxinfo", "approx-maxinfo", "dp"])
-    measure.add_argument("--channel", help="channel JSON path (ml, cml, dp)")
-    measure.add_argument("--joint", help="joint-distribution JSON path (mi, maxinfo, approx-maxinfo)")
-    measure.add_argument("--support", help="ml: comma-separated input labels; cml: JSON path of [x, z] pairs")
-    measure.add_argument("--pairs", help="cml: JSON path with one [x, z] pair per channel input")
-    measure.add_argument("--beta", type=float, help="budget in (0, 1) for approx-maxinfo")
-    measure.add_argument("--product-base", help="dp: comma-separated base labels of the input product")
-    measure.add_argument("--copies", type=int, help="dp: number of coordinates in the input product")
-    measure.set_defaults(handler=_cmd_measure)
-
-    compose = sub.add_parser("compose", parents=[common], help="extend a leakage ledger and print its total")
-    compose.add_argument("--ledger", help="existing ledger JSON path; omitted means empty")
-    compose.add_argument("--dp", action="append", metavar="EPS,N", help="add an eps-DP step over n records")
-    compose.add_argument("--cardinality", action="append", type=int, metavar="K", help="add a log(K) output-size step")
-    compose.add_argument("--maxinfo", action="append", type=float, metavar="NATS", help="add a max-information certificate")
-    compose.add_argument("--channel", action="append", metavar="PATH", help="add the exact leakage of a channel JSON")
-    compose.add_argument("--declared", action="append", type=float, metavar="NATS", help="add an externally justified bound")
-    compose.set_defaults(handler=_cmd_compose)
-
-    bound = sub.add_parser("bound", parents=[common], help="evaluate one closed-form bound")
-    bound.add_argument(
-        "--theorem",
-        required=True,
-        choices=["adapt", "generr", "generr-c", "hyptest", "dwork", "mi", "sample-complexity"],
-    )
-    bound.add_argument("--leakage", type=float, help="leakage budget in nats")
-    bound.add_argument("--max-fiber-prob", type=float, help="adapt: worst per-output event mass")
-    bound.add_argument("--n", type=int, help="sample size")
-    bound.add_argument("--eta", type=float, help="accuracy in (0, 1)")
-    bound.add_argument("--sensitivity", type=float, help="generr-c: per-coordinate sensitivity")
-    bound.add_argument("--sigma", type=float, help="hyptest: per-test significance level")
-    bound.add_argument("--delta", type=float, help="hyptest: target level; sample-complexity: confidence")
-    bound.add_argument("--beta", type=float, help="dwork: event-probability parameter")
-    bound.add_argument("--epsilon", type=float, help="dwork: DP parameter")
-    bound.add_argument("--mutual-info", type=float, help="mi: mutual information in nats")
-    bound.add_argument("--value", type=float, help="sample-complexity: leakage or MI in nats")
-    bound.add_argument("--mode", choices=["leakage", "mutual-info"], default="leakage")
-    bound.set_defaults(handler=_cmd_bound)
-
-    verify = sub.add_parser("verify", parents=[common], help="run randomized property sweeps")
-    verify.add_argument("suite", choices=[*_SUITE_NAMES, "all"])
-    verify.add_argument("--instances", type=int, default=1000)
-    verify.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    verify.set_defaults(handler=_cmd_verify)
-
-    simulate = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo experiment from a config file")
-    simulate.add_argument("kind", choices=["generr", "hyptest"])
-    simulate.add_argument("--config", required=True, help="experiment config JSON path")
-    simulate.add_argument("--trace", default=None, help="write per-trial CSV here")
-    simulate.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    simulate.add_argument("--exact", action="store_true", help="generr: fail instead of falling back to the ledger bound")
-    simulate.set_defaults(handler=_cmd_simulate)
-
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for option in _arguments(command):
+            if option is command.positional:
+                subparser.add_argument(option.name, choices=option.choices)
+            elif option.kind == "flag":
+                subparser.add_argument(f"--{option.name}", action="store_true",
+                                       default=option.default, help=option.help)
+            else:
+                subparser.add_argument(
+                    f"--{option.name}", action="append" if option.kind == "append" else "store",
+                    type=option.type, choices=option.choices, default=option.default,
+                    required=option.required, help=option.help, metavar=option.metavar,
+                )
+        subparser.set_defaults(handler=command.handler)
     return parser
 
 
@@ -349,10 +496,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
 
     for name, value in vars(args).items():
         values = value if isinstance(value, list) else [value]

@@ -33,16 +33,21 @@ def load_path(path: str) -> Any:
     The cyclic collector is paused while the text is parsed: a document
     is a tree, so the collector has nothing to free there, yet each of its
     passes would walk the lists the parser has built so far. It is
-    re-enabled afterwards only if it was enabled before. A document nested
-    deeper than the parser's recursion limit is refused with an error that
-    names the path.
+    re-enabled afterwards only if it was enabled before. Text that is not
+    UTF-8 or not JSON, and a document nested deeper than the parser's
+    recursion limit, are refused with an error that names the path.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise LeakageLabError(f"{path} is not valid JSON: {err}") from None
     enabled = gc.isenabled()
     gc.disable()
     try:
         return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise LeakageLabError(f"{path} is not valid JSON: {err}") from None
     except RecursionError:
         raise LeakageLabError(f"{path} is nested too deeply to parse") from None
     finally:

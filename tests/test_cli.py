@@ -1142,6 +1142,103 @@ class TestSimulate:
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "80")
         assert run_cli(capsys, "simulate", "hyptest", "--config", hyptest_config)[0] == 0
 
+def _sample(option):
+    """A valid value of ``option``, as an argv token."""
+    if option.choices is not None:
+        return option.choices[-1]
+    return {int: "5", float: "0.25", None: "in.json"}[option.type]
+
+
+def _well_formed_argv(name):
+    """Argv that name every option of command ``name`` in both forms, repeated and not."""
+    command = cli._COMMANDS[name]
+    base = [name]
+    for option in command.options:
+        if option.required:
+            base += [f"--{option.name}", _sample(option)]
+    grid = [base]
+    if command.positional is not None:
+        # the positional first and last
+        grid = [base[:1] + [command.positional.choices[0]] + base[1:],
+                base + [command.positional.choices[-1]]]
+        base = grid[0]
+    for option in (*cli._SHARED, *command.options):
+        flag = f"--{option.name}"
+        if option.kind == "flag":
+            grid += [base + [flag], base + [flag, flag]]
+            continue
+        value = _sample(option)
+        grid += [base + [flag, value], base + [f"{flag}={value}"],
+                 base + [flag, value, f"{flag}={option.choices[0] if option.choices else value}"]]
+        if option.type is not None:
+            grid += [base + [flag, "-1"], base + [flag, "1_0"], base + [f"{flag}=-1"]]
+        if option.type is float:
+            grid += [base + [flag, number] for number in ("-.5", "-2.5", "1e400", "nan")]
+            grid += [base + [f"{flag}=-1e-3"], base + [f"{flag}=-inf"]]
+        if option.type is None and option.choices is None:
+            grid += [base + [flag, ""], base + [f"{flag}="], base + [f"{flag}=-x"],
+                     base + [f"{flag}=a=b"]]
+    return grid
+
+
+def _other_argv(name):
+    """Argv of command ``name`` that argparse refuses, helps with, or reads alone."""
+    command = cli._COMMANDS[name]
+    base = _well_formed_argv(name)[0]
+    grid = [[name], base + ["-h"], base + ["--help"], base + ["--"], base + ["--nonsense"],
+            base + ["--nonsense=1"], base + ["stray"], base + ["-"], base + ["-x y"],
+            [name, "--", *base[1:]], base[:1] + ["--bits=1"] + base[1:]]
+    if command.positional is not None:
+        grid += [[name, *base[2:]], [name, "bogus", *base[2:]], base + [base[1]],
+                 [name, "-1", *base[2:]]]
+    for option in (*cli._SHARED, *command.options):
+        flag = f"--{option.name}"
+        if option.required:
+            without = base.index(flag)
+            grid.append(base[:without] + base[without + 2:])
+        if len(option.name) > 2:
+            grid.append(base + [flag[:-1], _sample(option)])
+        if option.kind == "flag":
+            continue
+        grid += [base + [flag], base + [flag, "--bits"], base + [flag, "-x"], [name, flag, *base[1:]]]
+        if option.type is not None:
+            grid += [base + [flag, bad] for bad in ("x", "nan", "1.5", "-1e-3", "- 1", "-1x")]
+            grid += [base + [flag, "-.5"], base + [flag, "1e400"], base + [f"{flag}=-1e-3"]]
+            grid += [base + [f"{flag}=x"], base + [f"{flag}="]]
+        if option.choices is not None:
+            grid += [base + [flag, "bogus"], base + [f"{flag}=bogus"]]
+    return grid
+
+
+TOP_LEVEL_ARGV = [[], ["-h"], ["--help"], ["frobnicate"], ["--seed", "3", "bound"], ["--"],
+                  ["bound", "--theorem", "adapt", "--max-fiber-prob", "0.5", "--leakage", "-1"],
+                  ["bound", "--theorem", "adapt", "--max-fiber-prob", "0.5", "--leakage", "-1e-3"],
+                  ["compose", "--dp=-0.5,10"], ["compose", "--dp", "-0.5,10"],
+                  ["verify", "all", "--inst", "5"]]
+
+
+@pytest.mark.parametrize("name", [*cli._COMMANDS, None], ids=[*cli._COMMANDS, "top-level"])
+def test_direct_reader_agrees_with_argparse(capsys, name):
+    # argparse, the interpreter's own, is the oracle: the direct reader takes
+    # every well-formed argv and reads it as argparse does, and it never
+    # takes an argv that argparse refuses or answers with help
+    parser = cli.build_parser()
+    for argv in _well_formed_argv(name) if name else []:
+        direct = cli._read_argv(argv)
+        assert direct is not None, argv
+        assert repr(vars(direct)) == repr(vars(parser.parse_args(argv))), argv
+    for argv in _other_argv(name) if name else TOP_LEVEL_ARGV:
+        direct = cli._read_argv(argv)
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit as exc:
+            refusal = (exc.code, *capsys.readouterr())
+            assert direct is None, argv
+            assert (main(argv), *capsys.readouterr()) == refusal, argv
+        else:
+            assert direct is None or repr(vars(direct)) == repr(vars(expected)), argv
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1170,24 +1267,29 @@ class TestParser:
         ]
 
         def run_all():
-            outcomes = []
+            outcomes, built = [], []
             for argv in runs:
                 code = main(argv)
                 captured = capsys.readouterr()
                 outcomes.append((code, captured.out, captured.err))
-            return outcomes
+                built.append(len(builds))
+            return outcomes, built
 
         builds = []
-        built = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or built())
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
         cli._parser.cache_clear()
-        reused = run_all()
-        assert len(builds) == 1
-        assert report.read_text(encoding="utf-8") == reused[2][1]
-        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0, 2]
+        direct, built = run_all()
+        # well-formed argv never build the parser; the refusal builds it once
+        assert built == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert report.read_text(encoding="utf-8") == direct[2][1]
+        assert [code for code, _, _ in direct] == [0, 0, 0, 2, 0, 0, 0, 2]
+        # argparse alone, with a fresh parser per run, reads every run the same
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        assert run_all() == reused
-        assert len(builds) == 1 + len(runs)
+        fresh, built = run_all()
+        assert fresh == direct
+        assert built == list(range(2, 2 + len(runs)))
 
     def test_ledger_file_with_nan_bound_names_the_entry(self, capsys, tmp_path):
         path = tmp_path / "ledger.json"
@@ -1358,21 +1460,24 @@ def test_closed_form_commands_load_no_numpy():
           "--delta", "0.05"], 0),
         (["compose", "--dp", "0.1,10", "--cardinality", "4", "--maxinfo", "0.3",
           "--declared", "0.25", "--bits"], 0),
-        (["--help"], 0),
         (["bound", "--theorem", "generr", "--n", "10"], 2),
         (["compose", "--dp", "0.1"], 2),
         (["verify", "all", "--instances", "10"], 2),
         (["bound", "--theorem", "generr", "--n", "1", "--eta", "0.5", "--leakage", "1000"], 3),
+        (["--help"], 0),
     ]
+    # argparse loads only for --help, the one argv here that the direct reader leaves
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import leakage_lab\n"
         "assert 'numpy' not in sys.modules, 'import leakage_lab'\n"
         "import leakage_lab.cli\n"
         "assert 'numpy' not in sys.modules, 'import leakage_lab.cli'\n"
+        "assert 'argparse' not in sys.modules, 'import leakage_lab.cli'\n"
         f"for argv, code in {commands!r}:\n"
         "    assert leakage_lab.cli.main(argv) == code, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert ('argparse' in sys.modules) == (argv == ['--help']), argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -1445,6 +1550,22 @@ def test_deeply_nested_json_exits_2(tmp_path, command):
     channel = write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
     argv = [channel if arg == "BEC" else arg for arg in command] + [str(deep)]
     assert run_bounded(argv) == (2, "", [f"error: {deep} is nested too deeply to parse"])
+
+
+@pytest.mark.parametrize(
+    "command, content, reason",
+    [(["simulate", "generr", "--config"], b"", "Expecting value: line 1 column 1 (char 0)"),
+     (["compose", "--ledger"], b'{"entries": [],}',
+      "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
+     (["measure", "ml", "--channel"], b"\xff{}",
+      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")],
+    ids=["empty-config", "trailing-comma-ledger", "non-utf8-channel"],
+)
+def test_json_syntax_errors_name_the_file(capsys, tmp_path, command, content, reason):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert run_cli(capsys, *command, str(path)) == (
+        2, None, f"error: {path} is not valid JSON: {reason}\n")
 
 
 def test_package_names_each_export_once_and_resolves_it_from_its_module():

@@ -434,14 +434,14 @@ class TestSerialization:
         assert gc.isenabled()
         assert jsonio.load_path(str(good)) == {"a": [[0.5, 1]]}
         assert gc.isenabled()
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(LeakageLabError, match="is not valid JSON"):
             jsonio.load_path(str(bad))
         assert gc.isenabled()
         gc.disable()
         try:
             assert jsonio.load_path(str(good)) == {"a": [[0.5, 1]]}
             assert not gc.isenabled()
-            with pytest.raises(json.JSONDecodeError):
+            with pytest.raises(LeakageLabError, match="is not valid JSON"):
                 jsonio.load_path(str(bad))
             assert not gc.isenabled()
         finally:
