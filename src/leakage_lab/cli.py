@@ -79,11 +79,17 @@ def _load_object(path: str) -> dict:
     return jsonio._read_object(jsonio.load_path(path), path)
 
 
+def _is_pair(entry: Any) -> bool:
+    """Whether ``entry`` is a JSON array of two members, neither an array nor an object."""
+    return (isinstance(entry, list) and len(entry) == 2
+            and not any(isinstance(member, (list, dict)) for member in entry))
+
+
 def _load_pairs(path: str) -> list[tuple]:
     """The [x, z] pairs that the JSON file at ``path`` lists."""
     entries = jsonio.load_path(path)
-    pairs = isinstance(entries, list) and all(isinstance(e, list) and len(e) == 2 for e in entries)
-    _require(pairs, f"{path} must hold a list of [x, z] pairs")
+    _require(isinstance(entries, list) and all(map(_is_pair, entries)),
+             f"{path} must hold a list of [x, z] pairs")
     return [tuple(pair) for pair in entries]
 
 
@@ -386,7 +392,7 @@ def _arguments(command: _Command) -> tuple[_Option, ...]:
 
 
 # per command: "--name" -> option, argparse's defaults in its namespace order,
-# and the dests that must be given
+# the dests that must be given, and the float-typed options, which must be finite
 _FLAGS = {
     name: {f"--{option.name}": option for option in (*_SHARED, *command.options)}
     for name, command in _COMMANDS.items()
@@ -399,6 +405,11 @@ _DEFAULTS = {
 _REQUIRED = {
     name: tuple(option.dest for option in _arguments(command)
                 if option.required or option is command.positional)
+    for name, command in _COMMANDS.items()
+}
+
+_FLOATS = {
+    name: tuple(option for option in _arguments(command) if option.type is float)
     for name, command in _COMMANDS.items()
 }
 
@@ -505,10 +516,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
 
-    for name, value in vars(args).items():
-        values = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            print(f"error: --{name.replace('_', '-')} must be finite", file=sys.stderr)
+    # in namespace order, so the first non-finite value is the one named
+    for option in _FLOATS[args.command]:
+        value = getattr(args, option.dest)
+        values = value if option.kind == "append" else (value,)
+        if value is not None and not all(map(math.isfinite, values)):
+            print(f"error: --{option.name} must be finite", file=sys.stderr)
             return EXIT_VALIDATION
 
     try:

@@ -303,8 +303,9 @@ def _approx_max_div_scan(pv: np.ndarray, qv: np.ndarray, deltas) -> np.ndarray:
     """
     _check_budgets(deltas)
     order = _ratio_order(pv, qv)
-    mass = np.take_along_axis(pv, order, axis=1).cumsum(axis=1)
-    denom = np.take_along_axis(qv, order, axis=1).cumsum(axis=1)
+    rows = np.arange(len(order))[:, None]
+    mass = pv[rows, order].cumsum(axis=1)
+    denom = qv[rows, order].cumsum(axis=1)
     return _best_ratio_logs(_best_ratios(mass, denom, deltas), deltas)
 
 

@@ -81,6 +81,8 @@ EQUIVALENT = {
     "measures _approx_max_div_enumerated Sub->Add #1": "changes only the block size, which groups rows",
     "measures _joint_product_vectors int+1 #3": "numpy reads reshape(..., -2) as reshape(..., -1)",
     "measures _joint_product_vectors int+1 #4": "numpy reads reshape(..., -2) as reshape(..., -1)",
+    "jsonio encode_extended Gt->GtE #1": "only an infinite x reaches the test, and it is never 0",
+    "jsonio encode_extended int+1 #1": "only an infinite x reaches the test: +inf > 1 and -inf < 1",
 }
 
 

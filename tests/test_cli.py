@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,8 +421,12 @@ class TestMeasure:
             ("--pairs", ["a0", "b0", "a1", "b1"]),
             ("--pairs", [["x0", "z0", "w"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
             ("--pairs", {"x0": "z0"}),
+            ("--pairs", [[["x0"], "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
+            ("--pairs", [["x0", {"z": 0}], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
             ("--support", ["x0z0"]),
             ("--support", [["x0", "z0"], ["x1"]]),
+            ("--support", [[["a"], "z"]]),
+            ("--support", [[{"x": "a"}, "z"]]),
         ],
     )
     def test_cml_entries_must_be_pairs(self, capsys, tmp_path, flag, entries):
@@ -1239,6 +1244,42 @@ def test_direct_reader_agrees_with_argparse(capsys, name):
             assert direct is None or repr(vars(direct)) == repr(vars(expected)), argv
 
 
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    argv = ["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"]
+    expected = (main(argv), capsys.readouterr())
+    monkeypatch.setattr(sys, "argv", ["leakage-lab", *argv])
+    assert (main(), capsys.readouterr()) == expected
+
+
+FLOAT_OPTIONS = [(name, option) for name, command in cli._COMMANDS.items()
+                 for option in command.options if option.type is float]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name, option", FLOAT_OPTIONS,
+                         ids=[f"{name}-{option.name}" for name, option in FLOAT_OPTIONS])
+def test_non_finite_float_flag_is_one_error_line_naming_it(capsys, name, option, text):
+    # the exact flag goes through the direct reader, an abbreviation through argparse
+    base = _well_formed_argv(name)[0]
+    flag = f"--{option.name}"
+    direct = [[*base, f"{flag}={text}"]]
+    if option.kind == "append":
+        direct.append([*base, f"{flag}=0.5", f"{flag}={text}"])
+    for argv in direct:
+        abbreviated = [token.replace(f"{flag}=", f"{flag[:-1]}=") for token in argv]
+        assert cli._read_argv(argv) is not None and cli._read_argv(abbreviated) is None, argv
+        for run in (argv, abbreviated):
+            assert main(run) == 2, run
+            assert capsys.readouterr() == ("", f"error: {flag} must be finite\n"), run
+
+
+def test_first_non_finite_flag_in_table_order_is_named(capsys):
+    # --leakage precedes --eta in the command table, and so in argparse's namespace
+    argv = ["bound", "--theorem", "generr", "--n", "5", "--eta", "nan", "--leakage", "inf"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --leakage must be finite\n")
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1552,20 +1593,55 @@ def test_deeply_nested_json_exits_2(tmp_path, command):
     assert run_bounded(argv) == (2, "", [f"error: {deep} is nested too deeply to parse"])
 
 
+LEDGER = ["compose", "--ledger"]
+
+
+# the reports of a text-mode read, which turned "\r\n" and a lone "\r" into
+# "\n" before the parser counted lines and chars
 @pytest.mark.parametrize(
     "command, content, reason",
     [(["simulate", "generr", "--config"], b"", "Expecting value: line 1 column 1 (char 0)"),
-     (["compose", "--ledger"], b'{"entries": [],}',
+     (LEDGER, b'{"entries": [],}',
       "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
      (["measure", "ml", "--channel"], b"\xff{}",
-      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")],
-    ids=["empty-config", "trailing-comma-ledger", "non-utf8-channel"],
+      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+     (LEDGER, b'{\r\n "entries":\r\n [1,]}\r\n', "Expecting value: line 3 column 5 (char 18)"),
+     (LEDGER, b'{\r"entries": [],\r}',
+      "Expecting property name enclosed in double quotes: line 3 column 1 (char 17)"),
+     (LEDGER, b'{"entries": [], "x": "a\rb"}',
+      "Invalid control character at: line 1 column 24 (char 23)"),
+     (LEDGER, b'\xef\xbb\xbf{"entries": []}',
+      "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+     (LEDGER, '{"entries": []}'.encode("utf-16"),
+      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+     (LEDGER, b'{"entries": [], "x": "ab\xc3\x28"}',
+      "'utf-8' codec can't decode byte 0xc3 in position 24: invalid continuation byte"),
+     (LEDGER, b'{"entries": []}\xe2\x82',
+      "'utf-8' codec can't decode bytes in position 15-16: unexpected end of data")],
+    ids=["empty-config", "trailing-comma-ledger", "non-utf8-channel", "crlf", "lone-cr",
+         "cr-in-string", "utf8-bom", "utf16-bom", "bad-utf8-in-the-middle", "truncated-utf8"],
 )
 def test_json_syntax_errors_name_the_file(capsys, tmp_path, command, content, reason):
     path = tmp_path / "input.json"
     path.write_bytes(content)
-    assert run_cli(capsys, *command, str(path)) == (
-        2, None, f"error: {path} is not valid JSON: {reason}\n")
+    # a warning would reach a command line's stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *command, str(path)) == (
+            2, None, f"error: {path} is not valid JSON: {reason}\n")
+
+
+@pytest.mark.parametrize("content", [b'{\r\n  "entries": []\r\n}\r\n', b'{\r"entries": []\r}\r'],
+                         ids=["crlf", "lone-cr"])
+def test_carriage_returns_between_tokens_parse(capsys, tmp_path, content):
+    path = tmp_path / "ledger.json"
+    path.write_bytes(content)
+    assert run_cli(capsys, *LEDGER, str(path)) == (0, {"entries": [], "total_nats": 0.0}, "")
+
+
+def test_directory_path_is_one_error_line(capsys, tmp_path):
+    assert run_cli(capsys, *LEDGER, str(tmp_path)) == (
+        2, None, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_package_names_each_export_once_and_resolves_it_from_its_module():
