@@ -5,9 +5,10 @@ row-stochastic matrices, all measures are computed in closed form (no
 estimation), and every probabilistic claim ships with a Monte Carlo
 experiment or a brute-force oracle that checks it.
 
-Each export below is listed once, under the module that defines it, and
-that module is imported on the first access to one of its names (PEP 562),
-so ``import leakage_lab`` loads no numpy and the closed-form bounds never do.
+Each export below is listed once, under the module that defines it, whose
+``__all__`` is that entry. The module is imported on the first access to
+one of its names (PEP 562), so ``import leakage_lab`` loads no numpy and
+the closed-form bounds never do.
 """
 
 from importlib import import_module
@@ -22,8 +23,8 @@ _EXPORTS = {
         "gen_error_bound_sensitivity", "mcdiarmid_tail", "mi_gen_bound", "sample_complexity",
     ),
     "core": (
-        "Alphabet", "Channel", "DEFAULT_ENUMERATION_CAP", "DiscreteDistribution", "EventMask",
-        "JointDistribution", "NORMALIZATION_TOL", "ProductAlphabet", "compose_channels",
+        "Alphabet", "Channel", "DiscreteDistribution", "EventMask", "JointDistribution",
+        "NORMALIZATION_TOL", "ProductAlphabet", "adaptive_channel", "compose_channels",
         "enumeration_cap", "fiber_max_prob", "iid_prior", "joint_from",
     ),
     "errors": (
@@ -46,7 +47,7 @@ _EXPORTS = {
         "generalization_event", "learner_channel", "run_gen_error_experiment",
         "run_hyptest_experiment",
     ),
-    "verify": ("run_suites", "sweep_composition", "sweep_maxinfo", "sweep_soundness"),
+    "verify": ("run_suites",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
+from . import _EXPORTS
 from .errors import (
     AlphabetMismatch,
     DenominatorNonPositive,
@@ -41,22 +42,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .core import EventMask, JointDistribution
 
-__all__ = [
-    "BoundReport",
-    "P_VALUE_NOTE",
-    "adaptive_event_bound",
-    "exact_event_probability",
-    "mcdiarmid_tail",
-    "gen_error_bound",
-    "gen_error_bound_sensitivity",
-    "dp_sensitivity_reference_bound",
-    "compare_sensitivity_bounds",
-    "adjusted_significance",
-    "fdr_bound",
-    "dwork_dp_bound",
-    "mi_gen_bound",
-    "sample_complexity",
-]
+__all__ = _EXPORTS["bounds"]
 
 
 @dataclass(frozen=True)

@@ -297,10 +297,6 @@ class _Option(NamedTuple):
     help: str | None = None
     metavar: str | None = None
 
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
 
 class _Command(NamedTuple):
     help: str
@@ -391,6 +387,12 @@ def _arguments(command: _Command) -> tuple[_Option, ...]:
     return (*_SHARED, *filter(None, [command.positional]), *command.options)
 
 
+# each argument's namespace attribute, as argparse derives it from the name
+_DEST = {
+    option.name: option.name.replace("-", "_")
+    for command in _COMMANDS.values() for option in _arguments(command)
+}
+
 # per command: "--name" -> option, argparse's defaults in its namespace order,
 # the dests that must be given, and the float-typed options, which must be finite
 _FLAGS = {
@@ -398,12 +400,13 @@ _FLAGS = {
     for name, command in _COMMANDS.items()
 }
 _DEFAULTS = {
-    name: {"command": name, **{option.dest: option.default for option in _arguments(command)},
+    name: {"command": name,
+           **{_DEST[option.name]: option.default for option in _arguments(command)},
            "handler": command.handler}
     for name, command in _COMMANDS.items()
 }
 _REQUIRED = {
-    name: tuple(option.dest for option in _arguments(command)
+    name: tuple(_DEST[option.name] for option in _arguments(command)
                 if option.required or option is command.positional)
     for name, command in _COMMANDS.items()
 }
@@ -444,13 +447,13 @@ def _read_argv(argv) -> types.SimpleNamespace | None:
             if option.kind == "flag":
                 if equals:
                     return None
-                values[option.dest] = True
+                values[_DEST[option.name]] = True
                 continue
             if not equals:
                 text = next(tokens, None)
                 if text is None or text[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(text):
                     return None
-        elif positional is None or values[positional.dest] is not None:
+        elif positional is None or values[_DEST[positional.name]] is not None:
             return None
         else:
             # no choice starts with "-", so "-h" or "-1" fails the choices check
@@ -461,9 +464,10 @@ def _read_argv(argv) -> types.SimpleNamespace | None:
             return None
         if option.choices is not None and value not in option.choices:
             return None
+        dest = _DEST[option.name]
         if option.kind == "append":
-            value = [*(values[option.dest] or ()), value]
-        values[option.dest] = value
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
     if any(values[dest] is None for dest in _REQUIRED[command]):
         return None
     return types.SimpleNamespace(**values)
@@ -518,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # in namespace order, so the first non-finite value is the one named
     for option in _FLOATS[args.command]:
-        value = getattr(args, option.dest)
+        value = getattr(args, _DEST[option.name])
         values = value if option.kind == "append" else (value,)
         if value is not None and not all(map(math.isfinite, values)):
             print(f"error: --{option.name} must be finite", file=sys.stderr)

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -32,25 +33,10 @@ from .errors import (
 )
 from .jsonio import _read_array
 
-__all__ = [
-    "NORMALIZATION_TOL",
-    "DEFAULT_ENUMERATION_CAP",
-    "enumeration_cap",
-    "Alphabet",
-    "ProductAlphabet",
-    "DiscreteDistribution",
-    "Channel",
-    "JointDistribution",
-    "EventMask",
-    "joint_from",
-    "compose_channels",
-    "adaptive_channel",
-    "iid_prior",
-    "fiber_max_prob",
-]
+__all__ = _EXPORTS["core"]
 
 NORMALIZATION_TOL = 1e-9
-DEFAULT_ENUMERATION_CAP = 10**6
+_DEFAULT_CAP = 10**6
 _CAP_ENV = "LEAKAGE_LAB_CAP"
 
 
@@ -58,7 +44,7 @@ def enumeration_cap() -> int:
     """Current cap on exhaustively enumerated state spaces."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
-        return DEFAULT_ENUMERATION_CAP
+        return _DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError as exc:

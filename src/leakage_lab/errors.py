@@ -19,21 +19,9 @@ import math
 import numbers
 import sys
 
-__all__ = [
-    "LeakageLabError",
-    "AlphabetMismatch",
-    "NegativeMass",
-    "NotNormalized",
-    "EmptySupport",
-    "CapExceeded",
-    "InputNotProduct",
-    "Infeasible",
-    "NoFeasibleSet",
-    "BetaOutOfRange",
-    "NegativeEpsilon",
-    "NonPositiveSensitivity",
-    "DenominatorNonPositive",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class LeakageLabError(ValueError):

@@ -21,21 +21,14 @@ import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from . import _EXPORTS
 from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _count, _within
 from .jsonio import _read_array, _read_int, _read_number, _read_object
 
 if TYPE_CHECKING:
     from .core import Channel
 
-__all__ = [
-    "LedgerEntry",
-    "LeakageLedger",
-    "dp_to_leakage",
-    "cardinality_bound",
-    "compose",
-    "leakage_to_approx_maxinfo",
-    "maxinfo_to_leakage",
-]
+__all__ = _EXPORTS["ledger"]
 
 _KINDS = ("computed-channel", "dp-derived", "cardinality", "max-info-derived", "declared")
 

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import Channel, DiscreteDistribution, JointDistribution, ProductAlphabet
 from .errors import (
     AlphabetMismatch,
@@ -39,19 +40,7 @@ from .errors import (
     _within,
 )
 
-__all__ = [
-    "LeakageValue",
-    "maximal_leakage",
-    "maximal_leakage_of_joint",
-    "conditional_maximal_leakage",
-    "mutual_information",
-    "renyi_inf_divergence",
-    "approx_max_divergence",
-    "max_information",
-    "approx_max_information",
-    "approx_max_information_by_enumeration",
-    "empirical_dp",
-]
+__all__ = _EXPORTS["measures"]
 
 # Channels are only validated to NORMALIZATION_TOL, so a mathematically
 # zero leakage can surface as a log of a sum slightly below one.

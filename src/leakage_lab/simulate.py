@@ -43,6 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import _EXPORTS
 from ._clopper_pearson import _clopper_pearson_lower
 from ._stream import (
     _check_seed,
@@ -70,23 +71,7 @@ from .jsonio import _read_array, _read_int, _read_number, _read_object
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _maxima_leakage
 
-__all__ = [
-    "LearnerSpec",
-    "GenErrConfig",
-    "HypTestConfig",
-    "ExperimentReport",
-    "SignificanceCheck",
-    "HypTestReport",
-    "derive_trial_seed",
-    "map_chunked",
-    "data_alphabet",
-    "learner_channel",
-    "generalization_event",
-    "statistic_windows",
-    "binomial_tail_table",
-    "run_gen_error_experiment",
-    "run_hyptest_experiment",
-]
+__all__ = _EXPORTS["simulate"]
 
 ERM = "ERM"
 EXPONENTIAL_MECHANISM = "exponential-mechanism"

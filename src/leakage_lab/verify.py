@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from ._stream import _check_seed, _Draws, _trial_seeds, _uniform_block, map_chunked
 from .core import (
     Alphabet,
@@ -45,7 +46,6 @@ from .core import (
     _check_channel_rows,
     _event_mass,
     _fiber_max,
-    adaptive_channel,
 )
 from .errors import _count
 from .measures import (
@@ -57,18 +57,7 @@ from .measures import (
     _section_leakage,
 )
 
-__all__ = [
-    "SOUNDNESS_TOL",
-    "COMPOSITION_TOL",
-    "MAXINFO_TOL",
-    "ENUMERATION_TOL",
-    "adaptive_channel",
-    "sweep_soundness",
-    "sweep_composition",
-    "sweep_maxinfo",
-    "run_suites",
-    "SUITES",
-]
+__all__ = _EXPORTS["verify"]
 
 SOUNDNESS_TOL = 1e-10
 COMPOSITION_TOL = 1e-10

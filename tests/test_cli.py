@@ -337,6 +337,57 @@ def joint_path(tmp_path):
     return write_json(tmp_path / "joint.json", bernoulli_identity_joint(0.2).to_json())
 
 
+# per command: the argv before a kind's or theorem's flags, and those flags
+# with a value each, in the order the handler checks them; no path is read
+MISSING_FLAG_CASES = {
+    "measure": [
+        (["measure", "ml"], [("channel", "c.json")]),
+        (["measure", "cml"], [("channel", "c.json"), ("pairs", "p.json")]),
+        (["measure", "mi"], [("joint", "j.json")]),
+        (["measure", "maxinfo"], [("joint", "j.json")]),
+        (["measure", "approx-maxinfo"], [("joint", "j.json"), ("beta", "0.1")]),
+        (["measure", "dp"], [("channel", "c.json"), ("product-base", "0,1"), ("copies", "2")]),
+    ],
+    "bound": [
+        (["bound", "--theorem", "adapt"], [("max-fiber-prob", "0.1"), ("leakage", "0.5")]),
+        (["bound", "--theorem", "generr"], [("n", "10"), ("eta", "0.1"), ("leakage", "0.5")]),
+        (["bound", "--theorem", "generr-c"],
+         [("n", "10"), ("eta", "0.1"), ("sensitivity", "0.1"), ("leakage", "0.5")]),
+        (["bound", "--theorem", "hyptest", "--sigma", "0.05"], [("leakage", "0.5")]),
+        (["bound", "--theorem", "dwork"], [("beta", "0.1"), ("epsilon", "0.1"), ("n", "10")]),
+        (["bound", "--theorem", "mi"], [("mutual-info", "0.5"), ("n", "10"), ("eta", "0.1")]),
+        (["bound", "--theorem", "sample-complexity"],
+         [("value", "0.5"), ("eta", "0.1"), ("delta", "0.05")]),
+    ],
+}
+
+
+def assert_refused(capsys, argv, message):
+    """``main(argv)`` exits 2 with nothing on stdout and the one stderr line ``message``."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
+def assert_each_missing_flag_refused(capsys, prefix, flags):
+    """Dropping any one flag names it; dropping a flag and all checked after it
+    names that flag, so dropping them all names the first checked."""
+    what = " ".join(prefix[:3])
+    for index, (dropped, _) in enumerate(flags):
+        for kept in (flags[:index] + flags[index + 1:], flags[:index]):
+            argv = [*prefix, *(token for flag, value in kept for token in (f"--{flag}", value))]
+            assert_refused(capsys, argv, f"{what} needs --{dropped}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--theorem", "hyptest", "--leakage", "0.5"],
+     "bound --theorem hyptest needs --sigma and/or --delta"),
+    (["verify", "soundness", "--instances", "5"], "verify needs an explicit --seed"),
+], ids=["hyptest-sigma-delta", "verify-seed"])
+def test_other_missing_flag_refusals_are_one_error_line(capsys, argv, message):
+    assert_refused(capsys, argv, message)
+
+
 class TestMeasure:
     def test_ml(self, capsys, bec_path):
         code, doc, _ = run_cli(capsys, "measure", "ml", "--channel", bec_path)
@@ -546,9 +597,8 @@ class TestMeasure:
             assert doc["nats"] == "inf"
 
     def test_missing_required_flag(self, capsys):
-        code, doc, err = run_cli(capsys, "measure", "ml")
-        assert code == 2
-        assert "needs --channel" in err
+        for prefix, flags in MISSING_FLAG_CASES["measure"]:
+            assert_each_missing_flag_refused(capsys, prefix, flags)
 
     def test_infeasible_beta(self, capsys, joint_path):
         code, _, err = run_cli(
@@ -626,6 +676,10 @@ class TestCompose:
 
 
 class TestBound:
+    def test_missing_required_flag(self, capsys):
+        for prefix, flags in MISSING_FLAG_CASES["bound"]:
+            assert_each_missing_flag_refused(capsys, prefix, flags)
+
     def test_generr(self, capsys):
         code, doc, _ = run_cli(
             capsys, "bound", "--theorem", "generr",
@@ -1660,6 +1714,15 @@ def test_package_names_each_export_once_and_resolves_it_from_its_module():
     with pytest.raises(AttributeError, match="no_such_export"):
         getattr(leakage_lab, "no_such_export")
     assert cli._SUITE_NAMES == tuple(verify.SUITES)
+    # each module's __all__ is its package entry, and lists only what it defines
+    for module_name, names in leakage_lab._EXPORTS.items():
+        module = importlib.import_module(f"leakage_lab.{module_name}")
+        assert module.__all__ is names, module_name
+        for name in names:
+            value = getattr(module, name)
+            if callable(value):
+                home = value.__module__
+                assert home == module.__name__ or home.startswith("leakage_lab._"), (name, home)
 
 
 def test_bench_tracer_counts_every_trial(tmp_path):

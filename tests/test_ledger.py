@@ -20,7 +20,7 @@ from leakage_lab import (
     maximal_leakage,
     maxinfo_to_leakage,
 )
-from leakage_lab.verify import adaptive_channel
+from leakage_lab.core import adaptive_channel
 
 from conftest import random_channel, stage_of
 

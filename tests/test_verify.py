@@ -27,6 +27,7 @@ from leakage_lab import (
 from leakage_lab import _stream, jsonio, verify
 from leakage_lab.cli import main
 from leakage_lab._stream import _Draws, _trial_seeds, _uniform_block
+from leakage_lab.core import adaptive_channel
 from leakage_lab.verify import (
     SUITES,
     _BETA_GRID,
@@ -39,7 +40,6 @@ from leakage_lab.verify import (
     _live,
     _soundness_draws,
     _stochastic_rows,
-    adaptive_channel,
     run_suites,
     sweep_composition,
     sweep_maxinfo,
