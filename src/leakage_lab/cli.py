@@ -8,12 +8,14 @@ given) and reports problems on stderr.
 on the standard library: a handler imports the numpy-bearing modules
 (``core``, ``measures``, ``verify``, ``simulate``) only when it runs.
 
-Every subcommand is described once, in ``_COMMANDS``. ``main`` reads a
-well-formed argv straight from that table. argparse is imported, and its
-parser built from the same table, only for ``--help`` and for the argv
-that the direct reader leaves (abbreviations, ``--``, unknown flags,
-missing or malformed values), so help text, refusals and their exit
-codes are argparse's own.
+Every subcommand is described once, in ``_COMMANDS``; ``_NEEDS`` beside
+it names the flags each ``measure`` kind and ``bound`` theorem needs, in
+check order, and ``main`` refuses a missing one before any file is read.
+``main`` reads a well-formed argv straight from the command table.
+argparse is imported, and its parser built from the same table, only for
+``--help`` and for the argv that the direct reader leaves (abbreviations,
+``--``, unknown flags, missing or malformed values), so help text,
+refusals and their exit codes are argparse's own.
 
 Exit codes (a library error exits with its class's ``exit_code``):
     0  success; for verify/simulate, every check passed
@@ -93,6 +95,12 @@ def _load_pairs(path: str) -> list[tuple]:
     return [tuple(pair) for pair in entries]
 
 
+def _needed(args) -> dict:
+    """dest -> value of each flag that the kind or theorem in ``args`` needs, in check order."""
+    chooser, needs = _NEEDED[args.command]
+    return {dest: getattr(args, dest) for dest, _ in needs[getattr(args, chooser)]}
+
+
 def _cmd_measure(args) -> tuple[dict, int]:
     from .core import Alphabet, Channel, JointDistribution, ProductAlphabet, _to_array
     from .measures import (
@@ -104,44 +112,20 @@ def _cmd_measure(args) -> tuple[dict, int]:
         mutual_information,
     )
 
-    kind = args.kind
-    inputs: dict = {}
+    kind, inputs = args.kind, _needed(args)
     if kind == "ml":
-        _require(args.channel is not None, "measure ml needs --channel")
+        if args.support is not None:
+            inputs["support"] = args.support.split(",")
         channel = Channel.from_json(_load_object(args.channel))
-        support = args.support.split(",") if args.support is not None else None
-        value = maximal_leakage(channel, support).nats
-        inputs["channel"] = args.channel
-        if support is not None:
-            inputs["support"] = support
+        value = maximal_leakage(channel, inputs.get("support")).nats
     elif kind == "cml":
-        _require(args.channel is not None, "measure cml needs --channel")
-        _require(args.pairs is not None, "measure cml needs --pairs")
         channel = Channel.from_json(_load_object(args.channel))
         pairs = _load_pairs(args.pairs)
         support = set(_load_pairs(args.support)) if args.support is not None else None
         value = conditional_maximal_leakage(channel, pairs, support).nats
-        inputs = {"channel": args.channel, "pairs": args.pairs}
         if args.support is not None:
             inputs["support"] = args.support
-    elif kind == "mi":
-        _require(args.joint is not None, "measure mi needs --joint")
-        value = mutual_information(JointDistribution.from_json(_load_object(args.joint)))
-        inputs["joint"] = args.joint
-    elif kind == "maxinfo":
-        _require(args.joint is not None, "measure maxinfo needs --joint")
-        value = max_information(JointDistribution.from_json(_load_object(args.joint)))
-        inputs["joint"] = args.joint
-    elif kind == "approx-maxinfo":
-        _require(args.joint is not None, "measure approx-maxinfo needs --joint")
-        _require(args.beta is not None, "measure approx-maxinfo needs --beta")
-        joint = JointDistribution.from_json(_load_object(args.joint))
-        value = approx_max_information(joint, args.beta)
-        inputs = {"joint": args.joint, "beta": args.beta}
-    else:  # dp
-        _require(args.channel is not None, "measure dp needs --channel")
-        _require(args.product_base is not None, "measure dp needs --product-base")
-        _require(args.copies is not None, "measure dp needs --copies")
+    elif kind == "dp":
         payload = _load_object(args.channel)
         labels = jsonio._read_array(payload["input_labels"], "input_labels")
         output = Alphabet(jsonio._read_array(payload["output_labels"], "output_labels"))
@@ -154,7 +138,12 @@ def _cmd_measure(args) -> tuple[dict, int]:
             "channel input labels do not match the stated product alphabet",
         )
         value = empirical_dp(Channel(product, output, rows))
-        inputs = {"channel": args.channel, "product_base": args.product_base, "copies": args.copies}
+    else:  # a measure of a joint distribution
+        joint = JointDistribution.from_json(_load_object(args.joint))
+        if kind == "approx-maxinfo":
+            value = approx_max_information(joint, args.beta)
+        else:
+            value = (mutual_information if kind == "mi" else max_information)(joint)
 
     document = {"measure": kind, "nats": jsonio.encode_extended(value), "inputs": inputs}
     if args.bits:
@@ -171,32 +160,22 @@ def _parse_dp_flag(text: str) -> tuple[float, int]:
 
 
 def _cmd_compose(args) -> tuple[dict, int]:
-    ledger = (
-        LeakageLedger.from_json(_load_object(args.ledger))
-        if args.ledger
-        else LeakageLedger()
-    )
-    step = len(ledger)
-
-    def next_label() -> str:
-        nonlocal step
-        step += 1
-        return f"step{step}"
-
+    ledger = (LeakageLedger() if args.ledger is None
+              else LeakageLedger.from_json(_load_object(args.ledger)))
+    # each step adds one entry, so the ledger's length numbers the next label
     for text in args.dp or []:
-        epsilon, n = _parse_dp_flag(text)
-        ledger = ledger.with_entry(LedgerEntry.from_dp(next_label(), epsilon, n))
+        ledger = ledger.with_entry(LedgerEntry.from_dp(f"step{len(ledger) + 1}", *_parse_dp_flag(text)))
     for size in args.cardinality or []:
-        ledger = ledger.with_entry(LedgerEntry.from_cardinality(next_label(), size))
+        ledger = ledger.with_entry(LedgerEntry.from_cardinality(f"step{len(ledger) + 1}", size))
     for nats in args.maxinfo or []:
-        ledger = ledger.with_entry(LedgerEntry.from_maxinfo(next_label(), nats))
+        ledger = ledger.with_entry(LedgerEntry.from_maxinfo(f"step{len(ledger) + 1}", nats))
     for path in args.channel or []:
         from .core import Channel
 
         channel = Channel.from_json(_load_object(path))
-        ledger = ledger.with_entry(LedgerEntry.from_channel(next_label(), channel))
+        ledger = ledger.with_entry(LedgerEntry.from_channel(f"step{len(ledger) + 1}", channel))
     for nats in args.declared or []:
-        ledger = ledger.with_entry(LedgerEntry.declared(next_label(), nats))
+        ledger = ledger.with_entry(LedgerEntry.declared(f"step{len(ledger) + 1}", nats))
 
     document = ledger.to_json()
     document["total_nats"] = ledger.total()
@@ -206,26 +185,12 @@ def _cmd_compose(args) -> tuple[dict, int]:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    theorem = args.theorem
-
-    def need(flag: str, name: str):
-        value = getattr(args, flag)
-        _require(value is not None, f"bound --theorem {theorem} needs --{name}")
-        return value
-
-    if theorem == "adapt":
-        report = adaptive_event_bound(need("max_fiber_prob", "max-fiber-prob"), need("leakage", "leakage"))
-        document = report.to_json()
-    elif theorem == "generr":
-        report = gen_error_bound(need("n", "n"), need("eta", "eta"), need("leakage", "leakage"))
-        document = report.to_json()
-    elif theorem == "generr-c":
-        n, eta = need("n", "n"), need("eta", "eta")
-        c, leakage = need("sensitivity", "sensitivity"), need("leakage", "leakage")
-        document = gen_error_bound_sensitivity(n, eta, c, leakage).to_json()
-        document["comparison"] = compare_sensitivity_bounds(n, eta, c, leakage)
+    theorem, values = args.theorem, _needed(args).values()
+    if theorem == "generr-c":
+        document = gen_error_bound_sensitivity(*values).to_json()
+        document["comparison"] = compare_sensitivity_bounds(*values)
     elif theorem == "hyptest":
-        leakage = need("leakage", "leakage")
+        leakage = args.leakage
         _require(
             args.sigma is not None or args.delta is not None,
             "bound --theorem hyptest needs --sigma and/or --delta",
@@ -237,22 +202,18 @@ def _cmd_bound(args) -> tuple[dict, int]:
         if args.delta is not None:
             document["adjustedSignificance"] = adjusted_significance(args.delta, leakage)
         document["note"] = P_VALUE_NOTE
-    elif theorem == "dwork":
-        report = dwork_dp_bound(need("beta", "beta"), need("epsilon", "epsilon"), need("n", "n"))
-        document = report.to_json()
-    elif theorem == "mi":
-        report = mi_gen_bound(need("mutual_info", "mutual-info"), need("n", "n"), need("eta", "eta"))
-        document = report.to_json()
-    else:  # sample-complexity
-        value = sample_complexity(
-            need("value", "value"), need("eta", "eta"), need("delta", "delta"), args.mode
-        )
+    elif theorem == "sample-complexity":
         document = {
             "name": "sample-complexity",
-            "value": value,
+            "value": sample_complexity(*values, args.mode),
             "inputs": {"value_nats": args.value, "eta": args.eta, "delta": args.delta, "mode": args.mode},
             "trivial": False,
         }
+    else:
+        # looked up at call time, so that a wrapper installed as a module global runs
+        bound = {"adapt": adaptive_event_bound, "generr": gen_error_bound,
+                 "dwork": dwork_dp_bound, "mi": mi_gen_bound}[theorem]
+        document = bound(*values).to_json()
     return document, EXIT_OK
 
 
@@ -314,11 +275,26 @@ _SHARED = (
 _WORKERS = _Option("workers", type=int, default=1,
                    help="accepted for compatibility; has no effect, every run is serial")
 
+# the flags that each measure kind and bound theorem needs, in the order they
+# are checked; the kinds and theorems are the keys
+_NEEDS = {
+    "measure": {
+        "ml": ("channel",), "cml": ("channel", "pairs"), "mi": ("joint",), "maxinfo": ("joint",),
+        "approx-maxinfo": ("joint", "beta"), "dp": ("channel", "product-base", "copies"),
+    },
+    "bound": {
+        "adapt": ("max-fiber-prob", "leakage"), "generr": ("n", "eta", "leakage"),
+        "generr-c": ("n", "eta", "sensitivity", "leakage"), "hyptest": ("leakage",),
+        "dwork": ("beta", "epsilon", "n"), "mi": ("mutual-info", "n", "eta"),
+        "sample-complexity": ("value", "eta", "delta"),
+    },
+}
+
 # every subcommand, once: the direct reader and build_parser both read it
 _COMMANDS = {
     "measure": _Command(
         "compute one measure from JSON inputs", _cmd_measure,
-        positional=_Option("kind", choices=("ml", "cml", "mi", "maxinfo", "approx-maxinfo", "dp")),
+        positional=_Option("kind", choices=tuple(_NEEDS["measure"])),
         options=(
             _Option("channel", help="channel JSON path (ml, cml, dp)"),
             _Option("joint", help="joint-distribution JSON path (mi, maxinfo, approx-maxinfo)"),
@@ -347,8 +323,7 @@ _COMMANDS = {
     "bound": _Command(
         "evaluate one closed-form bound", _cmd_bound,
         options=(
-            _Option("theorem", required=True, choices=(
-                "adapt", "generr", "generr-c", "hyptest", "dwork", "mi", "sample-complexity")),
+            _Option("theorem", required=True, choices=tuple(_NEEDS["bound"])),
             _Option("leakage", type=float, help="leakage budget in nats"),
             _Option("max-fiber-prob", type=float, help="adapt: worst per-output event mass"),
             _Option("n", type=int, help="sample size"),
@@ -414,6 +389,17 @@ _REQUIRED = {
 _FLOATS = {
     name: tuple(option for option in _arguments(command) if option.type is float)
     for name, command in _COMMANDS.items()
+}
+
+# per command of _NEEDS: the dest that picks a choice, and per choice the
+# dest and the refusal of each flag it needs, in check order
+_NEEDED = {
+    name: (chooser, {
+        choice: tuple((_DEST[flag], f"{spelled} {choice} needs --{flag}") for flag in flags)
+        for choice, flags in _NEEDS[name].items()
+    })
+    for name, chooser, spelled in (("measure", "kind", "measure"),
+                                   ("bound", "theorem", "bound --theorem"))
 }
 
 # argparse reads a token that starts with "-" as a value only when it looks
@@ -529,9 +515,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION
 
     try:
+        if args.command in _NEEDED:
+            chooser, needs = _NEEDED[args.command]
+            for dest, refusal in needs[getattr(args, chooser)]:
+                _require(getattr(args, dest) is not None, refusal)
         document, code = args.handler(args)
         text = jsonio.dumps(document)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
     except LeakageLabError as err:

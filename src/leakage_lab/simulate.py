@@ -106,7 +106,7 @@ def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
     """
     with contextlib.ExitStack() as stack:
         writer = None
-        if trace_path:
+        if trace_path is not None:
             writer = csv.writer(stack.enter_context(
                 open(trace_path, "w", newline="", encoding="utf-8")))
             writer.writerow(header)

@@ -612,6 +612,18 @@ class TestMeasure:
         assert code == 2
 
 
+# argv of a compose run in a directory that holds a two-entry ledger.json and
+# two erasure channels, giving each step kind twice in the reverse of the
+# order compose adds them, and the sha256 of its stdout
+GOLDEN_COMPOSE = (
+    ("compose", "--ledger", "ledger.json", "--declared", "0.25", "--channel", "bec.json",
+     "--maxinfo", "0.3", "--cardinality", "4", "--dp", "0.1,10", "--declared", "0.125",
+     "--channel", "bec25.json", "--maxinfo", "0.7", "--cardinality", "3", "--dp", "0.2,5",
+     "--bits"),
+    "221f2da661e4423d4bfba2b1852b6cad94dfd9d352a724332c0e4bf4081cc974",
+)
+
+
 class TestCompose:
     def test_fresh_ledger(self, capsys):
         code, doc, _ = run_cli(
@@ -632,6 +644,22 @@ class TestCompose:
         labels = [entry["label"] for entry in doc["entries"]]
         assert labels == ["warmup", "pick", "step3"]
         assert doc["total_nats"] == pytest.approx(0.75 + math.log(3.0), rel=1e-12)
+
+    def test_golden_step_order(self, capsys, tmp_path, monkeypatch):
+        # steps join as dp, cardinality, maxinfo, channel, declared, each kind
+        # in argv order, and their labels go on from the ledger's length
+        argv, stdout_sha256 = GOLDEN_COMPOSE
+        ledger = LeakageLedger(
+            (LedgerEntry.declared("warmup", 0.5), LedgerEntry.from_cardinality("pick", 3))
+        )
+        write_json(tmp_path / "ledger.json", ledger.to_json())
+        write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+        write_json(tmp_path / "bec25.json", bec_channel(0.25).to_json())
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+        assert captured.err == ""
 
     def test_channel_entry(self, capsys, bec_path):
         code, doc, _ = run_cli(capsys, "compose", "--channel", bec_path, "--bits")
@@ -675,10 +703,66 @@ class TestCompose:
         assert code == 3
 
 
+# argv after "bound" and the sha256 of its stdout: every theorem, generr-c
+# with its comparison, each hyptest document, both sample-complexity modes,
+# dwork on both sides of its validity ceiling, and --bits, which no bound reads
+GOLDEN_BOUND = {
+    "adapt": (("--theorem", "adapt", "--max-fiber-prob", "0.1", "--leakage", "0.5"),
+              "05c8026dbc6d4a39c10330d1064d5f7b23ccea410178dacfb93c4e651edd19bf"),
+    "generr": (("--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"),
+               "1b4a62c264182470fcd43ae8375c51218d2e5b2244f48fee940a0697cdffe6b1"),
+    "generr-bits": (("--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0",
+                     "--bits"),
+                    "1b4a62c264182470fcd43ae8375c51218d2e5b2244f48fee940a0697cdffe6b1"),
+    "generr-trivial": (("--theorem", "generr", "--n", "5", "--eta", "0.1", "--leakage", "3"),
+                       "f1c3ad715f68553992ebd209d718e3698b25d9706ce226bb7753adb7d261f9ef"),
+    "generr-c": (("--theorem", "generr-c", "--n", "100", "--eta", "0.1", "--sensitivity", "0.01",
+                  "--leakage", "1"),
+                 "da352fd9f5f803fe87cbad101b75e14105717d593e8ecb37fb137e4d34976645"),
+    "generr-c-bits": (("--theorem", "generr-c", "--n", "100", "--eta", "0.1",
+                       "--sensitivity", "0.01", "--leakage", "1", "--bits"),
+                      "da352fd9f5f803fe87cbad101b75e14105717d593e8ecb37fb137e4d34976645"),
+    "hyptest-sigma": (("--theorem", "hyptest", "--sigma", "0.005", "--leakage", "2.3"),
+                      "d6a82503a69f0d08dee7aa254ef6c0b9be262ee222ce469930317edc33616410"),
+    "hyptest-delta": (("--theorem", "hyptest", "--delta", "0.05", "--leakage", "2.3"),
+                      "31905932dc3f895a89c7b49260c3e95629f73ded3e9c3b4f6adae2efd90e0443"),
+    "hyptest-both": (("--theorem", "hyptest", "--sigma", "0.005", "--delta", "0.05",
+                      "--leakage", "2.3"),
+                     "5cc68406ecff7659220d9708f4906dc202dccd50a7eb7ef50087db2026fe6be7"),
+    "hyptest-both-bits": (("--theorem", "hyptest", "--sigma", "0.005", "--delta", "0.05",
+                           "--leakage", "2.3", "--bits"),
+                          "5cc68406ecff7659220d9708f4906dc202dccd50a7eb7ef50087db2026fe6be7"),
+    "dwork-within": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.01", "--n", "100"),
+                     "ff0290e709050330130d0608145f37cf4172ab7d78b5201f799b0ad6f7440a0b"),
+    "dwork-beyond": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.5", "--n", "100"),
+                     "543b6159329e634d7977164b214c8c0ecbfbf99cf42501d9a05e94cd98e4a464"),
+    "mi": (("--theorem", "mi", "--mutual-info", "0.5", "--n", "100", "--eta", "0.2"),
+           "c1c8c11abe6fa4eabe9b5cda89e5a211b25b3274c0635d7d4bcadbb0df65f36e"),
+    "sample-complexity-leakage": (("--theorem", "sample-complexity", "--value", "2.77",
+                                   "--eta", "0.1", "--delta", "0.05"),
+                                  "33cb461d7c9158dc4041810f1318d82041047bb4b0812df947f9f64901635d87"),
+    "sample-complexity-mutual-info": (("--theorem", "sample-complexity", "--value", "2.77",
+                                       "--eta", "0.1", "--delta", "0.05", "--mode", "mutual-info"),
+                                      "bf415c7687c62f3bbea14432fa504d1a245e1fb762fd4ea609da53e96315de21"),
+    "sample-complexity-bits": (("--theorem", "sample-complexity", "--value", "2.77",
+                                "--eta", "0.1", "--delta", "0.05", "--mode", "mutual-info",
+                                "--bits"),
+                               "bf415c7687c62f3bbea14432fa504d1a245e1fb762fd4ea609da53e96315de21"),
+}
+
+
 class TestBound:
     def test_missing_required_flag(self, capsys):
         for prefix, flags in MISSING_FLAG_CASES["bound"]:
             assert_each_missing_flag_refused(capsys, prefix, flags)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BOUND))
+    def test_golden_report(self, capsys, name):
+        argv, stdout_sha256 = GOLDEN_BOUND[name]
+        assert main(["bound", *argv]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
+        assert captured.err == ""
 
     def test_generr(self, capsys):
         code, doc, _ = run_cli(
@@ -1559,6 +1643,8 @@ def test_closed_form_commands_load_no_numpy():
         (["compose", "--dp", "0.1"], 2),
         (["verify", "all", "--instances", "10"], 2),
         (["bound", "--theorem", "generr", "--n", "1", "--eta", "0.5", "--leakage", "1000"], 3),
+        (["measure", "ml"], 2),
+        (["measure", "dp", "--channel", "c.json", "--copies", "2"], 2),
         (["--help"], 0),
     ]
     # argparse loads only for --help, the one argv here that the direct reader leaves
@@ -1696,6 +1782,19 @@ def test_carriage_returns_between_tokens_parse(capsys, tmp_path, content):
 def test_directory_path_is_one_error_line(capsys, tmp_path):
     assert run_cli(capsys, *LEDGER, str(tmp_path)) == (
         2, None, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.parametrize("flag", ["ledger", "output", "trace"])
+def test_empty_path_is_refused_as_one_error_line(capsys, tmp_path, flag):
+    # an empty path is given, and no file has it; it does not mean "omitted"
+    config = write_json(tmp_path / "hyptest.json", README_HYPTEST)
+    argv = {
+        "ledger": ["compose", "--ledger", "", "--declared", "0.5"],
+        "output": ["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1",
+                   "--leakage", "1.0", "--output", ""],
+        "trace": ["simulate", "hyptest", "--config", config, "--trace", ""],
+    }[flag]
+    assert_refused(capsys, argv, "[Errno 2] No such file or directory: ''")
 
 
 def test_package_names_each_export_once_and_resolves_it_from_its_module():
