@@ -8,9 +8,10 @@ given) and reports problems on stderr.
 on the standard library: a handler imports the numpy-bearing modules
 (``core``, ``measures``, ``verify``, ``simulate``) only when it runs.
 
-Every subcommand is described once, in ``_COMMANDS``; ``_NEEDS`` beside
-it names the flags each ``measure`` kind and ``bound`` theorem needs, in
-check order, and ``main`` refuses a missing one before any file is read.
+Every subcommand is described once, in ``_COMMANDS``, with only the
+options that it reads; ``_NEEDS`` beside it names the flags each
+``measure`` kind and ``bound`` theorem needs, in check order, and
+``main`` refuses a missing one before any file is read.
 ``main`` reads a well-formed argv straight from the command table.
 argparse is imported, and its parser built from the same table, only for
 ``--help`` and for the argv that the direct reader leaves (abbreviations,
@@ -70,10 +71,6 @@ _SUITE_NAMES = ("soundness", "composition", "maxinfo")
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise LeakageLabError(message)
-
-
-def _in_bits(nats: float) -> float:
-    return nats / _NATS_PER_BIT if math.isfinite(nats) else nats
 
 
 def _load_object(path: str) -> dict:
@@ -147,7 +144,7 @@ def _cmd_measure(args) -> tuple[dict, int]:
 
     document = {"measure": kind, "nats": jsonio.encode_extended(value), "inputs": inputs}
     if args.bits:
-        document["bits"] = jsonio.encode_extended(_in_bits(value))
+        document["bits"] = jsonio.encode_extended(value / _NATS_PER_BIT)
     return document, EXIT_OK
 
 
@@ -180,7 +177,7 @@ def _cmd_compose(args) -> tuple[dict, int]:
     document = ledger.to_json()
     document["total_nats"] = ledger.total()
     if args.bits:
-        document["total_bits"] = _in_bits(ledger.total())
+        document["total_bits"] = ledger.total() / _NATS_PER_BIT
     return document, EXIT_OK
 
 
@@ -266,12 +263,9 @@ class _Command(NamedTuple):
     positional: _Option | None = None
 
 
-# every command takes these before its own
-_SHARED = (
-    _Option("seed", type=int, help="seed for randomized commands"),
-    _Option("bits", kind="flag", default=False, help="also display leakage totals in bits"),
-    _Option("output", help="also write the JSON report to this path"),
-)
+_SEED = _Option("seed", type=int, help="seed for randomized commands")
+_BITS = _Option("bits", kind="flag", default=False, help="also display leakage totals in bits")
+_OUTPUT = _Option("output", help="also write the JSON report to this path")
 _WORKERS = _Option("workers", type=int, default=1,
                    help="accepted for compatibility; has no effect, every run is serial")
 
@@ -296,6 +290,7 @@ _COMMANDS = {
         "compute one measure from JSON inputs", _cmd_measure,
         positional=_Option("kind", choices=tuple(_NEEDS["measure"])),
         options=(
+            _BITS, _OUTPUT,
             _Option("channel", help="channel JSON path (ml, cml, dp)"),
             _Option("joint", help="joint-distribution JSON path (mi, maxinfo, approx-maxinfo)"),
             _Option("support", help="ml: comma-separated input labels; cml: JSON path of [x, z] pairs"),
@@ -308,6 +303,7 @@ _COMMANDS = {
     "compose": _Command(
         "extend a leakage ledger and print its total", _cmd_compose,
         options=(
+            _BITS, _OUTPUT,
             _Option("ledger", help="existing ledger JSON path; omitted means empty"),
             _Option("dp", kind="append", metavar="EPS,N", help="add an eps-DP step over n records"),
             _Option("cardinality", kind="append", type=int, metavar="K",
@@ -323,6 +319,7 @@ _COMMANDS = {
     "bound": _Command(
         "evaluate one closed-form bound", _cmd_bound,
         options=(
+            _OUTPUT,
             _Option("theorem", required=True, choices=tuple(_NEEDS["bound"])),
             _Option("leakage", type=float, help="leakage budget in nats"),
             _Option("max-fiber-prob", type=float, help="adapt: worst per-output event mass"),
@@ -341,12 +338,13 @@ _COMMANDS = {
     "verify": _Command(
         "run randomized property sweeps", _cmd_verify,
         positional=_Option("suite", choices=(*_SUITE_NAMES, "all")),
-        options=(_Option("instances", type=int, default=1000), _WORKERS),
+        options=(_SEED, _OUTPUT, _Option("instances", type=int, default=1000), _WORKERS),
     ),
     "simulate": _Command(
         "run a Monte Carlo experiment from a config file", _cmd_simulate,
         positional=_Option("kind", choices=("generr", "hyptest")),
         options=(
+            _SEED, _OUTPUT,
             _Option("config", required=True, help="experiment config JSON path"),
             _Option("trace", help="write per-trial CSV here"),
             _WORKERS,
@@ -358,8 +356,8 @@ _COMMANDS = {
 
 
 def _arguments(command: _Command) -> tuple[_Option, ...]:
-    """The command's arguments in argparse's order: shared, positional, own."""
-    return (*_SHARED, *filter(None, [command.positional]), *command.options)
+    """The command's arguments in argparse's order: positional, then options."""
+    return (*filter(None, [command.positional]), *command.options)
 
 
 # each argument's namespace attribute, as argparse derives it from the name
@@ -371,7 +369,7 @@ _DEST = {
 # per command: "--name" -> option, argparse's defaults in its namespace order,
 # the dests that must be given, and the float-typed options, which must be finite
 _FLAGS = {
-    name: {f"--{option.name}": option for option in (*_SHARED, *command.options)}
+    name: {f"--{option.name}": option for option in command.options}
     for name, command in _COMMANDS.items()
 }
 _DEFAULTS = {

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import _EXPORTS
 from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _count, _within
-from .jsonio import _read_array, _read_int, _read_number, _read_object
+from .jsonio import _read_array, _read_int, _read_number, _read_object, _read_scalar
 
 if TYPE_CHECKING:
     from .core import Channel
@@ -131,7 +131,7 @@ class LedgerEntry:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "LedgerEntry":
-        label = str(payload["label"])
+        label = _read_scalar(payload, "label", "entry ", str, "a string")
         where = f"entry {label!r}: "
         return cls(label, _read_number(payload, "bound_nats", where),
                    _read_object(payload["provenance"], f"{where}provenance"))

@@ -67,7 +67,7 @@ from .core import (
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError, _count, _within
-from .jsonio import _read_array, _read_int, _read_number, _read_object
+from .jsonio import _read_array, _read_int, _read_number, _read_object, _read_scalar
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _maxima_leakage
 
@@ -190,7 +190,7 @@ class LearnerSpec:
         name = "learner.hypothesisClass"
         hypotheses = _read_array(payload["hypothesisClass"], name)
         return cls(
-            kind=str(payload["kind"]),
+            kind=_read_scalar(payload, "kind", "learner.", str, "a string"),
             hypotheses=tuple(
                 tuple(_read_array(h, f"{name}[{i}]")) for i, h in enumerate(hypotheses)
             ),

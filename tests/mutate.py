@@ -20,8 +20,8 @@ mutants, with the known equivalent ones left out.
 
 Operators (DeMillo, Lipton & Sayward 1978):
 
-* a comparison: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``
-  swapped;
+* a comparison: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
+  ``is`` and ``is not``, ``in`` and ``not in`` swapped;
 * arithmetic, augmented assignments included: ``+`` and ``-``, ``*``
   and ``/`` swapped;
 * a method or attribute: ``max`` and ``min``, ``argmax`` and ``argmin``,
@@ -54,7 +54,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DESELECTED = "tests/test_acceptance.py::test_criterion_01d_bernoulli_maxinfo_lower_bound"
 
 _COMPARISONS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-                ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+                ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+                ast.In: ast.NotIn, ast.NotIn: ast.In}
 _ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 _ATTRIBUTES = {"max": "min", "min": "max", "argmax": "argmin", "argmin": "argmax",
                "any": "all", "all": "any"}

@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -691,6 +693,13 @@ class TestCompose:
         field = "" if message.startswith("bound_nats") else "provenance."
         assert err.splitlines() == [f"error: entry 's': {field}{message}"]
 
+    @pytest.mark.parametrize("label", [["x"], 1, None, True], ids=["array", "number", "null", "bool"])
+    def test_ledger_label_must_be_a_string(self, capsys, tmp_path, label):
+        path = write_json(tmp_path / "ledger.json", {"entries": [{**DECLARED, "label": label}]})
+        code, doc, err = run_cli(capsys, "compose", "--ledger", path)
+        assert (code, doc) == (2, None)
+        assert err.splitlines() == [f"error: entry label must be a string, got {label!r}"]
+
     def test_malformed_dp(self, capsys):
         for value in ["0.1", "x,10", "0.1,1.5"]:
             code, _, err = run_cli(capsys, "compose", "--dp", value)
@@ -705,23 +714,17 @@ class TestCompose:
 
 # argv after "bound" and the sha256 of its stdout: every theorem, generr-c
 # with its comparison, each hyptest document, both sample-complexity modes,
-# dwork on both sides of its validity ceiling, and --bits, which no bound reads
+# and dwork on both sides of its validity ceiling
 GOLDEN_BOUND = {
     "adapt": (("--theorem", "adapt", "--max-fiber-prob", "0.1", "--leakage", "0.5"),
               "05c8026dbc6d4a39c10330d1064d5f7b23ccea410178dacfb93c4e651edd19bf"),
     "generr": (("--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"),
                "1b4a62c264182470fcd43ae8375c51218d2e5b2244f48fee940a0697cdffe6b1"),
-    "generr-bits": (("--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0",
-                     "--bits"),
-                    "1b4a62c264182470fcd43ae8375c51218d2e5b2244f48fee940a0697cdffe6b1"),
     "generr-trivial": (("--theorem", "generr", "--n", "5", "--eta", "0.1", "--leakage", "3"),
                        "f1c3ad715f68553992ebd209d718e3698b25d9706ce226bb7753adb7d261f9ef"),
     "generr-c": (("--theorem", "generr-c", "--n", "100", "--eta", "0.1", "--sensitivity", "0.01",
                   "--leakage", "1"),
                  "da352fd9f5f803fe87cbad101b75e14105717d593e8ecb37fb137e4d34976645"),
-    "generr-c-bits": (("--theorem", "generr-c", "--n", "100", "--eta", "0.1",
-                       "--sensitivity", "0.01", "--leakage", "1", "--bits"),
-                      "da352fd9f5f803fe87cbad101b75e14105717d593e8ecb37fb137e4d34976645"),
     "hyptest-sigma": (("--theorem", "hyptest", "--sigma", "0.005", "--leakage", "2.3"),
                       "d6a82503a69f0d08dee7aa254ef6c0b9be262ee222ce469930317edc33616410"),
     "hyptest-delta": (("--theorem", "hyptest", "--delta", "0.05", "--leakage", "2.3"),
@@ -729,9 +732,6 @@ GOLDEN_BOUND = {
     "hyptest-both": (("--theorem", "hyptest", "--sigma", "0.005", "--delta", "0.05",
                       "--leakage", "2.3"),
                      "5cc68406ecff7659220d9708f4906dc202dccd50a7eb7ef50087db2026fe6be7"),
-    "hyptest-both-bits": (("--theorem", "hyptest", "--sigma", "0.005", "--delta", "0.05",
-                           "--leakage", "2.3", "--bits"),
-                          "5cc68406ecff7659220d9708f4906dc202dccd50a7eb7ef50087db2026fe6be7"),
     "dwork-within": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.01", "--n", "100"),
                      "ff0290e709050330130d0608145f37cf4172ab7d78b5201f799b0ad6f7440a0b"),
     "dwork-beyond": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.5", "--n", "100"),
@@ -744,10 +744,6 @@ GOLDEN_BOUND = {
     "sample-complexity-mutual-info": (("--theorem", "sample-complexity", "--value", "2.77",
                                        "--eta", "0.1", "--delta", "0.05", "--mode", "mutual-info"),
                                       "bf415c7687c62f3bbea14432fa504d1a245e1fb762fd4ea609da53e96315de21"),
-    "sample-complexity-bits": (("--theorem", "sample-complexity", "--value", "2.77",
-                                "--eta", "0.1", "--delta", "0.05", "--mode", "mutual-info",
-                                "--bits"),
-                               "bf415c7687c62f3bbea14432fa504d1a245e1fb762fd4ea609da53e96315de21"),
 }
 
 
@@ -1085,9 +1081,12 @@ class TestSimulate:
             (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": "nan"}}', "epsilon"),
             (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": 1e400}}', "epsilon"),
             (f'{{"kind": "{EM}", "hypothesisClass": [[0, 1]], "epsilon": NaN}}', "epsilon"),
+            (f'{{"kind": ["{ERM}"], "hypothesisClass": [[0, 1], [1, 0]]}}',
+             f"learner.kind must be a string, got ['{ERM}']"),
+            ('{"kind": 1, "hypothesisClass": [[0, 1], [1, 0]]}', "learner.kind must be a string, got 1"),
         ],
         ids=["float-label", "bool-label", "bool-epsilon", "string-epsilon", "overflowing-epsilon",
-             "nan-epsilon"],
+             "nan-epsilon", "array-kind", "number-kind"],
     )
     def test_malformed_learner_is_one_error_line(self, capsys, tmp_path, learner, field):
         payload = {
@@ -1305,7 +1304,7 @@ def _well_formed_argv(name):
         grid = [base[:1] + [command.positional.choices[0]] + base[1:],
                 base + [command.positional.choices[-1]]]
         base = grid[0]
-    for option in (*cli._SHARED, *command.options):
+    for option in command.options:
         flag = f"--{option.name}"
         if option.kind == "flag":
             grid += [base + [flag], base + [flag, flag]]
@@ -1334,7 +1333,7 @@ def _other_argv(name):
     if command.positional is not None:
         grid += [[name, *base[2:]], [name, "bogus", *base[2:]], base + [base[1]],
                  [name, "-1", *base[2:]]]
-    for option in (*cli._SHARED, *command.options):
+    for option in command.options:
         flag = f"--{option.name}"
         if option.required:
             without = base.index(flag)
@@ -1416,6 +1415,105 @@ def test_first_non_finite_flag_in_table_order_is_named(capsys):
     argv = ["bound", "--theorem", "generr", "--n", "5", "--eta", "nan", "--leakage", "inf"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: --leakage must be finite\n")
+
+
+# argv that give an option their command does not take, with the tokens
+# argparse names: it refuses each as unknown before any file is read (no
+# path here names a file); the bound argv without the option are GOLDEN_BOUND's
+UNTAKEN_OPTIONS = {
+    "bound-generr-bits": (("bound", *GOLDEN_BOUND["generr"][0], "--bits"), "--bits"),
+    "bound-generr-c-bits": (("bound", *GOLDEN_BOUND["generr-c"][0], "--bits"), "--bits"),
+    "bound-hyptest-both-bits": (("bound", *GOLDEN_BOUND["hyptest-both"][0], "--bits"), "--bits"),
+    "bound-sample-complexity-bits": (
+        ("bound", *GOLDEN_BOUND["sample-complexity-mutual-info"][0], "--bits"), "--bits"),
+    "bound-seed": (("bound", *GOLDEN_BOUND["generr"][0], "--seed", "3"), "--seed 3"),
+    "measure-seed": (("measure", "ml", "--channel", "absent.json", "--seed", "3"), "--seed 3"),
+    "compose-seed": (("compose", "--ledger", "absent.json", "--seed", "3"), "--seed 3"),
+    "verify-bits": (("verify", "soundness", "--instances", "5", "--seed", "3", "--bits"),
+                    "--bits"),
+    "simulate-bits": (("simulate", "hyptest", "--config", "absent.json", "--bits"), "--bits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTAKEN_OPTIONS))
+def test_option_the_command_does_not_take_is_refused(capsys, name):
+    argv, refused = UNTAKEN_OPTIONS[name]
+    assert cli._read_argv(list(argv)) is None
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {refused}\n")
+
+
+# an abbreviation that also matched an untaken option, and now resolves
+@pytest.mark.parametrize("argv, flag, abbreviation", [
+    (["bound", *GOLDEN_BOUND["dwork-within"][0]], "--beta", "--b"),
+    (["bound", *GOLDEN_BOUND["generr-c"][0]], "--sensitivity", "--se"),
+    (["measure", "ml", "--channel", "bec.json", "--support", "0"], "--support", "--s"),
+], ids=["bound-b", "bound-se", "measure-s"])
+def test_abbreviation_that_matched_an_untaken_option_resolves(capsys, monkeypatch, tmp_path, argv,
+                                                              flag, abbreviation):
+    write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    monkeypatch.chdir(tmp_path)
+    expected = (main(argv), capsys.readouterr())
+    assert expected[0] == 0
+    abbreviated = [abbreviation if token == flag else token for token in argv]
+    assert (main(abbreviated), capsys.readouterr()) == expected
+
+
+# per command, argv that together reach every read of its options, run in a
+# directory that holds write_leakage_inputs(), bec.json, ledger.json and generr.json
+READING_ARGV = {
+    "measure": [
+        ["measure", "ml", "--channel", "channel.json", "--support", "x1,x4", "--bits",
+         "--output", "out.json"],
+        ["measure", "cml", "--channel", "channel.json", "--pairs", "unequal.json",
+         "--support", "support.json"],
+        ["measure", "approx-maxinfo", "--joint", "joint.json", "--beta", "0.1"],
+        ["measure", "dp", "--channel", "bec.json", "--product-base", "0,1", "--copies", "1"],
+    ],
+    "compose": [["compose", "--ledger", "ledger.json", "--dp", "0.1,10", "--cardinality", "4",
+                 "--maxinfo", "0.3", "--channel", "bec.json", "--declared", "0.25", "--bits",
+                 "--output", "out.json"]],
+    "bound": [["bound", *argv] for argv, _ in GOLDEN_BOUND.values()]
+             + [["bound", *GOLDEN_BOUND["adapt"][0], "--output", "out.json"]],
+    "verify": [["verify", "soundness", "--instances", "5", "--seed", "3", "--output", "out.json"]],
+    "simulate": [["simulate", "generr", "--config", "generr.json", "--seed", "3",
+                  "--trace", "trials.csv", "--exact", "--output", "out.json"]],
+}
+# declared and never read: the benchmark's argv and older scripts pass --workers
+NEVER_READ = {"verify": {"workers"}, "simulate": {"workers"}}
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_every_declared_option_is_read_and_listed(capsys, monkeypatch, tmp_path, name):
+    # --help lists the declared options and no other
+    assert main([name, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == set(cli._FLAGS[name])
+    # a recorder of attribute reads stands in for the namespace that main gets,
+    # so each argv must be one the direct reader takes; main's finiteness scan,
+    # which reads every float-typed option, is switched off
+    reads = set()
+
+    class Recorder(types.SimpleNamespace):
+        def __getattribute__(self, attribute):
+            reads.add(attribute)
+            return super().__getattribute__(attribute)
+
+    read_argv = cli._read_argv
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: Recorder(**vars(read_argv(argv))))
+    monkeypatch.setattr(cli, "_FLOATS", dict.fromkeys(cli._COMMANDS, ()))
+    write_leakage_inputs(tmp_path)
+    write_json(tmp_path / "bec.json", bec_channel(0.5).to_json())
+    write_json(tmp_path / "ledger.json", {"entries": [DECLARED]})
+    write_json(tmp_path / "generr.json", GENERR)
+    monkeypatch.chdir(tmp_path)
+    for argv in READING_ARGV[name]:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    declared = {cli._DEST[flag[2:]] for flag in cli._FLAGS[name]}
+    assert declared - reads == NEVER_READ.get(name, set())
 
 
 class TestParser:
