@@ -143,7 +143,7 @@ def gen_error_bound(n: int, eta: float, leakage_nats: float) -> BoundReport:
         "generalization-error",
         2.0,
         leakage_nats - 2.0 * n * eta * eta,
-        {"n": float(n), "eta": eta, "L_nats": leakage_nats},
+        {"n": n, "eta": eta, "L_nats": leakage_nats},
     )
 
 
@@ -158,7 +158,7 @@ def gen_error_bound_sensitivity(n: int, eta: float, c: float, leakage_nats: floa
         "generalization-error-sensitivity",
         2.0,
         leakage_nats - 2.0 * eta * eta / (c * c * n),
-        {"n": float(n), "eta": eta, "c": c, "L_nats": leakage_nats},
+        {"n": n, "eta": eta, "c": c, "L_nats": leakage_nats},
     )
 
 
@@ -229,7 +229,7 @@ def dwork_dp_bound(beta: float, epsilon: float, n: int) -> BoundReport:
         {
             "beta": float(beta),
             "epsilon": float(epsilon),
-            "n": float(n),
+            "n": n,
             "epsilon_validity_ceiling": epsilon_ceiling,
             "crossover_epsilon": crossover,
         },
@@ -251,7 +251,7 @@ def mi_gen_bound(mi_nats: float, n: int, eta: float) -> BoundReport:
     return _probability_report(
         "mutual-information-generalization",
         value,
-        {"I_nats": float(mi_nats), "n": float(n), "eta": eta},
+        {"I_nats": float(mi_nats), "n": n, "eta": eta},
     )
 
 

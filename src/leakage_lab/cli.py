@@ -20,7 +20,8 @@ refusals and their exit codes are argparse's own.
 
 Exit codes (a library error exits with its class's ``exit_code``):
     0  success; for verify/simulate, every check passed
-    1  a verify or simulate check failed
+    1  a check failed: the report's top-level "pass" is false (only
+       verify and simulate reports carry one)
     2  validation failure (unreadable file, malformed value, mismatch)
     3  infeasible parameter (``errors.Infeasible``: beta out of range,
        empty feasible set, a result too large to represent, ...)
@@ -98,7 +99,7 @@ def _needed(args) -> dict:
     return {dest: getattr(args, dest) for dest, _ in needs[getattr(args, chooser)]}
 
 
-def _cmd_measure(args) -> tuple[dict, int]:
+def _cmd_measure(args) -> dict:
     from .core import Alphabet, Channel, JointDistribution, ProductAlphabet, _to_array
     from .measures import (
         approx_max_information,
@@ -145,7 +146,7 @@ def _cmd_measure(args) -> tuple[dict, int]:
     document = {"measure": kind, "nats": jsonio.encode_extended(value), "inputs": inputs}
     if args.bits:
         document["bits"] = jsonio.encode_extended(value / _NATS_PER_BIT)
-    return document, EXIT_OK
+    return document
 
 
 def _parse_dp_flag(text: str) -> tuple[float, int]:
@@ -156,7 +157,7 @@ def _parse_dp_flag(text: str) -> tuple[float, int]:
         raise LeakageLabError(f"--dp expects 'epsilon,n', got {text!r}") from None
 
 
-def _cmd_compose(args) -> tuple[dict, int]:
+def _cmd_compose(args) -> dict:
     ledger = (LeakageLedger() if args.ledger is None
               else LeakageLedger.from_json(_load_object(args.ledger)))
     # each step adds one entry, so the ledger's length numbers the next label
@@ -178,10 +179,10 @@ def _cmd_compose(args) -> tuple[dict, int]:
     document["total_nats"] = ledger.total()
     if args.bits:
         document["total_bits"] = ledger.total() / _NATS_PER_BIT
-    return document, EXIT_OK
+    return document
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
+def _cmd_bound(args) -> dict:
     theorem, values = args.theorem, _needed(args).values()
     if theorem == "generr-c":
         document = gen_error_bound_sensitivity(*values).to_json()
@@ -211,20 +212,19 @@ def _cmd_bound(args) -> tuple[dict, int]:
         bound = {"adapt": adaptive_event_bound, "generr": gen_error_bound,
                  "dwork": dwork_dp_bound, "mi": mi_gen_bound}[theorem]
         document = bound(*values).to_json()
-    return document, EXIT_OK
+    return document
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> dict:
     _require(args.seed is not None, "verify needs an explicit --seed")
     _within(args.instances, "--instances", "[1, inf)")
     from .verify import run_suites
 
     names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]
-    document = run_suites(names, args.instances, args.seed)
-    return document, EXIT_OK if document["pass"] else EXIT_CHECK_FAILED
+    return run_suites(names, args.instances, args.seed)
 
 
-def _cmd_simulate(args) -> tuple[dict, int]:
+def _cmd_simulate(args) -> dict:
     from .simulate import (
         GenErrConfig,
         HypTestConfig,
@@ -237,10 +237,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if generr:
-        report = run_gen_error_experiment(config, trace_path=args.trace, require_exact=args.exact)
-    else:
-        report = run_hyptest_experiment(config, trace_path=args.trace)
-    return report.to_json(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+        return run_gen_error_experiment(config, trace_path=args.trace, require_exact=args.exact)
+    return run_hyptest_experiment(config, trace_path=args.trace)
 
 
 class _Option(NamedTuple):
@@ -517,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             chooser, needs = _NEEDED[args.command]
             for dest, refusal in needs[getattr(args, chooser)]:
                 _require(getattr(args, dest) is not None, refusal)
-        document, code = args.handler(args)
+        document = args.handler(args)
         text = jsonio.dumps(document)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -536,7 +534,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
     print(text)
-    return code
+    # only verify and simulate reports carry a verdict
+    return EXIT_CHECK_FAILED if document.get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

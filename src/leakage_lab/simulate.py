@@ -79,9 +79,8 @@ EXPONENTIAL_MECHANISM = "exponential-mechanism"
 TIE_BREAK = "lowest-index"
 
 
-def _tail_check(hits: int, trials: int, bound: float,
-                edge: float | None = None) -> tuple[float, float, bool]:
-    """Empirical tail, its Monte Carlo half-width, and whether the tail passes.
+def _tail_check(hits: int, trials: int, bound: float, edge: float | None = None) -> dict:
+    """The report keys every check shares: tail, Monte Carlo half-width, ``bound``, verdict.
 
     The half-width reaches down to the Clopper-Pearson lower edge (``edge``,
     when the caller has it already), and the tail passes when that edge
@@ -89,7 +88,8 @@ def _tail_check(hits: int, trials: int, bound: float,
     """
     tail = hits / trials
     half_width = tail - (_clopper_pearson_lower(hits, trials) if edge is None else edge)
-    return tail, half_width, tail - half_width <= bound
+    return {"empiricalTail": tail, "mcHalfWidth": half_width, "theoreticalBound": bound,
+            "pass": tail - half_width <= bound}
 
 
 def _count_trials(seed: int, trials: int, per_trial: int, block: Callable,
@@ -297,70 +297,6 @@ class HypTestConfig:
             trials=_read_int(payload, "trials"),
             seed=_read_int(payload, "seed"),
         )
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """One empirical tail compared against one theoretical bound."""
-
-    empirical_tail: float
-    mc_half_width: float
-    theoretical_bound: float
-    exact_leakage_nats: float | None
-    ledger_bound_nats: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "empiricalTail": self.empirical_tail,
-            "mcHalfWidth": self.mc_half_width,
-            "theoreticalBound": self.theoretical_bound,
-            "exactLeakage_nats": self.exact_leakage_nats,
-            "ledgerBound_nats": self.ledger_bound_nats,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class SignificanceCheck:
-    """False-discovery frequency at one significance level."""
-
-    significance: float
-    empirical_tail: float
-    mc_half_width: float
-    theoretical_bound: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "significance": self.significance,
-            "empiricalTail": self.empirical_tail,
-            "mcHalfWidth": self.mc_half_width,
-            "theoreticalBound": self.theoretical_bound,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class HypTestReport:
-    """Both significance checks of a post-selection testing experiment."""
-
-    adjusted_sigma: float
-    ledger_bound_nats: float
-    adjusted: SignificanceCheck
-    raw: SignificanceCheck
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "adjustedSigma": self.adjusted_sigma,
-            "exactLeakage_nats": None,
-            "ledgerBound_nats": self.ledger_bound_nats,
-            "adjusted": self.adjusted.to_json(),
-            "raw": self.raw.to_json(),
-            "pass": self.passed,
-            "note": P_VALUE_NOTE,
-        }
 
 
 # An (H, rows) risk array is stored row by row, each hypothesis's risks
@@ -655,8 +591,8 @@ def run_gen_error_experiment(
     config: GenErrConfig,
     trace_path: str | None = None,
     require_exact: bool = False,
-) -> ExperimentReport:
-    """Monte Carlo check of the generalization bound for one learner.
+) -> dict:
+    """Monte Carlo check of the generalization bound for one learner, as its JSON report.
 
     A trial wider than the enumeration cap is refused before anything is
     built or opened.
@@ -693,15 +629,10 @@ def run_gen_error_experiment(
         config.seed, config.trials, per_trial, block,
         ("trial", "hypothesis", "empirical_risk", "gap", "exceeds"), trace_path,
     )
-    empirical_tail, half_width, passed = _tail_check(exceed, config.trials, bound)
-    return ExperimentReport(
-        empirical_tail=empirical_tail,
-        mc_half_width=half_width,
-        theoretical_bound=bound,
-        exact_leakage_nats=exact_leakage,
-        ledger_bound_nats=ledger_bound,
-        passed=passed,
-    )
+    report = _tail_check(exceed, config.trials, bound)
+    passed = report.pop("pass")  # the verdict closes the report, after the leakages
+    return {**report, "exactLeakage_nats": exact_leakage, "ledgerBound_nats": ledger_bound,
+            "pass": passed}
 
 
 def statistic_windows(n: int, t: int) -> np.ndarray:
@@ -767,8 +698,8 @@ def _window_masks(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def run_hyptest_experiment(
     config: HypTestConfig,
     trace_path: str | None = None,
-) -> HypTestReport:
-    """Monte Carlo check of the post-selection false-discovery bound.
+) -> dict:
+    """Monte Carlo check of the post-selection false-discovery bound, as its JSON report.
 
     A trial selects the first window with the most heads (``_first_max``).
     The exact tails sum_{j >= k} C(w, j) / 2^w strictly decrease in k, so
@@ -805,17 +736,12 @@ def run_hyptest_experiment(
     # equal hit counts share one edge
     edges = {hits: _clopper_pearson_lower(hits, config.trials) for hits in {hits_adjusted, hits_raw}}
 
-    def check(level: float, hits: int) -> SignificanceCheck:
+    def check(level: float, hits: int) -> dict:
         bound = fdr_bound(level, selection_bound).value
-        empirical, half_width, passed = _tail_check(hits, config.trials, bound, edges[hits])
-        return SignificanceCheck(level, empirical, half_width, bound, passed)
+        return {"significance": level, **_tail_check(hits, config.trials, bound, edges[hits])}
 
     adjusted = check(adjusted_sigma, hits_adjusted)
     raw = check(config.sigma, hits_raw)
-    return HypTestReport(
-        adjusted_sigma=adjusted_sigma,
-        ledger_bound_nats=selection_bound,
-        adjusted=adjusted,
-        raw=raw,
-        passed=adjusted.passed and raw.passed,
-    )
+    return {"adjustedSigma": adjusted_sigma, "exactLeakage_nats": None,
+            "ledgerBound_nats": selection_bound, "adjusted": adjusted, "raw": raw,
+            "pass": adjusted["pass"] and raw["pass"], "note": P_VALUE_NOTE}

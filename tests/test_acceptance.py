@@ -259,28 +259,28 @@ def test_criterion_07_generalization_experiment():
     learner = LearnerSpec(ERM, ((0, 0), (0, 1), (1, 0), (1, 1)))
     config = GenErrConfig(2, 6, dist, learner, 0.45, 100_000, SEED)
     report = run_gen_error_experiment(config)
-    expected_bound = gen_error_bound(6, 0.45, report.exact_leakage_nats).value
+    expected_bound = gen_error_bound(6, 0.45, report["exactLeakage_nats"]).value
 
     constant = LearnerSpec(ERM, ((0, 1),))
     base_config = GenErrConfig(2, 6, dist, constant, 0.45, 100_000, SEED)
     base = run_gen_error_experiment(base_config)
     recovers = (
-        base.exact_leakage_nats == 0.0
-        and base.theoretical_bound == gen_error_bound(6, 0.45, 0.0).value
-        and base.theoretical_bound == 2.0 * mcdiarmid_tail(6, 0.45, 1.0 / 6.0)
+        base["exactLeakage_nats"] == 0.0
+        and base["theoreticalBound"] == gen_error_bound(6, 0.45, 0.0).value
+        and base["theoreticalBound"] == 2.0 * mcdiarmid_tail(6, 0.45, 1.0 / 6.0)
     )
     elapsed = time.monotonic() - start
     conclude(
         "criterion 7: generalization tail under the exact-leakage bound",
-        report.passed
-        and report.theoretical_bound == expected_bound
-        and base.passed
+        report["pass"]
+        and report["theoreticalBound"] == expected_bound
+        and base["pass"]
         and recovers
         and elapsed < 120.0,
-        f"ERM tail {report.empirical_tail:.5f} (edge "
-        f"{report.empirical_tail - report.mc_half_width:.5f}) <= bound "
-        f"{report.theoretical_bound:.5f} at exact leakage "
-        f"{report.exact_leakage_nats:.4f}; constant learner recovers the "
+        f"ERM tail {report['empiricalTail']:.5f} (edge "
+        f"{report['empiricalTail'] - report['mcHalfWidth']:.5f}) <= bound "
+        f"{report['theoreticalBound']:.5f} at exact leakage "
+        f"{report['exactLeakage_nats']:.4f}; constant learner recovers the "
         f"zero-leakage bound; 2x100k trials in {elapsed:.1f}s",
     )
 
@@ -289,24 +289,24 @@ def test_criterion_08_hypothesis_testing_experiment():
     start = time.monotonic()
     adjusted_config = HypTestConfig(64, 10, 0.005, 0.05, 100_000, SEED)
     adjusted_report = run_hyptest_experiment(adjusted_config)
-    sigma_exact = abs(adjusted_report.adjusted_sigma - 0.005) <= math.ulp(0.005)
+    sigma_exact = abs(adjusted_report["adjustedSigma"] - 0.005) <= math.ulp(0.005)
     adjusted_edge = (
-        adjusted_report.adjusted.empirical_tail - adjusted_report.adjusted.mc_half_width
+        adjusted_report["adjusted"]["empiricalTail"] - adjusted_report["adjusted"]["mcHalfWidth"]
     )
 
     raw_config = HypTestConfig(64, 8, 0.01, 0.05, 100_000, SEED)
     raw_report = run_hyptest_experiment(raw_config)
-    raw_edge = raw_report.raw.empirical_tail - raw_report.raw.mc_half_width
+    raw_edge = raw_report["raw"]["empiricalTail"] - raw_report["raw"]["mcHalfWidth"]
     elapsed = time.monotonic() - start
     conclude(
         "criterion 8: post-selection false-discovery control",
         sigma_exact
         and adjusted_edge <= 0.05
-        and adjusted_report.adjusted.passed
+        and adjusted_report["adjusted"]["pass"]
         and raw_edge <= 0.08
-        and raw_report.raw.passed
+        and raw_report["raw"]["pass"]
         and elapsed < 120.0,
-        f"adjusted sigma {adjusted_report.adjusted_sigma!r} (0.005 to 1 ulp), "
+        f"adjusted sigma {adjusted_report['adjustedSigma']!r} (0.005 to 1 ulp), "
         f"10-test edge {adjusted_edge:.5f} <= 0.05, 8-test raw edge "
         f"{raw_edge:.5f} <= 0.08, 2x100k trials in {elapsed:.1f}s",
     )

@@ -396,6 +396,17 @@ class TestBoundReport:
         inputs["n"] = 99.0
         assert report.inputs == {"n": 10.0}
 
+    @pytest.mark.parametrize("bound, args", [
+        (gen_error_bound, (500.0, 0.1, 1.0)),
+        (gen_error_bound_sensitivity, (500.0, 0.1, 0.01, 1.0)),
+        (dwork_dp_bound, (0.01, 0.1, 500.0)),
+        (mi_gen_bound, (0.5, 500.0, 0.2)),
+    ], ids=["generr", "generr-c", "dwork", "mi"])
+    def test_n_is_echoed_as_the_int_it_was_validated_as(self, bound, args):
+        # an integral float is the count, kept as the int
+        n = bound(*args).inputs["n"]
+        assert type(n) is int and n == 500
+
     def test_to_json_shape(self):
         report = gen_error_bound(500, 0.1, 1.0)
         payload = report.to_json()

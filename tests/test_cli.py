@@ -719,12 +719,12 @@ GOLDEN_BOUND = {
     "adapt": (("--theorem", "adapt", "--max-fiber-prob", "0.1", "--leakage", "0.5"),
               "05c8026dbc6d4a39c10330d1064d5f7b23ccea410178dacfb93c4e651edd19bf"),
     "generr": (("--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"),
-               "1b4a62c264182470fcd43ae8375c51218d2e5b2244f48fee940a0697cdffe6b1"),
+               "4d214125ff0460f41ae3b8f5c3c6e37462ef2f9589f2cb5d1a207f416e568dff"),
     "generr-trivial": (("--theorem", "generr", "--n", "5", "--eta", "0.1", "--leakage", "3"),
-                       "f1c3ad715f68553992ebd209d718e3698b25d9706ce226bb7753adb7d261f9ef"),
+                       "7c36a0551f56282271875a4d89ca6354e62beb299340170dc379a3437b57ca24"),
     "generr-c": (("--theorem", "generr-c", "--n", "100", "--eta", "0.1", "--sensitivity", "0.01",
                   "--leakage", "1"),
-                 "da352fd9f5f803fe87cbad101b75e14105717d593e8ecb37fb137e4d34976645"),
+                 "ec7ff623340b554bd3755124393224eb894eccf676da9bff7ee8ec56ed2136e6"),
     "hyptest-sigma": (("--theorem", "hyptest", "--sigma", "0.005", "--leakage", "2.3"),
                       "d6a82503a69f0d08dee7aa254ef6c0b9be262ee222ce469930317edc33616410"),
     "hyptest-delta": (("--theorem", "hyptest", "--delta", "0.05", "--leakage", "2.3"),
@@ -733,11 +733,11 @@ GOLDEN_BOUND = {
                       "--leakage", "2.3"),
                      "5cc68406ecff7659220d9708f4906dc202dccd50a7eb7ef50087db2026fe6be7"),
     "dwork-within": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.01", "--n", "100"),
-                     "ff0290e709050330130d0608145f37cf4172ab7d78b5201f799b0ad6f7440a0b"),
+                     "1e4ebd332e035e38fd8bd188553e8b3751d5669561bdf33ac46ff4b2f302b157"),
     "dwork-beyond": (("--theorem", "dwork", "--beta", "0.01", "--epsilon", "0.5", "--n", "100"),
-                     "543b6159329e634d7977164b214c8c0ecbfbf99cf42501d9a05e94cd98e4a464"),
+                     "64496091af0aa6722f2341e3cd83a49da1f704d8dc7e637cc3f72098c39c2791"),
     "mi": (("--theorem", "mi", "--mutual-info", "0.5", "--n", "100", "--eta", "0.2"),
-           "c1c8c11abe6fa4eabe9b5cda89e5a211b25b3274c0635d7d4bcadbb0df65f36e"),
+           "08fd446e44c4377ff5ff6227dbb8d027d1f17c521ec3b2213e4829415b5bd992"),
     "sample-complexity-leakage": (("--theorem", "sample-complexity", "--value", "2.77",
                                    "--eta", "0.1", "--delta", "0.05"),
                                   "33cb461d7c9158dc4041810f1318d82041047bb4b0812df947f9f64901635d87"),
@@ -759,6 +759,12 @@ class TestBound:
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha256
         assert captured.err == ""
+
+    @pytest.mark.parametrize("name, n", [("generr", 500), ("generr-c", 100),
+                                         ("dwork-within", 100), ("mi", 100)])
+    def test_n_is_printed_as_an_int(self, capsys, name, n):
+        assert main(["bound", *GOLDEN_BOUND[name][0]]) == 0
+        assert f'"n": {n},' in capsys.readouterr().out
 
     def test_generr(self, capsys):
         code, doc, _ = run_cli(
@@ -1269,6 +1275,33 @@ class TestSimulate:
         assert captured.out == f'{stdout}, "note": {json.dumps(P_VALUE_NOTE)}}}\n'
         assert captured.err == ""
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+
+    @pytest.mark.parametrize("kind, config", [("generr", README_GENERR), ("hyptest", README_HYPTEST)],
+                             ids=["generr", "hyptest"])
+    def test_library_report_is_the_printed_document(self, capsys, tmp_path, kind, config):
+        run, config_class = {
+            "generr": (simulate.run_gen_error_experiment, simulate.GenErrConfig),
+            "hyptest": (simulate.run_hyptest_experiment, simulate.HypTestConfig),
+        }[kind]
+        path = write_json(tmp_path / f"{kind}.json", config)
+        assert main(["simulate", kind, "--config", path]) == 0
+        report = run(config_class.from_json(config))
+        assert jsonio.dumps(report) + "\n" == capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, bound, config", [("generr", "gen_error_bound", README_GENERR),
+                                                     ("hyptest", "fdr_bound", README_HYPTEST)],
+                             ids=["generr", "hyptest"])
+    def test_failed_check_exits_1(self, capsys, monkeypatch, tmp_path, kind, bound, config):
+        # the README configs hit 109 and 352 times, so every Clopper-Pearson
+        # edge is positive and exceeds a bound of 0
+        monkeypatch.setattr(simulate, bound, lambda *args: types.SimpleNamespace(value=0.0))
+        path = write_json(tmp_path / f"{kind}.json", config)
+        out_path = tmp_path / "report.json"
+        assert main(["simulate", kind, "--config", path, "--output", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert out_path.read_text(encoding="utf-8") == captured.out
+        assert captured.err == ""
 
     def test_hyptest_window_table_past_the_cap_exits_4(self, capsys, monkeypatch,
                                                         hyptest_config):

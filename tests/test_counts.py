@@ -50,14 +50,14 @@ def _generr(tmp_path, d, n, trials, seed):
     config = GenErrConfig(d, n, DIST, LearnerSpec(ERM, HYPOTHESES), 0.3, trials, seed)
     trace = tmp_path / "generr.csv"
     report = run_gen_error_experiment(config, str(trace))
-    return jsonio.dumps(config.to_json()), jsonio.dumps(report.to_json()), trace.read_bytes()
+    return jsonio.dumps(config.to_json()), jsonio.dumps(report), trace.read_bytes()
 
 
 def _hyptest(tmp_path, n, num_stats, trials, seed):
     config = HypTestConfig(n, num_stats, 0.01, 0.05, trials, seed)
     trace = tmp_path / "hyptest.csv"
     report = run_hyptest_experiment(config, str(trace))
-    return jsonio.dumps(config.to_json()), jsonio.dumps(report.to_json()), trace.read_bytes()
+    return jsonio.dumps(config.to_json()), jsonio.dumps(report), trace.read_bytes()
 
 
 def _channel(tmp_path, d, n):

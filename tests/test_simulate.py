@@ -320,7 +320,8 @@ class TestTailCheck:
         # the rule each experiment used to apply inline
         empirical = hits / trials
         half_width = empirical - _clopper_pearson_lower(hits, trials)
-        expected = (empirical, half_width, empirical - half_width <= bound)
+        expected = {"empiricalTail": empirical, "mcHalfWidth": half_width,
+                    "theoreticalBound": bound, "pass": empirical - half_width <= bound}
         assert _tail_check(hits, trials, bound) == expected
 
 
@@ -625,7 +626,7 @@ class TestTypeKernel:
         oracle = maximal_leakage(Channel(product, channel.output, rows), support)
         config = GenErrConfig(2, n, dist, spec, 0.3, 16, 5)
         report = run_gen_error_experiment(config, require_exact=True)
-        assert report.exact_leakage_nats == oracle.nats
+        assert report["exactLeakage_nats"] == oracle.nats
 
     def test_exact_leakage_builds_no_dataset_alphabet(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -635,8 +636,8 @@ class TestTypeKernel:
         spec = LearnerSpec(EXPONENTIAL_MECHANISM, ((0, 0), (0, 1), (1, 0), (1, 1)), 0.5)
         config = GenErrConfig(2, 100, skewed_dist(), spec, 0.2, 100, 5)
         report = run_gen_error_experiment(config, require_exact=True)
-        assert math.isfinite(report.exact_leakage_nats)
-        assert report.exact_leakage_nats <= report.ledger_bound_nats
+        assert math.isfinite(report["exactLeakage_nats"])
+        assert report["exactLeakage_nats"] <= report["ledgerBound_nats"]
 
     @pytest.mark.parametrize("kind", [ERM, EXPONENTIAL_MECHANISM])
     def test_exact_leakage_holds_two_type_arrays(self, kind):
@@ -679,7 +680,7 @@ class TestTypeKernel:
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 10, 1)
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "165")
         exact = run_gen_error_experiment(config, require_exact=True)
-        assert exact.exact_leakage_nats == math.log(4.0)
+        assert exact["exactLeakage_nats"] == math.log(4.0)
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "164")
         with pytest.raises(CapExceeded, match="165 dataset histograms exceed the cap 164"):
             run_gen_error_experiment(config, require_exact=True)
@@ -692,7 +693,7 @@ class TestTypeKernel:
         config = GenErrConfig(2, 6, skewed_dist(), spec, 0.45, 10, 1)
         width = 6 if epsilon is None else 7
         monkeypatch.setenv("LEAKAGE_LAB_CAP", str(width))
-        assert run_gen_error_experiment(config).exact_leakage_nats is None
+        assert run_gen_error_experiment(config)["exactLeakage_nats"] is None
         monkeypatch.setenv("LEAKAGE_LAB_CAP", str(width - 1))
         message = f"a trial of n = 6 draws holds {width} values, which exceed the cap {width - 1}"
         with pytest.raises(CapExceeded, match=message):
@@ -750,20 +751,20 @@ class TestGenErrorExperiment:
         spec = LearnerSpec(ERM, ((0, 1),))
         config = GenErrConfig(2, 6, dist, spec, 0.25, 20000, 7)
         report = run_gen_error_experiment(config)
-        assert report.exact_leakage_nats == 0.0
-        assert report.theoretical_bound == gen_error_bound(6, 0.25, 0.0).value
+        assert report["exactLeakage_nats"] == 0.0
+        assert report["theoreticalBound"] == gen_error_bound(6, 0.25, 0.0).value
         joint, event = generalization_event(spec, 2, 6, dist, 0.25)
         exact = exact_event_probability(joint, event)
         sigma = math.sqrt(exact * (1.0 - exact) / config.trials)
-        assert abs(report.empirical_tail - exact) < 5.0 * sigma + 1e-3
-        assert report.passed
+        assert abs(report["empiricalTail"] - exact) < 5.0 * sigma + 1e-3
+        assert report["pass"]
 
     def test_seed_changes_the_sample(self):
         base = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 2000, 1)
         other = GenErrConfig(2, 4, skewed_dist(), full_erm(), 0.3, 2000, 2)
         assert (
-            run_gen_error_experiment(base).empirical_tail
-            != run_gen_error_experiment(other).empirical_tail
+            run_gen_error_experiment(base)["empiricalTail"]
+            != run_gen_error_experiment(other)["empiricalTail"]
         )
 
     def test_trace_is_deterministic(self, tmp_path):
@@ -796,7 +797,7 @@ class TestGenErrorExperiment:
                 monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
                 sliced = tmp_path / f"{block}.csv"
                 again = run_gen_error_experiment(config, trace_path=str(sliced))
-                assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
+                assert jsonio.dumps(again) == jsonio.dumps(report)
                 assert sliced.read_bytes() == default.read_bytes()
 
     def test_slices_count_symbols_and_hypotheses(self, monkeypatch):
@@ -827,9 +828,9 @@ class TestGenErrorExperiment:
         config = GenErrConfig(2, 8, skewed_dist(), full_erm(), 0.3, 200, 1)
         monkeypatch.setenv("LEAKAGE_LAB_CAP", "100")
         report = run_gen_error_experiment(config)
-        assert report.exact_leakage_nats is None
-        assert report.ledger_bound_nats == math.log(4.0)
-        assert report.theoretical_bound == gen_error_bound(8, 0.3, math.log(4.0)).value
+        assert report["exactLeakage_nats"] is None
+        assert report["ledgerBound_nats"] == math.log(4.0)
+        assert report["theoreticalBound"] == gen_error_bound(8, 0.3, math.log(4.0)).value
 
     def test_exponential_mechanism_bound_decreases_with_n(self):
         spec = LearnerSpec(
@@ -838,7 +839,7 @@ class TestGenErrorExperiment:
         bounds = []
         for n in (4, 6, 8):
             config = GenErrConfig(2, n, skewed_dist(), spec, 0.6, 16, 3)
-            bounds.append(run_gen_error_experiment(config).theoretical_bound)
+            bounds.append(run_gen_error_experiment(config)["theoreticalBound"])
         assert bounds == sorted(bounds, reverse=True)
 
 
@@ -853,25 +854,25 @@ class TestHypTestExperiment:
                             lambda hits, trials: calls.append(hits) or edge(hits, trials))
         report = run_hyptest_experiment(HypTestConfig(64, num_stats, 0.005, 0.05, 10_000, 20260814))
         assert len(calls) == edges
-        assert sorted(set(calls)) == sorted({round(report.adjusted.empirical_tail * 10_000),
-                                             round(report.raw.empirical_tail * 10_000)})
+        assert sorted(set(calls)) == sorted({round(report["adjusted"]["empiricalTail"] * 10_000),
+                                             round(report["raw"]["empiricalTail"] * 10_000)})
 
     def test_single_statistic_is_classical_testing(self):
         # T = 1 means no selection: zero ledger bound and no adjustment
         config = HypTestConfig(16, 1, 0.05, 0.05, 4096, 5)
         report = run_hyptest_experiment(config)
-        assert report.ledger_bound_nats == 0.0
-        assert report.adjusted_sigma == 0.05
-        assert report.adjusted == report.raw
-        assert report.passed
+        assert report["ledgerBound_nats"] == 0.0
+        assert report["adjustedSigma"] == 0.05
+        assert report["adjusted"] == report["raw"]
+        assert report["pass"]
 
     def test_ten_statistics_with_adjustment(self):
         config = HypTestConfig(64, 10, 0.005, 0.05, 4096, 5)
         report = run_hyptest_experiment(config)
-        assert report.adjusted_sigma == 0.004999999999999999
-        assert report.ledger_bound_nats == math.log(10.0)
-        assert report.adjusted.theoretical_bound == pytest.approx(0.05, rel=1e-12)
-        assert report.passed
+        assert report["adjustedSigma"] == 0.004999999999999999
+        assert report["ledgerBound_nats"] == math.log(10.0)
+        assert report["adjusted"]["theoreticalBound"] == pytest.approx(0.05, rel=1e-12)
+        assert report["pass"]
 
     def test_trace_rows(self, tmp_path):
         config = HypTestConfig(32, 4, 0.01, 0.05, 500, 5)
@@ -946,12 +947,12 @@ class TestHypTestExperiment:
             monkeypatch.setattr(_stream, "_BLOCK_DRAWS", block)
             sliced = tmp_path / f"{block}.csv"
             again = run_hyptest_experiment(config, trace_path=str(sliced))
-            assert jsonio.dumps(again.to_json()) == jsonio.dumps(report.to_json())
+            assert jsonio.dumps(again) == jsonio.dumps(report)
             assert sliced.read_bytes() == default.read_bytes()
 
     def test_report_json_shape(self):
         config = HypTestConfig(16, 2, 0.05, 0.05, 256, 5)
-        payload = run_hyptest_experiment(config).to_json()
+        payload = run_hyptest_experiment(config)
         assert payload["exactLeakage_nats"] is None
         assert payload["ledgerBound_nats"] == math.log(2.0)
         assert payload["note"] == P_VALUE_NOTE
@@ -969,10 +970,10 @@ class TestHypTestExperiment:
         config = HypTestConfig(8, 1, 1 / 256, 1 / 256, 4096, 7)
         trace = tmp_path / "trace.csv"
         report = run_hyptest_experiment(config, trace_path=str(trace))
-        assert binomial_tail_table(8)[8] == report.adjusted_sigma == config.sigma == 1 / 256
+        assert binomial_tail_table(8)[8] == report["adjustedSigma"] == config.sigma == 1 / 256
         with open(trace, newline="") as handle:
             rows = list(csv.DictReader(handle))
         at_sigma = [row for row in rows if float(row["p_value"]) == config.sigma]
         assert len(at_sigma) == 11
         assert all(row["reject_adjusted"] == row["reject_raw"] == "True" for row in at_sigma)
-        assert report.adjusted.empirical_tail == report.raw.empirical_tail == 11 / 4096
+        assert report["adjusted"]["empiricalTail"] == report["raw"]["empiricalTail"] == 11 / 4096
