@@ -74,25 +74,6 @@ def _require(condition: bool, message: str) -> None:
         raise LeakageLabError(message)
 
 
-def _load_object(path: str) -> dict:
-    """The JSON object that the file at ``path`` holds."""
-    return jsonio._read_object(jsonio.load_path(path), path)
-
-
-def _is_pair(entry: Any) -> bool:
-    """Whether ``entry`` is a JSON array of two members, neither an array nor an object."""
-    return (isinstance(entry, list) and len(entry) == 2
-            and not any(isinstance(member, (list, dict)) for member in entry))
-
-
-def _load_pairs(path: str) -> list[tuple]:
-    """The [x, z] pairs that the JSON file at ``path`` lists."""
-    entries = jsonio.load_path(path)
-    _require(isinstance(entries, list) and all(map(_is_pair, entries)),
-             f"{path} must hold a list of [x, z] pairs")
-    return [tuple(pair) for pair in entries]
-
-
 def _needed(args) -> dict:
     """dest -> value of each flag that the kind or theorem in ``args`` needs, in check order."""
     chooser, needs = _NEEDED[args.command]
@@ -100,7 +81,7 @@ def _needed(args) -> dict:
 
 
 def _cmd_measure(args) -> dict:
-    from .core import Alphabet, Channel, JointDistribution, ProductAlphabet, _to_array
+    from .core import Alphabet, Channel, JointDistribution, ProductAlphabet
     from .measures import (
         approx_max_information,
         conditional_maximal_leakage,
@@ -114,30 +95,25 @@ def _cmd_measure(args) -> dict:
     if kind == "ml":
         if args.support is not None:
             inputs["support"] = args.support.split(",")
-        channel = Channel.from_json(_load_object(args.channel))
+        channel = Channel.from_json(jsonio.load_path(args.channel), args.channel)
         value = maximal_leakage(channel, inputs.get("support")).nats
     elif kind == "cml":
-        channel = Channel.from_json(_load_object(args.channel))
-        pairs = _load_pairs(args.pairs)
-        support = set(_load_pairs(args.support)) if args.support is not None else None
+        channel = Channel.from_json(jsonio.load_path(args.channel), args.channel)
+        pairs = jsonio.read("pairs", jsonio.load_path(args.pairs), args.pairs)
+        support = (None if args.support is None
+                   else jsonio.read("pairs", jsonio.load_path(args.support), args.support))
         value = conditional_maximal_leakage(channel, pairs, support).nats
         if args.support is not None:
             inputs["support"] = args.support
     elif kind == "dp":
-        payload = _load_object(args.channel)
-        labels = jsonio._read_array(payload["input_labels"], "input_labels")
-        output = Alphabet(jsonio._read_array(payload["output_labels"], "output_labels"))
-        # converted first, so the parsed JSON rows are freed before the product is built
-        rows = _to_array(payload.pop("rows"), float, "rows")
+        # read whole first, so the parsed JSON rows are freed before the product is built
+        labels, outputs, rows = jsonio.read("channel", jsonio.load_path(args.channel), args.channel)
         product = ProductAlphabet(Alphabet(args.product_base.split(",")), args.copies)
-        # compared as strings, the way Alphabet reads them; only the product is indexed
-        _require(
-            tuple(map(str, labels)) == product.labels,
-            "channel input labels do not match the stated product alphabet",
-        )
-        value = empirical_dp(Channel(product, output, rows))
+        _require(tuple(labels) == product.labels,  # only the product is indexed
+                 "channel input labels do not match the stated product alphabet")
+        value = empirical_dp(Channel(product, Alphabet(outputs), rows))
     else:  # a measure of a joint distribution
-        joint = JointDistribution.from_json(_load_object(args.joint))
+        joint = JointDistribution.from_json(jsonio.load_path(args.joint), args.joint)
         if kind == "approx-maxinfo":
             value = approx_max_information(joint, args.beta)
         else:
@@ -159,7 +135,7 @@ def _parse_dp_flag(text: str) -> tuple[float, int]:
 
 def _cmd_compose(args) -> dict:
     ledger = (LeakageLedger() if args.ledger is None
-              else LeakageLedger.from_json(_load_object(args.ledger)))
+              else LeakageLedger.from_json(jsonio.load_path(args.ledger), args.ledger))
     # each step adds one entry, so the ledger's length numbers the next label
     for text in args.dp or []:
         ledger = ledger.with_entry(LedgerEntry.from_dp(f"step{len(ledger) + 1}", *_parse_dp_flag(text)))
@@ -170,7 +146,7 @@ def _cmd_compose(args) -> dict:
     for path in args.channel or []:
         from .core import Channel
 
-        channel = Channel.from_json(_load_object(path))
+        channel = Channel.from_json(jsonio.load_path(path), path)
         ledger = ledger.with_entry(LedgerEntry.from_channel(f"step{len(ledger) + 1}", channel))
     for nats in args.declared or []:
         ledger = ledger.with_entry(LedgerEntry.declared(f"step{len(ledger) + 1}", nats))
@@ -233,7 +209,8 @@ def _cmd_simulate(args) -> dict:
     )
 
     generr = args.kind == "generr"
-    config = (GenErrConfig if generr else HypTestConfig).from_json(_load_object(args.config))
+    config = (GenErrConfig if generr else HypTestConfig).from_json(
+        jsonio.load_path(args.config), args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if generr:

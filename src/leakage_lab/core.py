@@ -31,7 +31,7 @@ from .errors import (
     _count,
     _within,
 )
-from .jsonio import _read_array
+from . import jsonio
 
 __all__ = _EXPORTS["core"]
 
@@ -82,7 +82,7 @@ class Alphabet:
         labels = tuple(str(label) for label in labels)
         if not labels:
             raise EmptySupport("an alphabet needs at least one symbol")
-        index = {label: i for i, label in enumerate(labels)}
+        index = dict(zip(labels, range(len(labels))))
         if len(index) != len(labels):
             raise LeakageLabError("alphabet labels must be distinct")
         object.__setattr__(self, "labels", labels)
@@ -248,22 +248,24 @@ class DiscreteDistribution:
         return hash((self.alphabet, self.probs.tobytes()))
 
     def to_json(self) -> dict:
-        return {"labels": list(self.alphabet.labels), "probs": self.probs.tolist()}
+        return jsonio.write("distribution", list(self.alphabet.labels), self.probs.tolist())
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "DiscreteDistribution":
-        return cls(Alphabet(_read_array(payload["labels"], "labels")), payload["probs"])
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "DiscreteDistribution":
+        labels, probs = jsonio.read("distribution", payload, name)
+        return cls(Alphabet(labels), probs)
 
 
 class _Rectangle:
     """A read-only matrix over an input x output rectangle of two alphabets.
 
-    A subclass names its matrix attribute in ``_field`` (which is also its
-    JSON key) and its dtype in ``_dtype``, and adds its own invariant in
-    ``_check``, which by default requires finite, nonnegative entries.
+    A subclass names its document kind in ``_kind``, its matrix attribute
+    in ``_field`` and its dtype in ``_dtype``, and adds its own invariant
+    in ``_check``, which by default requires finite, nonnegative entries.
     """
 
     __slots__ = ("input", "output")
+    _kind: str
     _field: str
     _dtype: type = np.float64
 
@@ -297,26 +299,20 @@ class _Rectangle:
         return hash((self.input, self.output, getattr(self, self._field).tobytes()))
 
     def to_json(self) -> dict:
-        return {
-            "input_labels": list(self.input.labels),
-            "output_labels": list(self.output.labels),
-            self._field: getattr(self, self._field).tolist(),
-        }
+        return jsonio.write(self._kind, list(self.input.labels), list(self.output.labels),
+                            getattr(self, self._field).tolist())
 
     @classmethod
-    def from_json(cls, payload: Mapping):
-        return cls(
-            Alphabet(_read_array(payload["input_labels"], "input_labels")),
-            Alphabet(_read_array(payload["output_labels"], "output_labels")),
-            payload[cls._field],
-        )
+    def from_json(cls, payload: Mapping, name: str | None = None):
+        inputs, outputs, matrix = jsonio.read(cls._kind, payload, name)
+        return cls(Alphabet(inputs), Alphabet(outputs), matrix)
 
 
 class Channel(_Rectangle):
     """Row-stochastic conditional distribution from one alphabet to another."""
 
     __slots__ = ("rows",)
-    _field = "rows"
+    _kind, _field = "channel", "rows"
 
     def _check(self, matrix: np.ndarray) -> None:
         _check_channel_rows(matrix)
@@ -339,7 +335,7 @@ class JointDistribution(_Rectangle):
     """Joint probability mass over an input and an output alphabet."""
 
     __slots__ = ("mass",)
-    _field = "mass"
+    _kind, _field = "joint", "mass"
 
     def _check(self, matrix: np.ndarray) -> None:
         total = _check_entries(matrix, "JointDistribution")
@@ -370,7 +366,7 @@ class EventMask(_Rectangle):
     """Boolean subset of an input x output rectangle."""
 
     __slots__ = ("mask",)
-    _field = "mask"
+    _kind, _field = "event mask", "mask"
     _dtype = bool
 
     def _check(self, matrix: np.ndarray) -> None:

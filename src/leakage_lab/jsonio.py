@@ -1,15 +1,13 @@
-"""JSON reads and emission, and typed reads of parsed documents.
+"""JSON reads and emission, and the one schema of every input document.
 
-``load_path`` reads a file in binary, decodes it as UTF-8 once and
-translates its line ends as text mode would, so a refusal's positions are
-those of a text-mode read. ``dumps`` encodes with one shared standard
-encoder that refuses NaN and infinities: it writes each float as the
-shortest decimal that parses back to the same IEEE-754 double, so round
-trips are bit-exact, and integral floats keep their ``.0``. Positive
-infinity, which some measures legitimately return, must be converted to
-the string ``"inf"`` by ``encode_extended`` before serialization.
-``_read_int``, ``_read_number``, ``_read_object`` and ``_read_array``
-read one typed field of a parsed document.
+``load_path`` reads and parses a JSON file. ``dumps`` encodes with one
+shared standard encoder that refuses NaN and infinities: it writes each
+float as the shortest decimal that parses back to the same IEEE-754
+double, so round trips are bit-exact, and integral floats keep their
+``.0``. Positive infinity, which some measures legitimately return, must
+be converted to the string ``"inf"`` by ``encode_extended`` first.
+``_DOCUMENTS`` is the schema of every input document: ``read`` checks a
+parsed value against it and ``write`` builds a document from its values.
 """
 
 from __future__ import annotations
@@ -19,11 +17,12 @@ import json
 import math
 import numbers
 import reprlib
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any
 
 from .errors import LeakageLabError
 
-__all__ = ["dumps", "load_path", "encode_extended"]
+__all__ = ["dumps", "load_path", "encode_extended", "read", "write"]
 
 
 # json.dumps(obj, allow_nan=False) builds this encoder on every call
@@ -69,40 +68,119 @@ def load_path(path: str) -> Any:
             gc.enable()
 
 
-def _read_scalar(payload: Mapping, key: str, where: str, kind: type, what: str):
-    """``payload[key]`` if it is a ``kind`` but no bool; an error names it as ``where`` + ``key``."""
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise LeakageLabError(f"{where}{key} must be {what}, got {value!r}")
-    return value
-
-
-def _read_int(payload: Mapping, key: str, where: str = "") -> int:
-    """``payload[key]`` when it is a JSON integer; floats, bools and strings are refused."""
-    return int(_read_scalar(payload, key, where, numbers.Integral, "an integer"))
-
-
-def _read_number(payload: Mapping, key: str, where: str = "") -> float:
-    """``payload[key]`` as a float when it is a JSON number; bools and strings are refused."""
-    return float(_read_scalar(payload, key, where, numbers.Real, "a number"))
-
-
-def _read_object(value: Any, name: str) -> dict:
-    """``value`` when it is a JSON object; an error names it as ``name``."""
-    if not isinstance(value, dict):
-        raise LeakageLabError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
-    return value
-
-
-def _read_array(value: Any, name: str) -> list:
-    """``value`` when it is a JSON array; an error names it as ``name``."""
-    if not isinstance(value, list):
-        raise LeakageLabError(f"{name} must be a JSON array, got {reprlib.repr(value)}")
-    return value
-
-
 def encode_extended(x: float) -> float | str:
     """Encode a possibly infinite measure value for JSON payloads."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return float(x)
+
+
+# A kind is a scalar ("int", "number", "string", "bool"), a document's
+# name, ("array", kind) or ("array", kind, length), or ("matrix", scalar)
+# for a rectangular array of arrays. A document lists its keys in order, as
+# (name, kind) when required and (name, kind, default) when optional; a
+# default of None also takes null. ("one of", {kind: keys}) is the document
+# whose keys its first key, "kind", names.
+_LABELS = ("array", "string")
+_RECTANGLE = (("input_labels", _LABELS), ("output_labels", _LABELS))
+_KIND = ("kind", "string")
+_DOCUMENTS = {
+    "distribution": (("labels", _LABELS), ("probs", ("array", "number"))),
+    "channel": (*_RECTANGLE, ("rows", ("matrix", "number"))),
+    "joint": (*_RECTANGLE, ("mass", ("matrix", "number"))),
+    "event mask": (*_RECTANGLE, ("mask", ("matrix", "bool"))),
+    "ledger": (("entries", ("array", "ledger entry")),),
+    "ledger entry": (("label", "string"), ("bound_nats", "number"), ("provenance", "provenance")),
+    "provenance": ("one of", {"computed-channel": (_KIND,), "declared": (_KIND,),
+                              "dp-derived": (_KIND, ("epsilon", "number"), ("n", "int")),
+                              "cardinality": (_KIND, ("output_size", "int")),
+                              "max-info-derived": (_KIND, ("maxinfo_nats", "number"))}),
+    "learner": (("kind", "string"), ("hypothesisClass", ("array", ("array", "int"))),
+                ("tieBreak", "string", "lowest-index"), ("epsilon", "number", None)),
+    "generr config": (("d", "int"), ("n", "int"), ("dataDistribution", "distribution"),
+                      ("learner", "learner"), ("eta", "number"), ("trials", "int"), ("seed", "int")),
+    "hyptest config": (("n", "int"), ("numStats", "int"), ("sigma", "number"), ("delta", "number"),
+                       ("trials", "int"), ("seed", "int")),
+    "pairs": ("array", ("array", "string", 2)),
+}
+
+# per scalar: the class of its values (no bool unless asked for), its name
+# in a refusal, and the parsed types that a one-pass scan of an array admits
+_SCALARS = {"int": (numbers.Integral, "an integer", {int}),
+            "number": (numbers.Real, "a number", {int, float}),
+            "string": (str, "a string", {str}), "bool": (bool, "a boolean", {bool})}
+
+
+def _check(ok: bool, name: str, what: str, value: Any) -> None:
+    if not ok:
+        raise LeakageLabError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
+def read(kind: Any, value: Any, name: str | None = None, prefix: str | None = "") -> Any:
+    """``value`` checked against ``kind``, as plain values and numpy arrays.
+
+    A document comes back as the tuple of its values in key order, each
+    optional key it lacks at its default (a "one of" document as a dict);
+    an array as a list, a matrix as a float64 or bool numpy array. The
+    first bad value, missing key or unknown key raises a LeakageLabError
+    that names its JSON path: ``name`` (the kind by default) names
+    ``value`` and its items, and ``prefix`` (``name`` and a dot when None)
+    goes before its keys. An array of scalars is checked in one pass over
+    the parsed lists.
+    """
+    name = name or kind
+    spec = _DOCUMENTS.get(kind, kind) if isinstance(kind, str) else kind
+    if isinstance(spec, str):
+        cls, what, types = _SCALARS[spec]
+        if type(value) not in types:
+            _check(isinstance(value, cls) and (spec == "bool" or not isinstance(value, bool)),
+                   name, what, value)
+        return value
+    if spec[0] in ("array", "matrix"):
+        _check(isinstance(value, list), name, "a JSON array", value)
+        if spec[0] == "matrix":  # so a document without a matrix loads no numpy
+            import numpy as np
+
+            width = len(value[0]) if value and isinstance(value[0], list) else 0
+            try:  # a row that is a string or an object yields items of the wrong type
+                rectangular = (len(set(map(len, value))) <= 1
+                               and set(map(type, chain.from_iterable(value))) <= _SCALARS[spec[1]][2])
+            except TypeError:  # a row without a length
+                rectangular = False
+            if not rectangular:
+                read(("array", ("array", spec[1], width)), value, name)
+            return np.fromiter(chain.from_iterable(value), bool if spec[1] == "bool" else float,
+                               len(value) * width).reshape(len(value), width)
+        if len(spec) == 3 and len(value) != spec[2]:
+            raise LeakageLabError(f"{name} must have length {spec[2]}, got {len(value)}")
+        if spec[1] in _SCALARS and set(map(type, value)) <= _SCALARS[spec[1]][2]:
+            return value
+        return [read(spec[1], item, f"{name}[{i}]", None) for i, item in enumerate(value)]
+    _check(isinstance(value, dict), name, "a JSON object", value)
+    prefix = name + "." if prefix is None else prefix
+    keys = spec
+    if spec[0] == "one of":
+        tag = read("string", value["kind"], prefix + "kind") if "kind" in value else None
+        _check(tag in spec[1], prefix + "kind", f"a {kind} kind ({', '.join(spec[1])})", tag)
+        keys = spec[1][tag]
+    values, given = [], 0
+    for key in keys:
+        if key[0] not in value:
+            if len(key) == 2:
+                raise LeakageLabError(f"missing key '{prefix}{key[0]}'")
+            values.append(key[2])
+            continue
+        given += 1
+        item = value[key[0]]
+        null = item is None and key[2:] == (None,)
+        values.append(None if null else read(key[1], item, prefix + key[0], None))
+    if given < len(value):  # the document holds a key that the table does not list
+        unknown = next(other for other in value if other not in [key[0] for key in keys])
+        raise LeakageLabError(f"unknown key '{prefix}{unknown}'")
+    return dict(zip([key[0] for key in keys], values)) if spec[0] == "one of" else tuple(values)
+
+
+def write(kind: str, *values: Any) -> dict:
+    """The ``kind`` document whose keys hold ``values``, in key order, less those that are None."""
+    return {key[0]: value for key, value in zip(_DOCUMENTS[kind], values, strict=True)
+            if value is not None}

@@ -17,20 +17,17 @@ Totals are recomputed from the entries on every call, never cached.
 from __future__ import annotations
 
 import math
-import numbers
+import reprlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from . import _EXPORTS
+from . import _EXPORTS, jsonio
 from .errors import BetaOutOfRange, Infeasible, LeakageLabError, NegativeEpsilon, _count, _within
-from .jsonio import _read_array, _read_int, _read_number, _read_object, _read_scalar
 
 if TYPE_CHECKING:
     from .core import Channel
 
 __all__ = _EXPORTS["ledger"]
-
-_KINDS = ("computed-channel", "dp-derived", "cardinality", "max-info-derived", "declared")
 
 
 def dp_to_leakage(epsilon: float, n: int) -> float:
@@ -68,33 +65,21 @@ class LedgerEntry:
     provenance: Mapping[str, object]
 
     def __post_init__(self):
-        if isinstance(self.bound_nats, bool) or not isinstance(self.bound_nats, numbers.Real):
-            raise LeakageLabError(
-                f"entry {self.label!r} bound must be a number, got {self.bound_nats!r}")
+        jsonio.read("number", self.bound_nats, f"entry {self.label!r} bound")
         if not math.isfinite(self.bound_nats):
             raise LeakageLabError(f"entry {self.label!r} has non-finite bound {self.bound_nats}")
-        kind = self.provenance.get("kind")
-        if kind not in _KINDS:
-            raise LeakageLabError(f"unknown provenance kind {kind!r}")
+        provenance = jsonio.read("provenance", self.provenance, "provenance", None)
         if self.bound_nats < 0.0:
             raise LeakageLabError(f"entry {self.label!r} has negative bound")
-        where = f"entry {self.label!r}: provenance."
-        if kind == "dp-derived":
-            expected = dp_to_leakage(
-                _read_number(self.provenance, "epsilon", where),
-                _read_int(self.provenance, "n", where),
-            )
+        kind = provenance["kind"]
+        if kind in ("dp-derived", "cardinality"):
+            formula, expected = (
+                ("epsilon * n", dp_to_leakage(provenance["epsilon"], provenance["n"]))
+                if kind == "dp-derived"
+                else ("log(output_size)", cardinality_bound(provenance["output_size"])))
             if self.bound_nats != expected:
-                raise LeakageLabError(
-                    f"dp-derived entry {self.label!r} must carry epsilon * n = {expected}"
-                )
-        elif kind == "cardinality":
-            expected = cardinality_bound(_read_int(self.provenance, "output_size", where))
-            if self.bound_nats != expected:
-                raise LeakageLabError(
-                    f"cardinality entry {self.label!r} must carry log(output_size) = {expected}"
-                )
-        object.__setattr__(self, "provenance", dict(self.provenance))
+                raise LeakageLabError(f"{kind} entry {self.label!r} must carry {formula} = {expected}")
+        object.__setattr__(self, "provenance", provenance)
 
     @classmethod
     def from_dp(cls, label: str, epsilon: float, n: int) -> "LedgerEntry":
@@ -123,18 +108,11 @@ class LedgerEntry:
         return cls(label, float(_within(bound_nats, "bound_nats", "[-inf, inf]")), {"kind": "declared"})
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "bound_nats": self.bound_nats,
-            "provenance": dict(self.provenance),
-        }
+        return jsonio.write("ledger entry", self.label, self.bound_nats, dict(self.provenance))
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "LedgerEntry":
-        label = _read_scalar(payload, "label", "entry ", str, "a string")
-        where = f"entry {label!r}: "
-        return cls(label, _read_number(payload, "bound_nats", where),
-                   _read_object(payload["provenance"], f"{where}provenance"))
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "LedgerEntry":
+        return cls(*jsonio.read("ledger entry", payload, name))
 
 
 @dataclass(frozen=True)
@@ -144,7 +122,12 @@ class LeakageLedger:
     entries: tuple[LedgerEntry, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(self.entries)
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, LedgerEntry):
+                raise LeakageLabError(f"ledger entry {i} must be a LedgerEntry, "
+                                      f"got {reprlib.repr(entry)}")
+        object.__setattr__(self, "entries", entries)
 
     def with_entry(self, entry: LedgerEntry) -> "LeakageLedger":
         return LeakageLedger(self.entries + (entry,))
@@ -163,12 +146,12 @@ class LeakageLedger:
         return iter(self.entries)
 
     def to_json(self) -> dict:
-        return {"entries": [entry.to_json() for entry in self.entries]}
+        return jsonio.write("ledger", [entry.to_json() for entry in self.entries])
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "LeakageLedger":
-        return cls(tuple(LedgerEntry.from_json(_read_object(item, f"entries[{i}]"))
-                         for i, item in enumerate(_read_array(payload["entries"], "entries"))))
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "LeakageLedger":
+        (entries,) = jsonio.read("ledger", payload, name)
+        return cls(tuple(LedgerEntry(*entry) for entry in entries))
 
 
 def compose(ledger: LeakageLedger | Iterable[LedgerEntry]) -> float:

@@ -43,7 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import _EXPORTS
+from . import _EXPORTS, jsonio
 from ._clopper_pearson import _clopper_pearson_lower
 from ._stream import (
     _check_seed,
@@ -67,7 +67,6 @@ from .core import (
     joint_from,
 )
 from .errors import CapExceeded, LeakageLabError, _count, _within
-from .jsonio import _read_array, _read_int, _read_number, _read_object, _read_scalar
 from .ledger import cardinality_bound, dp_to_leakage
 from .measures import _maxima_leakage
 
@@ -173,29 +172,19 @@ class LearnerSpec:
         return len(self.hypotheses[0])
 
     def to_json(self) -> dict:
-        payload: dict = {
-            "kind": self.kind,
-            "hypothesisClass": [list(h) for h in self.hypotheses],
-            "tieBreak": TIE_BREAK,
-        }
-        if self.epsilon is not None:
-            payload["epsilon"] = self.epsilon
-        return payload
+        return jsonio.write("learner", self.kind, list(map(list, self.hypotheses)), TIE_BREAK,
+                            self.epsilon)
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "LearnerSpec":
-        tie_break = payload.get("tieBreak", TIE_BREAK)
-        if tie_break != TIE_BREAK:
-            raise LeakageLabError(f"unsupported tie break {tie_break!r}")
-        name = "learner.hypothesisClass"
-        hypotheses = _read_array(payload["hypothesisClass"], name)
-        return cls(
-            kind=_read_scalar(payload, "kind", "learner.", str, "a string"),
-            hypotheses=tuple(
-                tuple(_read_array(h, f"{name}[{i}]")) for i, h in enumerate(hypotheses)
-            ),
-            epsilon=payload.get("epsilon"),
-        )
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "LearnerSpec":
+        return _learner(*jsonio.read("learner", payload, name))
+
+
+def _learner(kind: str, hypotheses: list, tie_break: str, epsilon: float | None) -> LearnerSpec:
+    """The learner that a read learner document's values describe."""
+    if tie_break != TIE_BREAK:
+        raise LeakageLabError(f"unsupported tie break {tie_break!r}")
+    return LearnerSpec(kind, hypotheses, epsilon)
 
 
 def _check_learner(spec: LearnerSpec, d: int, data_dist: DiscreteDistribution) -> None:
@@ -235,28 +224,15 @@ class GenErrConfig:
         _keep(self, seed=_check_seed(self.seed))
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "dataDistribution": self.data_dist.to_json(),
-            "learner": self.learner.to_json(),
-            "eta": self.eta,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return jsonio.write("generr config", self.d, self.n, self.data_dist.to_json(),
+                            self.learner.to_json(), self.eta, self.trials, self.seed)
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "GenErrConfig":
-        return cls(
-            d=_read_int(payload, "d"),
-            n=_read_int(payload, "n"),
-            data_dist=DiscreteDistribution.from_json(
-                _read_object(payload["dataDistribution"], "dataDistribution")),
-            learner=LearnerSpec.from_json(_read_object(payload["learner"], "learner")),
-            eta=_read_number(payload, "eta"),
-            trials=_read_int(payload, "trials"),
-            seed=_read_int(payload, "seed"),
-        )
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "GenErrConfig":
+        d, n, (labels, probs), learner, eta, trials, seed = jsonio.read(
+            "generr config", payload, name)
+        return cls(d, n, DiscreteDistribution(Alphabet(labels), probs), _learner(*learner),
+                   eta, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -278,25 +254,12 @@ class HypTestConfig:
               trials=_count(self.trials, "trial count"), seed=_check_seed(self.seed))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "numStats": self.num_stats,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return jsonio.write("hyptest config", self.n, self.num_stats, self.sigma, self.delta,
+                            self.trials, self.seed)
 
     @classmethod
-    def from_json(cls, payload: Mapping) -> "HypTestConfig":
-        return cls(
-            n=_read_int(payload, "n"),
-            num_stats=_read_int(payload, "numStats"),
-            sigma=_read_number(payload, "sigma"),
-            delta=_read_number(payload, "delta"),
-            trials=_read_int(payload, "trials"),
-            seed=_read_int(payload, "seed"),
-        )
+    def from_json(cls, payload: Mapping, name: str | None = None) -> "HypTestConfig":
+        return cls(*jsonio.read("hyptest config", payload, name))
 
 
 # An (H, rows) risk array is stored row by row, each hypothesis's risks

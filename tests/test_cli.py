@@ -437,22 +437,25 @@ class TestMeasure:
         assert err.splitlines() == [f"error: {field} must be a JSON array, got '01'"]
 
     @pytest.mark.parametrize(
-        "command,field,matrix",
+        "command,field,matrix,message",
         [
-            ("ml", "rows", [[1, 0], [0, 1, 2]]),
-            ("ml", "rows", [[1, 0], ["abc", 1]]),
-            ("mi", "mass", [[0.5], [0.25, 0.25]]),
+            ("ml", "rows", [[1, 0], [0, 1, 2]], "rows[1] must have length 2, got 3"),
+            ("ml", "rows", [[1, 0], ["abc", 1]], "rows[1][0] must be a number, got 'abc'"),
+            ("ml", "rows", [[1, 0], [True, 0]], "rows[1][0] must be a number, got True"),
+            ("mi", "mass", [[0.5], [0.25, 0.25]],
+             "mass[1] must have length 1, got 2"),
         ],
-        ids=["ragged-rows", "string-entry", "ragged-mass"],
+        ids=["ragged-rows", "string-entry", "bool-entry", "ragged-mass"],
     )
-    def test_malformed_matrix_names_its_field(self, capsys, tmp_path, command, field, matrix):
+    def test_malformed_matrix_names_its_field(self, capsys, tmp_path, command, field, matrix,
+                                              message):
         payload = {"input_labels": ["0", "1"], "output_labels": ["0", "1"], field: matrix}
         path = write_json(tmp_path / "m.json", payload)
         flag = "--channel" if field == "rows" else "--joint"
         code, doc, err = run_cli(capsys, "measure", command, flag, path)
         assert code == 2
         assert doc is None
-        assert err.splitlines() == [f"error: {field} must be a rectangular array of numbers"]
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_cml(self, capsys, tmp_path):
         pairs = [["x0", "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]
@@ -469,20 +472,28 @@ class TestMeasure:
         assert doc["nats"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "flag,entries",
+        "flag,entries,message",
         [
-            ("--pairs", ["a0", "b0", "a1", "b1"]),
-            ("--pairs", [["x0", "z0", "w"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
-            ("--pairs", {"x0": "z0"}),
-            ("--pairs", [[["x0"], "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
-            ("--pairs", [["x0", {"z": 0}], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]),
-            ("--support", ["x0z0"]),
-            ("--support", [["x0", "z0"], ["x1"]]),
-            ("--support", [[["a"], "z"]]),
-            ("--support", [[{"x": "a"}, "z"]]),
+            ("--pairs", ["a0", "b0", "a1", "b1"], "[0] must be a JSON array, got 'a0'"),
+            ("--pairs", [["x0", "z0", "w"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]],
+             "[0] must have length 2, got 3"),
+            ("--pairs", {"x0": "z0"}, " must be a JSON array, got {'x0': 'z0'}"),
+            ("--pairs", [[["x0"], "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]],
+             "[0][0] must be a string, got ['x0']"),
+            ("--pairs", [["x0", {"z": 0}], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]],
+             "[0][1] must be a string, got {'z': 0}"),
+            ("--pairs", [["x0", "z0"], ["x1", 0], ["x0", "z1"], ["x1", "z1"]],
+             "[1][1] must be a string, got 0"),
+            ("--support", ["x0z0"], "[0] must be a JSON array, got 'x0z0'"),
+            ("--support", [["x0", "z0"], ["x1"]], "[1] must have length 2, got 1"),
+            ("--support", [[["a"], "z"]], "[0][0] must be a string, got ['a']"),
+            ("--support", [[{"x": "a"}, "z"]], "[0][0] must be a string, got {'x': 'a'}"),
         ],
+        ids=["pairs-strings", "pairs-triple", "pairs-object", "pairs-array-member",
+             "pairs-object-member", "pairs-number-member", "support-strings", "support-single",
+             "support-array-member", "support-object-member"],
     )
-    def test_cml_entries_must_be_pairs(self, capsys, tmp_path, flag, entries):
+    def test_cml_entries_must_be_pairs(self, capsys, tmp_path, flag, entries, message):
         good = [["x0", "z0"], ["x1", "z0"], ["x0", "z1"], ["x1", "z1"]]
         channel_path = write_json(
             tmp_path / "id.json", Channel.identity(Alphabet(("a", "b", "c", "d"))).to_json()
@@ -495,7 +506,7 @@ class TestMeasure:
         )
         assert code == 2
         assert doc is None
-        assert err.splitlines() == [f"error: {bad} must hold a list of [x, z] pairs"]
+        assert err.splitlines() == [f"error: {bad}{message}"]
 
     def test_cml_duplicate_pair_is_one_error_line(self, capsys, tmp_path):
         channel_path = write_json(
@@ -583,20 +594,23 @@ class TestMeasure:
         assert doc is None
         assert "product alphabet" in err
 
-    @pytest.mark.parametrize("labels,code", [([0, 1], 0), (["0", "0"], 2), ([], 2)],
-                             ids=["numbers", "duplicates", "empty"])
-    def test_dp_reads_input_labels_as_strings(self, capsys, tmp_path, labels, code):
+    @pytest.mark.parametrize("labels,message", [
+        (["0", "1"], None),
+        ([0, 1], "input_labels[0] must be a string, got 0"),
+        (["0", "0"], "channel input labels do not match the stated product alphabet"),
+        ([], "channel input labels do not match the stated product alphabet"),
+    ], ids=["strings", "numbers", "duplicates", "empty"])
+    def test_dp_reads_input_labels_as_strings(self, capsys, tmp_path, labels, message):
         payload = {"input_labels": labels, "output_labels": ["a", "b"],
                    "rows": [[1.0, 0.0], [0.0, 1.0]]}
         path = write_json(tmp_path / "ch.json", payload)
         got, doc, err = run_cli(capsys, "measure", "dp", "--channel", path,
                                 "--product-base", "0,1", "--copies", "1")
-        assert got == code
-        if code:
-            assert err.splitlines() == [
-                "error: channel input labels do not match the stated product alphabet"]
+        if message is None:
+            assert (got, doc["nats"]) == (0, "inf")
         else:
-            assert doc["nats"] == "inf"
+            assert (got, doc) == (2, None)
+            assert err.splitlines() == [f"error: {message}"]
 
     def test_missing_required_flag(self, capsys):
         for prefix, flags in MISSING_FLAG_CASES["measure"]:
@@ -689,16 +703,16 @@ class TestCompose:
         code, doc, err = run_cli(capsys, "compose", "--ledger", path)
         assert code == 2
         assert doc is None
-        # the message names the entry, and a provenance field by its path
+        # the message names the value by its JSON path
         field = "" if message.startswith("bound_nats") else "provenance."
-        assert err.splitlines() == [f"error: entry 's': {field}{message}"]
+        assert err.splitlines() == [f"error: entries[0].{field}{message}"]
 
     @pytest.mark.parametrize("label", [["x"], 1, None, True], ids=["array", "number", "null", "bool"])
     def test_ledger_label_must_be_a_string(self, capsys, tmp_path, label):
         path = write_json(tmp_path / "ledger.json", {"entries": [{**DECLARED, "label": label}]})
         code, doc, err = run_cli(capsys, "compose", "--ledger", path)
         assert (code, doc) == (2, None)
-        assert err.splitlines() == [f"error: entry label must be a string, got {label!r}"]
+        assert err.splitlines() == [f"error: entries[0].label must be a string, got {label!r}"]
 
     def test_malformed_dp(self, capsys):
         for value in ["0.1", "x,10", "0.1,1.5"]:
@@ -1176,7 +1190,7 @@ class TestSimulate:
         code, doc, err = run_cli(capsys, "simulate", "generr", "--config", bad)
         assert code == 2
         assert doc is None
-        assert err.splitlines() == ["error: probs must be a rectangular array of numbers"]
+        assert err.splitlines() == ["error: dataDistribution.probs[1] must be a number, got [0.1]"]
 
     def test_hyptest_passes_with_trace(self, capsys, hyptest_config, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -1675,9 +1689,9 @@ class TestParser:
             ("simulate generr --config", [7], None, "[7]"),
             ("simulate hyptest --config", "hyptest", None, "'hyptest'"),
             ("compose --ledger", {"entries": [{**DECLARED, "provenance": []}]},
-             "entry 's': provenance", "[]"),
+             "entries[0].provenance", "[]"),
             ("compose --ledger", {"entries": [{**DECLARED, "provenance": "declared"}]},
-             "entry 's': provenance", "'declared'"),
+             "entries[0].provenance", "'declared'"),
             ("compose --ledger", {"entries": [DECLARED, 5]}, "entries[1]", "5"),
             ("compose --ledger", [{"kind": "declared"}], None, "[{'kind': 'declared'}]"),
             ("compose --channel", [[1.0]], None, "[[1.0]]"),
@@ -1753,11 +1767,13 @@ def test_import_does_not_load_scipy_stats(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_closed_form_commands_load_no_numpy():
-    # the package, the CLI, every bound, the closed-form compose flags,
-    # --help and the error exits stay on the standard library
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    # the package, the CLI, every bound, the closed-form compose flags, a
+    # ledger file, --help and the error exits stay on the standard library
     src = str(Path(leakage_lab.__file__).resolve().parents[1])
+    ledger = write_json(tmp_path / "ledger.json", {"entries": [DECLARED]})
     commands = [
+        (["compose", "--ledger", ledger], 0),
         (["bound", "--theorem", "adapt", "--max-fiber-prob", "0.1", "--leakage", "1"], 0),
         (["bound", "--theorem", "generr", "--n", "500", "--eta", "0.1", "--leakage", "1.0"], 0),
         (["bound", "--theorem", "generr-c", "--n", "100", "--eta", "0.1",
@@ -1982,8 +1998,12 @@ def test_bench_tracer_counts_every_trial(tmp_path):
     assert proc.stdout.splitlines()[-1] == "2500"
 
 
-@pytest.mark.parametrize("epsilon", [0.5, 0, "0.5"])
-def test_an_epsilon_on_an_erm_learner_is_one_error_line(capsys, tmp_path, epsilon):
+@pytest.mark.parametrize("epsilon,message", [
+    (0.5, "an ERM learner takes no epsilon, got 0.5"),
+    (0, "an ERM learner takes no epsilon, got 0"),
+    ("0.5", "learner.epsilon must be a number, got '0.5'"),
+], ids=["float", "zero", "string"])
+def test_an_epsilon_on_an_erm_learner_is_one_error_line(capsys, tmp_path, epsilon, message):
     # an ERM learner has no epsilon to use, so one in its config is refused, not
     # ignored; "epsilon": null is the same as no epsilon
     learner = {**GENERR["learner"], "epsilon": epsilon}
@@ -1991,4 +2011,4 @@ def test_an_epsilon_on_an_erm_learner_is_one_error_line(capsys, tmp_path, epsilo
     code, doc, err = run_cli(capsys, "simulate", "generr", "--config", path)
     assert code == 2
     assert doc is None
-    assert err.splitlines() == [f"error: an ERM learner takes no epsilon, got {epsilon!r}"]
+    assert err.splitlines() == [f"error: {message}"]

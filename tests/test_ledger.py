@@ -112,6 +112,18 @@ class TestLedgerEntry:
         with pytest.raises(LeakageLabError, match="provenance kind"):
             LedgerEntry("bad", 0.1, {"kind": "guesswork"})
 
+    @pytest.mark.parametrize("provenance,message", [
+        ([], "provenance must be a JSON object, got []"),
+        ({"kind": "declared", "note": "x"}, "unknown key 'provenance.note'"),
+        ({"kind": "dp-derived", "epsilon": 0.1}, "missing key 'provenance.n'"),
+        ({"kind": "dp-derived", "epsilon": 0.1, "n": 15.9}, "provenance.n must be an integer, got 15.9"),
+    ], ids=["list", "unknown-key", "missing-key", "float-count"])
+    def test_provenance_is_read_through_the_schema(self, provenance, message):
+        # a list provenance raised AttributeError ('list' object has no attribute 'get')
+        with pytest.raises(LeakageLabError) as caught:
+            LedgerEntry("s", 1.0, provenance)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("bound", [True, "3", None])
     def test_rejects_a_bound_that_is_not_a_number(self, bound):
         # a bool would be written as JSON true, which from_json refuses
@@ -154,6 +166,14 @@ class TestLedgerEntry:
 
 
 class TestLeakageLedger:
+    @pytest.mark.parametrize("build", [lambda: compose([1]), lambda: LeakageLedger(entries=(1,)),
+                                       lambda: LeakageLedger().with_entry("s")],
+                             ids=["compose", "constructor", "with-entry"])
+    def test_refuses_what_is_not_an_entry(self, build):
+        # compose([1]) and LeakageLedger((1,)).total() raised AttributeError on bound_nats
+        with pytest.raises(LeakageLabError, match=r"^ledger entry \d must be a LedgerEntry, got \S+$"):
+            build()
+
     def test_empty_total(self):
         assert LeakageLedger().total() == 0.0
         assert len(LeakageLedger()) == 0
